@@ -7,26 +7,28 @@ carrier map plus a code; the code tracks the map when it sends every
 realizer of a point into the certified closure of the target's realizers.
 
 Checks over infinite carriers are sampled and say so in their reports.
-A tag-0 output is decided outright by membership of its payload; a tag-1
-output is handed to a bounded certificate search, whose failure is only
-ever Unknown, never Failed.
+Whether a tracker's output lands is decided by ``CertSearch.decide``: an
+untagged output or a base payload outside the target is Failed, and a
+certificate search that finds nothing is only ever Unknown, never Failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product as iproduct
 from typing import Callable
 
 from . import coding, prog
 from .bracket import lam
-from .certs import Base, CertSearch, CheckPolicy, check_cert, Accepted
-from .jsets import Finite, JSet, Singleton, is_empty, member, sample, show_jset, parse_jset
+from .certs import (SCAN_THRESHOLD, TRACK_THRESHOLD, Accepted, Base,
+                    CertSearch, CheckPolicy, check_cert)
+from .jsets import Finite, JSet, Singleton, is_empty, sample, show_jset, parse_jset
 from .kit import A_CODE, B_TERM, D_TERM, E_TERM, wedge_target
 from .machine import DEFAULT_FUEL, Value, apply_cached
 from .prog import p0, p1, tag0
-from .terms import App, Num, SUCC, Var, ap, encode_term
+from .terms import App, Num, Var, ap, encode_term
 
 Point = object  # hashable labels: str, int, tuple
 
@@ -143,47 +145,40 @@ def realizer_elements(S: JSet, k: int) -> tuple[tuple[int, ...], bool]:
             return tuple(sample(S, k)), True
 
 
-def check_tracking(mor: Morphism, policy: CheckPolicy | None = None,
-                   samples: int = 16) -> TrackReport:
-    policy = policy or CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
-    sampled = not mor.src.finite
+def _track_rows(tracker: int, rows, policy: CheckPolicy, samples: int,
+                sampled: bool) -> TrackReport:
+    """Every realizer of each row's source set, under the tracker, must land
+    in the closure of the row's target set; rows are (point, source, target)."""
+    searcher = CertSearch(policy, TRACK_THRESHOLD)
     checked = 0
     unknown: tuple | None = None
-    unknown_note = ""
-    for x in mor.src.sample_points(samples):
-        target = mor.dst.realizer_set(mor.map(x))
-        elems, approx = realizer_elements(mor.src.realizer_set(x), samples)
+    note = ""
+    for x, source, target in rows:
+        elems, approx = realizer_elements(source, samples)
         sampled = sampled or approx
         for r in elems:
             checked += 1
-            res = apply_cached(mor.tracker, r, policy.fuel)
-            if not isinstance(res, Value):
-                unknown = unknown or (x, r)
-                unknown_note = unknown_note or "tracker ran out of fuel"
-                continue
-            v = res.value
-            parts = coding.decode_seq(v)
-            if len(parts) != 2 or parts[0] not in (0, 1):
-                return TrackReport(TrackStatus.FAILED, (x, r), checked, sampled,
-                                   "tracker output is not a tagged pair")
-            if parts[0] == 0:
-                inside = member(target, parts[1])
-                if inside is True:
-                    continue
-                if inside is False:
-                    return TrackReport(TrackStatus.FAILED, (x, r), checked, sampled,
-                                       "base payload lands outside the target set")
-                unknown = unknown or (x, r)
-                unknown_note = unknown_note or "target membership undecided"
-                continue
-            cert = CertSearch(policy, max_threshold=3).search(v, target)
-            if cert is None:
-                unknown = unknown or (x, r)
-                unknown_note = unknown_note or "no certificate at these bounds"
+            res = apply_cached(tracker, r, policy.fuel)
+            if isinstance(res, Value):
+                inside, why = searcher.decide(res.value, target)
+            else:
+                inside, why = None, "tracker ran out of fuel"
+            if inside is False:
+                return TrackReport(TrackStatus.FAILED, (x, r), checked, sampled, why)
+            if inside is None and unknown is None:
+                unknown, note = (x, r), why
     if unknown is not None:
-        return TrackReport(TrackStatus.UNKNOWN, unknown, checked, sampled, unknown_note)
+        return TrackReport(TrackStatus.UNKNOWN, unknown, checked, sampled, note)
     scope = "sampled carrier" if sampled else "full carrier"
     return TrackReport(TrackStatus.VERIFIED, None, checked, sampled, scope)
+
+
+def check_tracking(mor: Morphism, policy: CheckPolicy | None = None,
+                   samples: int = 16) -> TrackReport:
+    policy = policy or CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
+    rows = ((x, mor.src.realizer_set(x), mor.dst.realizer_set(mor.map(x)))
+            for x in mor.src.sample_points(samples))
+    return _track_rows(mor.tracker, rows, policy, samples, not mor.src.finite)
 
 
 def identity_morphism(A: Assembly) -> Morphism:
@@ -298,18 +293,10 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
             row[r] = res.value
         else:
             outputs[e] = row
-    lift_memo: dict[tuple[int, int], bool] = {}
-
+    @cache
     def lands(v: int, ti: int) -> bool:
-        target = B.realizers[ti]
-        parts = coding.decode_seq(v)
-        if parts[0] == 0:
-            return member(target, parts[1]) is True
-        key = (v, ti)
-        if key not in lift_memo:
-            lift_memo[key] = (
-                CertSearch(policy, max_threshold=1).search(v, target) is not None)
-        return lift_memo[key]
+        searcher = CertSearch(policy, SCAN_THRESHOLD)
+        return searcher.decide(v, B.realizers[ti])[0] is True
 
     points: list[Point] = []
     realizers: list[JSet] = []
@@ -358,47 +345,11 @@ def subobject_check(sub: Subobject, base: Assembly,
                     samples: int = 16) -> tuple[TrackReport, tuple[Point, ...]]:
     """Tracking of the realizer refinement, plus the induced point set."""
     policy = policy or CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
-    live: list[Point] = []
-    checked = 0
-    sampled = not base.finite
-    unknown: tuple | None = None
-    note = ""
-    for x in base.sample_points(samples):
-        rset = sub.R(x)
-        if is_empty(rset) is True:
-            continue
-        live.append(x)
-        target = base.realizer_set(x)
-        elems, approx = realizer_elements(rset, samples)
-        sampled = sampled or approx
-        for r in elems:
-            checked += 1
-            res = apply_cached(sub.tracker, r, policy.fuel)
-            if not isinstance(res, Value):
-                unknown = unknown or (x, r)
-                note = note or "tracker ran out of fuel"
-                continue
-            parts = coding.decode_seq(res.value)
-            if len(parts) == 2 and parts[0] == 0:
-                inside = member(target, parts[1])
-                if inside is True:
-                    continue
-                if inside is False:
-                    return (TrackReport(TrackStatus.FAILED, (x, r), checked, sampled,
-                                        "refined realizer not tracked into the base"),
-                            tuple(live))
-                unknown = unknown or (x, r)
-                note = note or "membership undecided"
-                continue
-            cert = CertSearch(policy, max_threshold=3).search(res.value, target)
-            if cert is None:
-                unknown = unknown or (x, r)
-                note = note or "no certificate at these bounds"
-    if unknown is not None:
-        return TrackReport(TrackStatus.UNKNOWN, unknown, checked, sampled, note), tuple(live)
-    return (TrackReport(TrackStatus.VERIFIED, None, checked, sampled,
-                        "sampled carrier" if sampled else "full carrier"),
-            tuple(live))
+    rows = [(x, refined, base.realizer_set(x))
+            for x in base.sample_points(samples)
+            if is_empty(refined := sub.R(x)) is not True]
+    rep = _track_rows(sub.tracker, rows, policy, samples, not base.finite)
+    return rep, tuple(x for x, _, _ in rows)
 
 
 # ---------------------------------------------------------------------------

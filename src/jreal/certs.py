@@ -120,13 +120,25 @@ def _check(x: int, target: JSet, cert: Cert, policy: CheckPolicy, depth: int) ->
 # bounded certificate search
 
 
+# The largest lift threshold tried when tracking maps and checking realizers.
+# The realizability verdicts and the step and cache counts pinned by the
+# tests and the benchmark rest on it.
+TRACK_THRESHOLD = 3
+# exponent_finite runs a fresh search per (output, target) over thousands of
+# raw candidate codes; threshold 1 keeps each one short (3 costs extra machine
+# runs on the same candidates).
+SCAN_THRESHOLD = 1
+
+
 class CertSearch:
     """Bounded search for a certificate of x in the closure of a target.
 
     Thresholds for the lift rule are tried up to ``max_threshold``; results
     and tail applications are memoized so overlapping windows come cheap.
     A ``None`` answer means no certificate was found inside the bounds, not
-    that membership fails.
+    that membership fails.  ``_applied`` keeps tail values per searcher on
+    top of ``apply_cached``: a window revisited within one search skips the
+    shared cache, whose hit counts the benchmark pins.
     """
 
     def __init__(self, policy: CheckPolicy, max_threshold: int = 4):
@@ -134,6 +146,28 @@ class CertSearch:
         self.max_threshold = max_threshold
         self._memo: dict[tuple[int, JSet, int], Cert | None] = {}
         self._applied: dict[tuple[int, int], int | None] = {}
+
+    def decide(self, v: int, target: JSet) -> tuple[bool | None, str]:
+        """Whether v, typically a tracker's output, is in the closure of target.
+
+        True and False are definite; None means undecided at these bounds.
+        A value that is not a tagged pair is outside the closure.  A base
+        payload against a plain target is a direct membership question;
+        against a closure target, and for a lift, a certificate is searched.
+        """
+        parts = coding.decode_seq(v)
+        if len(parts) != 2 or parts[0] not in (0, 1):
+            return False, "tracker output is not a tagged pair"
+        if parts[0] == 0 and not isinstance(target, JOf):
+            inside = member(target, parts[1])
+            if inside is None:
+                return None, "target membership undecided"
+            if not inside:
+                return False, "base payload lands outside the target set"
+            return True, "base payload in the target set"
+        if self.search(v, target) is None:
+            return None, "no certificate at these bounds"
+        return True, "certificate found"
 
     def _apply(self, e: int, m: int) -> int | None:
         key = (e, m)
@@ -215,23 +249,7 @@ def show_cert(cert: Cert) -> str:
 
 
 def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    word = ""
-    for ch in text:
-        if ch in "()":
-            if word:
-                out.append(word)
-                word = ""
-            out.append(ch)
-        elif ch.isspace():
-            if word:
-                out.append(word)
-                word = ""
-        else:
-            word += ch
-    if word:
-        out.append(word)
-    return out
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def parse_cert(text: str) -> Cert:

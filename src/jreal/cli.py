@@ -10,6 +10,7 @@ report (see report.py) and exits 0 on success, 1 on any failed case, and
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 import pathlib
 import sys
 
@@ -18,7 +19,7 @@ from .assemblies import (AsmSyntaxError, Subobject, check_tracking,
                          exponent_finite, morphism_from_table, parse_assembly,
                          product, proj_left, proj_right, subobject_check,
                          TrackReport, TrackStatus)
-from .certs import Accepted, CheckPolicy, Rejected, check_cert, parse_cert
+from .certs import Accepted, CheckPolicy, check_cert, parse_cert
 from .deciders import (Verdict, ground_truth, parse_dec, run_decider,
                        show_dec)
 from .doctrine import (Doctrine, lfp_by_intersection, lfp_local, local_laws,
@@ -28,8 +29,8 @@ from .jsets import Finite, parse_jset
 from .quasipoly import enumerate_qp, show_qp
 from .realizes import (Env, Realized, Refuted, Unknown, build_delta0,
                        build_sigma1, jrealizes, nat_env)
-from .report import (Case, Policy, Report, Status, case_fail, case_pass,
-                     case_unknown, emit_report, exit_code)
+from .report import (Case, Report, case_fail, case_pass, case_unknown,
+                     emit_report, exit_code)
 
 LIFT_CAVEAT = "lift obligations checked on a finite window only"
 
@@ -84,7 +85,7 @@ def _big(n: int) -> str:
 # doctrine
 
 
-def _cmd_doctrine_laws(args, policy: Policy) -> Report:
+def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
     d = _read_doctrine(args.file)
     J = lfp_local(d, pitts_f_finite(d))
     rep = local_laws(d, J)
@@ -104,10 +105,10 @@ def _cmd_doctrine_laws(args, policy: Policy) -> Report:
     word = "Local" if rep.operator_is_local else "NotLocal"
     status = case_pass if rep.operator_is_local else case_fail
     cases.append(status("operator", word, "laws e1-e3 pin the closure"))
-    return Report(f"doctrine laws {args.file}", policy, tuple(cases))
+    return Report(f"doctrine laws {args.file}", tuple(cases))
 
 
-def _cmd_doctrine_lfp(args, policy: Policy) -> Report:
+def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
     d = _read_doctrine(args.file)
     F = pitts_f_finite(d)
     try:
@@ -127,10 +128,10 @@ def _cmd_doctrine_lfp(args, policy: Policy) -> Report:
     else:
         cases.append(case_fail("agree", "Differ",
                                f"{_show_mask(iterated)} vs {_show_mask(meet)}"))
-    return Report(f"doctrine lfp {args.file}", policy, tuple(cases))
+    return Report(f"doctrine lfp {args.file}", tuple(cases))
 
 
-def _cmd_doctrine_uniformity(args, policy: Policy) -> Report:
+def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
     d = _read_doctrine(args.file)
     J = lfp_local(d, pitts_f_finite(d))
     rep = uniformity_finite(d, J)
@@ -143,17 +144,17 @@ def _cmd_doctrine_uniformity(args, policy: Policy) -> Report:
     else:
         c = case_fail("uniformity", "Failed",
                       f"element {rep.element} misses {len(rep.failures)} sets")
-    return Report(f"doctrine uniformity {args.file}", policy, (c,))
+    return Report(f"doctrine uniformity {args.file}", (c,))
 
 
 # ---------------------------------------------------------------------------
 # jcert
 
 
-def _cmd_jcert_check(args, policy: Policy) -> Report:
+def _cmd_jcert_check(args, policy: CheckPolicy) -> Report:
     target = _try_usage(parse_jset, args.set)
     cert = _try_usage(parse_cert, _read(args.cert))
-    res = check_cert(args.x, target, cert, _check_policy(policy))
+    res = check_cert(args.x, target, cert, policy)
     caveats = ()
     if isinstance(res, Accepted):
         c = case_pass("cert", "accepted", f"x={args.x} lands in {args.set}")
@@ -161,15 +162,14 @@ def _cmd_jcert_check(args, policy: Policy) -> Report:
             caveats = (LIFT_CAVEAT,)
     else:
         c = case_fail("cert", "rejected", res.reason)
-    return Report(f"jcert check {args.cert}", policy, (c,), caveats)
+    return Report(f"jcert check {args.cert}", (c,), caveats)
 
 
 # ---------------------------------------------------------------------------
 # jdec
 
 
-_DEC_WORD = {Verdict.IN: "In", Verdict.OUT: "Out",
-             Verdict.UNKNOWN: "Unknown", Verdict.CONTRADICTION: "Contradiction"}
+_DEC_WORD = {Verdict.IN: "In", Verdict.OUT: "Out", Verdict.UNKNOWN: "Unknown"}
 
 
 def _dec_case(ident: str, res, truth: bool | None) -> Case:
@@ -177,8 +177,6 @@ def _dec_case(ident: str, res, truth: bool | None) -> Case:
     detail = res.note or f"value {res.value}"
     if res.verdict is Verdict.UNKNOWN:
         return case_unknown(ident, word, detail)
-    if res.verdict is Verdict.CONTRADICTION:
-        return case_fail(ident, word, detail)
     if truth is not None:
         agrees = (res.verdict is Verdict.IN) == truth
         if not agrees:
@@ -187,7 +185,7 @@ def _dec_case(ident: str, res, truth: bool | None) -> Case:
     return case_pass(ident, word, detail)
 
 
-def _cmd_jdec_build(args, policy: Policy) -> Report:
+def _cmd_jdec_build(args, policy: CheckPolicy) -> Report:
     tree = _try_usage(parse_dec, args.expr)
     out = pathlib.Path(args.output)
     try:
@@ -195,23 +193,22 @@ def _cmd_jdec_build(args, policy: Policy) -> Report:
     except OSError as exc:
         raise UsageError(str(exc)) from None
     c = case_pass("build", "Built", f"wrote {args.output}")
-    return Report(f"jdec build {args.output}", policy, (c,))
+    return Report(f"jdec build {args.output}", (c,))
 
 
-def _cmd_jdec_run(args, policy: Policy) -> Report:
+def _cmd_jdec_run(args, policy: CheckPolicy) -> Report:
     tree = _try_usage(parse_dec, _read(args.file))
-    res = run_decider(tree, args.n, _check_policy(policy))
+    res = run_decider(tree, args.n, policy)
     c = _dec_case(f"n={args.n}", res, ground_truth(tree, args.n))
-    return Report(f"jdec run {args.file}", policy, (c,))
+    return Report(f"jdec run {args.file}", (c,))
 
 
-def _cmd_jdec_table(args, policy: Policy) -> Report:
+def _cmd_jdec_table(args, policy: CheckPolicy) -> Report:
     tree = _try_usage(parse_dec, _read(args.file))
-    pol = _check_policy(policy)
-    cases = tuple(_dec_case(f"n={n}", run_decider(tree, n, pol),
+    cases = tuple(_dec_case(f"n={n}", run_decider(tree, n, policy),
                             ground_truth(tree, n))
                   for n in range(args.upto + 1))
-    return Report(f"jdec table {args.file}", policy, cases)
+    return Report(f"jdec table {args.file}", cases)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +236,7 @@ def _track_case(ident: str, rep: TrackReport) -> Case:
             return case_unknown(ident, "Unknown", detail)
 
 
-def _cmd_asm_track(args, policy: Policy) -> Report:
+def _cmd_asm_track(args, policy: CheckPolicy) -> Report:
     src = _read_assembly(args.file)
     dst = _read_assembly(args.dst) if args.dst else src
     table = {}
@@ -254,36 +251,35 @@ def _cmd_asm_track(args, policy: Policy) -> Report:
     bad = [v for v in table.values() if v not in dst.points]
     if bad:
         raise UsageError(f"map hits unknown points {bad}")
-    tracker = int(args.tracker, 0)
+    tracker = _try_usage(int, args.tracker, 0)
     mor = morphism_from_table(src, dst, table, tracker)
-    rep = check_tracking(mor, _check_policy(policy))
+    rep = check_tracking(mor, policy)
     caveats = (LIFT_CAVEAT,) if rep.sampled else ()
-    return Report(f"asm track {args.file}", policy,
+    return Report(f"asm track {args.file}",
                   (_track_case("tracking", rep),), caveats)
 
 
-def _cmd_asm_product(args, policy: Policy) -> Report:
+def _cmd_asm_product(args, policy: CheckPolicy) -> Report:
     A = _read_assembly(args.left)
     B = _read_assembly(args.right)
     AB = product(A, B)
-    pol = _check_policy(policy)
     cases = (
         case_pass("points", str(len(A.points) * len(B.points)),
                   f"pairs of {A.name} and {B.name}"),
-        _track_case("proj-left", check_tracking(proj_left(AB), pol)),
-        _track_case("proj-right", check_tracking(proj_right(AB), pol)),
+        _track_case("proj-left", check_tracking(proj_left(AB), policy)),
+        _track_case("proj-right", check_tracking(proj_right(AB), policy)),
     )
-    return Report(f"asm product {args.left} {args.right}", policy, cases)
+    return Report(f"asm product {args.left} {args.right}", cases)
 
 
 def _show_map(A, table: tuple) -> str:
     return " ".join(f"{p}>{q}" for p, q in zip(A.points, table))
 
 
-def _cmd_asm_exp(args, policy: Policy) -> Report:
+def _cmd_asm_exp(args, policy: CheckPolicy) -> Report:
     A = _read_assembly(args.left)
     B = _read_assembly(args.right)
-    res = exponent_finite(A, B, args.bound, _check_policy(policy))
+    res = exponent_finite(A, B, args.bound, policy)
     cases = []
     for i, mor in enumerate(res.morphisms):
         table = tuple(mor.map(p) for p in A.points)
@@ -298,11 +294,10 @@ def _cmd_asm_exp(args, policy: Policy) -> Report:
     caveats = ()
     if res.unknown_maps:
         caveats = (f"tracker search cut off at code {args.bound}",)
-    return Report(f"asm exp {args.left} {args.right}", policy,
-                  tuple(cases), caveats)
+    return Report(f"asm exp {args.left} {args.right}", tuple(cases), caveats)
 
 
-def _cmd_asm_sub(args, policy: Policy) -> Report:
+def _cmd_asm_sub(args, policy: CheckPolicy) -> Report:
     base = _read_assembly(args.file)
     keep = {p.strip() for p in args.points.split(",") if p.strip()}
     unknown = keep - set(base.points)
@@ -310,7 +305,7 @@ def _cmd_asm_sub(args, policy: Policy) -> Report:
         raise UsageError(f"points not in the assembly: {sorted(unknown)}")
     empty = Finite(frozenset())
     sub = Subobject(lambda p: base.realizer_set(p) if p in keep else empty)
-    rep, live = subobject_check(sub, base, _check_policy(policy))
+    rep, live = subobject_check(sub, base, policy)
     expected = tuple(p for p in base.points if p in keep)
     cases = [_track_case("tracking", rep)]
     if live == expected:
@@ -318,7 +313,7 @@ def _cmd_asm_sub(args, policy: Policy) -> Report:
     else:
         cases.append(case_fail("points", "Mismatch",
                                f"live {list(live)} expected {list(expected)}"))
-    return Report(f"asm sub {args.file}", policy, tuple(cases))
+    return Report(f"asm sub {args.file}", tuple(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +338,12 @@ def _realize_case(ident: str, verdict) -> Case:
     raise AssertionError(verdict)
 
 
-def _cmd_realize_check(args, policy: Policy) -> Report:
+def _cmd_realize_check(args, policy: CheckPolicy) -> Report:
     phi = _try_usage(parse_formula, args.formula)
     env = _realize_env(args.asm)
-    v = _try_usage(jrealizes, args.e, phi, env, _check_policy(policy))
+    v = _try_usage(jrealizes, args.e, phi, env, policy)
     caveats = v.evidence.caveats if isinstance(v, Realized) else ()
-    return Report("realize check", policy, (_realize_case("check", v),),
-                  caveats)
+    return Report("realize check", (_realize_case("check", v),), caveats)
 
 
 def _build_realizer(phi) -> int:
@@ -362,14 +356,14 @@ def _build_realizer(phi) -> int:
         return e
 
 
-def _cmd_realize_build(args, policy: Policy) -> Report:
+def _cmd_realize_build(args, policy: CheckPolicy) -> Report:
     phi = _try_usage(parse_formula, args.formula)
     e = _build_realizer(phi)
-    v = jrealizes(e, phi, nat_env(), _check_policy(policy))
+    v = jrealizes(e, phi, nat_env(), policy)
     cases = (case_pass("build", "Built", f"e={_big(e)}"),
              _realize_case("selfcheck", v))
     caveats = v.evidence.caveats if isinstance(v, Realized) else ()
-    return Report("realize build", policy, cases, caveats)
+    return Report("realize build", cases, caveats)
 
 
 def _case_fields(path: pathlib.Path) -> dict[str, str]:
@@ -395,7 +389,7 @@ def _corpus_files(dirname: str) -> list[pathlib.Path]:
     return files
 
 
-def _cmd_realize_corpus(args, policy: Policy) -> Report:
+def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
     cases = []
     caveats: dict[str, None] = {}
     for path in _corpus_files(args.dir):
@@ -407,7 +401,7 @@ def _cmd_realize_corpus(args, policy: Policy) -> Report:
                            if "asm" in fields else None)
         e = (int(fields["e"], 0) if "e" in fields
              else _build_realizer(phi))
-        v = _try_usage(jrealizes, e, phi, env, _check_policy(policy))
+        v = _try_usage(jrealizes, e, phi, env, policy)
         expect = fields.get("expect", "realized")
         got = {Realized: "realized", Refuted: "refuted",
                Unknown: "unknown"}[type(v)]
@@ -424,8 +418,7 @@ def _cmd_realize_corpus(args, policy: Policy) -> Report:
             why = v.reason if isinstance(v, Refuted) else "check passed"
             cases.append(case_fail(path.stem, got.capitalize(),
                                    f"expected {expect}: {why}"))
-    return Report(f"realize corpus {args.dir}", policy,
-                  tuple(cases), tuple(caveats))
+    return Report(f"realize corpus {args.dir}", tuple(cases), tuple(caveats))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +432,7 @@ def _chain_to(k: int) -> "skolem.ChainState":
     return state
 
 
-def _cmd_skolem_extend(args, policy: Policy) -> Report:
+def _cmd_skolem_extend(args, policy: CheckPolicy) -> Report:
     if args.steps < 1:
         raise UsageError("--steps must be at least 1")
     states = [skolem.initial_chain()]
@@ -460,17 +453,17 @@ def _cmd_skolem_extend(args, policy: Policy) -> Report:
                   f"mod {live.modulus} residues "
                   f"{sorted(live.residues)} from {live.threshold}"),
     )
-    return Report(f"skolem extend {args.steps}", policy, cases)
+    return Report(f"skolem extend {args.steps}", cases)
 
 
-def _cmd_skolem_sign(args, policy: Policy) -> Report:
+def _cmd_skolem_sign(args, policy: CheckPolicy) -> Report:
     i, j = args.i, args.j
     if min(i, j) < 0:
         raise UsageError("indices must be nonnegative")
     state = _chain_to(max(i, j) + 1)
     rel = skolem.sign(state, i, j)
     detail = f"{show_qp(enumerate_qp(i))} vs {show_qp(enumerate_qp(j))}"
-    return Report(f"skolem sign {i} {j}", policy,
+    return Report(f"skolem sign {i} {j}",
                   (case_pass(f"{i},{j}", rel, detail),))
 
 
@@ -485,18 +478,18 @@ def _parse_assignment(text: str) -> dict[str, "skolem.ModelElem"]:
     return asn
 
 
-def _cmd_skolem_eval(args, policy: Policy) -> Report:
+def _cmd_skolem_eval(args, policy: CheckPolicy) -> Report:
     phi = _try_usage(parse_formula, args.formula)
     asn = _parse_assignment(args.args) if args.args else {}
     model = skolem.Model()
     val = _try_usage(skolem.truth_qf, model, phi, asn)
     shown = " ".join(f"{n}={skolem.show_elem(e)}" for n, e in sorted(asn.items()))
-    return Report("skolem eval", policy,
+    return Report("skolem eval",
                   (case_pass("eval", "True" if val else "False",
                              shown or "closed"),))
 
 
-def _cmd_skolem_standard(args, policy: Policy) -> Report:
+def _cmd_skolem_standard(args, policy: CheckPolicy) -> Report:
     e = _try_usage(skolem.parse_elem, args.elem)
     model = skolem.Model()
     val = skolem.standard_value(model, e)
@@ -505,10 +498,10 @@ def _cmd_skolem_standard(args, policy: Policy) -> Report:
                       f"{skolem.show_elem(e)} outgrows every constant")
     else:
         c = case_pass("standard", "Standard", f"value {val}")
-    return Report("skolem standard", policy, (c,))
+    return Report("skolem standard", (c,))
 
 
-def _cmd_skolem_transfer(args, policy: Policy) -> Report:
+def _cmd_skolem_transfer(args, policy: CheckPolicy) -> Report:
     model = skolem.Model()
     cases = []
     caveats: dict[str, None] = {}
@@ -519,7 +512,7 @@ def _cmd_skolem_transfer(args, policy: Policy) -> Report:
         phi = _try_usage(parse_formula, fields["formula"])
         asn = _parse_assignment(fields.get("args", ""))
         rep = _try_usage(skolem.transfer_check, model, phi, asn,
-                         _check_policy(policy).window * 6)
+                         policy.window * 6)
         for cav in rep.caveats:
             caveats[cav] = None
         detail = f"{rep.mode} over {rep.window} points"
@@ -528,8 +521,8 @@ def _cmd_skolem_transfer(args, policy: Policy) -> Report:
         else:
             cases.append(case_fail(path.stem, "Disagrees",
                                    f"{detail}; {rep.disagreements[0]}"))
-    return Report(f"skolem transfer {args.corpus}", policy,
-                  tuple(cases), tuple(caveats))
+    return Report(f"skolem transfer {args.corpus}", tuple(cases),
+                  tuple(caveats))
 
 
 # ---------------------------------------------------------------------------
@@ -543,32 +536,32 @@ def _try_usage(fn, *fnargs, **kw):
         raise UsageError(str(exc)) from None
 
 
-def _check_policy(policy: Policy) -> CheckPolicy:
-    return CheckPolicy(depth=policy.depth, window=policy.window,
-                       fuel=policy.fuel)
+def _common_flags(p: argparse.ArgumentParser, top: bool) -> None:
+    # Only the top parser holds defaults.  A leaf sets a flag only when it
+    # is given, so a flag given before the family is not overwritten.
+    def default(value):
+        return value if top else argparse.SUPPRESS
 
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fuel", type=int, default=None,
+    p.add_argument("--fuel", type=int, default=default(200_000),
                    help="machine step budget per run")
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=int, default=default(4),
                    help="certificate nesting bound")
-    p.add_argument("--window", type=int, default=None,
+    p.add_argument("--window", type=int, default=default(4),
                    help="tail window for sampled obligations")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=default(0),
                    help="seed echoed into the report header")
-    p.add_argument("--format", choices=("text", "tsv"), default=None,
+    p.add_argument("--format", choices=("text", "tsv"), default=default("text"),
                    help="report format (default text)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="jreal")
-    _common_flags(top)
+    _common_flags(top, top=True)
     sub = top.add_subparsers(dest="family", required=True)
 
     def leaf(family, name, func, **kw):
         p = family.add_parser(name, **kw)
-        _common_flags(p)
+        _common_flags(p, top=False)
         p.set_defaults(func=func)
         return p
 
@@ -651,20 +644,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    base = Policy()
-    policy = Policy(
-        depth=args.depth if args.depth is not None else base.depth,
-        window=args.window if args.window is not None else base.window,
-        fuel=args.fuel if args.fuel is not None else base.fuel,
-        seed=args.seed if args.seed is not None else base.seed,
-    )
-    fmt = args.format if args.format is not None else "text"
     try:
+        policy = _try_usage(CheckPolicy, depth=args.depth, window=args.window,
+                            fuel=args.fuel)
         report = args.func(args, policy)
     except UsageError as exc:
         print(f"jreal: error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(emit_report(report, fmt))
+    report = replace(report, policy=policy, seed=args.seed)
+    sys.stdout.buffer.write(emit_report(report, args.format))
     sys.stdout.buffer.flush()
     return exit_code(report)
 

@@ -184,7 +184,6 @@ class Verdict(Enum):
     IN = "in"
     OUT = "out"
     UNKNOWN = "unknown"
-    CONTRADICTION = "contradiction"
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,7 +28,7 @@ from .bracket import lam
 from .certs import Base, Cert, CertSearch, CheckPolicy, Lift, check_cert, Accepted
 from .jsets import Finite, JSet, Singleton, UpFrom, Cofinite
 from .machine import OutOfFuel, apply_cached
-from .prog import EQ01, LT01, SNOC, SUFFIX, _v, ite, p0, p1, tag0, tag1
+from .prog import EQ01, LT01, SUFFIX, _v, ite, p0, p1, tag0, tag1
 from .terms import (
     App,
     CONS,
@@ -90,19 +90,6 @@ B_CODE = encode_term(B_TERM)
 C_CODE = encode_term(C_TERM)
 D_CODE = encode_term(D_TERM)
 E_CODE = encode_term(E_TERM)
-
-
-@dataclass(frozen=True, slots=True)
-class CombinatorKit:
-    unit: int
-    fmap: int
-    stage: int
-    flatten: int
-    zip: int
-
-
-def combinator_kit() -> CombinatorKit:
-    return CombinatorKit(A_CODE, B_CODE, C_CODE, D_CODE, E_CODE)
 
 
 def b_closure_term(g_term: Term) -> Term:

@@ -21,16 +21,16 @@ definite verdicts at its declared policy bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
 from .assemblies import Assembly, NatAssembly, realizer_elements
 from .bracket import lam
-from .certs import CertSearch, CheckPolicy
+from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy
 from .formulas import (
     All, And, Eq, Ex, Formula, Imp, Less, Or, Rel,
-    eval_term, free_vars, is_delta0, bound_of, subst, truth, show_formula,
+    eval_term, free_vars, is_delta0, bound_of, truth, show_formula,
 )
 from .jsets import ByPredicate, JSet, member
 from .machine import DEFAULT_FUEL, Value, apply_cached
@@ -93,14 +93,14 @@ class Checker:
         self.exact = env.assembly.finite
         self.relations = dict(env.relations)
         self.memo: dict = {}
-        self.searcher = CertSearch(self.policy, max_threshold=3)
+        self.searcher = CertSearch(self.policy, TRACK_THRESHOLD)
         self._jsets: dict = {}
 
     # -- membership -------------------------------------------------------
 
     def certify(self, v: int, S: JSet) -> bool | None:
-        got = self.searcher.search(v, S)
-        if got is not None:
+        # only an exact carrier turns "not shown inside" into a refutation
+        if self.searcher.decide(v, S)[0]:
             return True
         return False if self.exact else None
 

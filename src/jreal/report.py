@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .certs import CheckPolicy
+
 
 class Status(Enum):
     """How a case counts toward the process exit code."""
@@ -32,20 +34,14 @@ class Case:
                 raise ValueError("case fields must be single-line, tab-free")
 
 
-@dataclass(frozen=True, slots=True)
-class Policy:
-    depth: int = 4
-    window: int = 4
-    fuel: int = 200_000
-    seed: int = 0
-
-
 @dataclass(frozen=True)
 class Report:
     title: str
-    policy: Policy
     cases: tuple[Case, ...] = ()
     caveats: tuple[str, ...] = ()
+    # the run's bounds and seed, echoed in the text header
+    policy: CheckPolicy = CheckPolicy()
+    seed: int = 0
 
     def count(self, status: Status) -> int:
         return sum(1 for c in self.cases if c.status is status)
@@ -76,7 +72,7 @@ def _text_lines(report: Report) -> list[str]:
     lines = [f"# {report.title}"]
     p = report.policy
     lines.append(f"policy depth={p.depth} window={p.window} "
-                 f"fuel={p.fuel} seed={p.seed}")
+                 f"fuel={p.fuel} seed={report.seed}")
     for c in report.cases:
         lines.append(f"case {c.ident} {c.verdict} {c.detail}".rstrip())
     lines.append(f"counts pass={report.count(Status.PASS)} "

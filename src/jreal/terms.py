@@ -13,6 +13,7 @@ term containing a variable raises ``NotClosed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .coding import phi_join, phi_split
 
@@ -125,18 +126,9 @@ def decode_term(code: int) -> Term:
     return t
 
 
-_decode_term_cache: dict[int, Term] = {}
-_DECODE_TERM_CACHE_MAX = 8192
-
-
+@lru_cache(maxsize=8192)
 def decode_term_cached(code: int) -> Term:
-    t = _decode_term_cache.get(code)
-    if t is None:
-        t = decode_term(code)
-        if len(_decode_term_cache) >= _DECODE_TERM_CACHE_MAX:
-            _decode_term_cache.clear()
-        _decode_term_cache[code] = t
-    return t
+    return decode_term(code)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from jreal.assemblies import (
 )
 from jreal.bracket import lam
 from jreal.certs import CheckPolicy
-from jreal.jsets import Cofinite, Finite, Singleton, UpFrom
+from jreal.jsets import Cofinite, Finite, JOf, Singleton, UpFrom
 from jreal.prog import tag0
 from jreal.terms import App, K, Num, SUCC, Var, encode_term
 
@@ -78,6 +78,18 @@ def test_constant_code_fails_with_pinpointed_witness():
     assert rep.status is TrackStatus.FAILED
     assert rep.witness == (0, 0)
     assert "not a tagged pair" in rep.note
+
+
+def test_base_output_into_closure_target_verifies():
+    # <0,<0,9>> is in the closure of the closure of {9}: its inner
+    # certificate is searched, not refused as an undecided membership
+    out = coding.pair(0, coding.pair(0, 9))
+    src = FiniteAssembly("s", ("x",), (Singleton(1),))
+    dst = FiniteAssembly("t", ("y",), (JOf(Singleton(9)),))
+    mor = morphism_from_table(src, dst, {"x": "y"}, encode_term(App(K, Num(out))))
+    rep = check_tracking(mor)
+    assert rep.status is TrackStatus.VERIFIED, rep.note
+    assert rep.checked == 1
 
 
 def test_wrong_landing_point_fails():
@@ -250,6 +262,16 @@ def test_subobject_alien_realizer_fails():
     rep, live = subobject_check(Subobject(lambda x: Singleton(9)), fin)
     assert rep.status is TrackStatus.FAILED
     assert rep.witness == ("a", 9)
+
+
+def test_subobject_untagged_tracker_output_fails():
+    fin = four_point()
+    const0 = encode_term(App(K, Num(0)))
+    rep, live = subobject_check(Subobject(fin.realizer_set, const0), fin)
+    assert rep.status is TrackStatus.FAILED
+    assert rep.witness == ("a", 0)
+    assert "not a tagged pair" in rep.note
+    assert live == fin.points
 
 
 def test_subobject_partial_support_reported():
