@@ -4,14 +4,16 @@
 
     [x] x       = S K K
     [x] atom    = K atom
-    [x] (f a)   = K (f a)            when (f a) is closed and inert
+    [x] (f a)   = K (f a)            when ``terms.is_value(f a)``
     [x] (f a)   = S ([x] f) ([x] a)  otherwise
 
-"Inert" means the tree is a value through and through: numerals, primitives,
-and partial applications whose arguments are again inert.  Such a subtree can
-never fire, so freezing it under K is safe, keeps it shared instead of being
-rebuilt by every enclosing abstraction, and keeps compiled code sizes additive
-under composition.
+A value (``terms.is_value``) is a numeral, a primitive other than nil, or a
+partial application whose arguments are again values; it has no free
+variables.  Such a subtree can never fire, so freezing it under K is safe,
+keeps it shared instead of being rebuilt by every enclosing abstraction, and
+keeps compiled code sizes additive under composition.  Nil alone contracts to
+the numeral 0, so it is not a value, and freezing it would break exact
+template prediction.
 
 Deliberately NO eta-contraction, and no K-collapse beyond that one case.  Two
 consequences bought by the restriction, both load-bearing:
@@ -28,46 +30,17 @@ consequences bought by the restriction, both load-bearing:
 
 from __future__ import annotations
 
-from .terms import App, K, Num, PRIM_ARITY, Prim, S, Term, Var, ap, encode_term
-
-
-def _inert(t: Term, cache: dict[int, bool]) -> bool:
-    """Closed value tree: instantiating it can never perform a contraction.
-
-    Prim 6 (nil) is excluded: alone it contracts to the numeral 0, so it is
-    not quite a value and freezing it would break exact template prediction.
-    """
-    hit = cache.get(id(t))
-    if hit is not None:
-        return hit
-    args = []
-    head = t
-    while isinstance(head, App):
-        args.append(head.arg)
-        head = head.fn
-    if isinstance(head, Prim) and head.tag != 6 and len(args) < PRIM_ARITY[head.tag]:
-        out = all(_inert(a, cache) for a in args)
-    else:
-        # a numeral is a value, but a numeral APPLIED is an unquote redex
-        out = isinstance(head, Num) and not args
-    cache[id(t)] = out
-    return out
-
-
-def _compile(name: str, body: Term, cache: dict[int, bool]) -> Term:
-    match body:
-        case Var(n):
-            return ap(S, K, K) if n == name else App(K, body)
-        case App(fn, arg):
-            if _inert(body, cache):
-                return App(K, body)
-            return ap(S, _compile(name, fn, cache), _compile(name, arg, cache))
-        case _:
-            return App(K, body)
+from .terms import App, K, Num, Prim, S, Term, Var, ap, encode_term, is_value
 
 
 def compile_lambda(name: str, body: Term) -> Term:
-    return _compile(name, body, {})
+    match body:
+        case Var(n):
+            return ap(S, K, K) if n == name else App(K, body)
+        case App(fn, arg) if not is_value(body):
+            return ap(S, compile_lambda(name, fn), compile_lambda(name, arg))
+        case _:
+            return App(K, body)
 
 
 def lam(*parts: str | Term) -> Term:

@@ -26,11 +26,11 @@ from .terms import (
     App,
     Num,
     Prim,
-    PRIM_ARITY,
     Term,
     Var,
     decode_term_cached,
     encode_term,
+    spine,
 )
 
 DEFAULT_FUEL = 20000
@@ -63,50 +63,11 @@ def _as_nat(t: Term) -> int:
 class Machine:
     """Single-run evaluator; kept as a class so steps can be inspected."""
 
-    __slots__ = ("fuel", "steps", "_vmemo")
+    __slots__ = ("fuel", "steps")
 
     def __init__(self, fuel: int):
         self.fuel = fuel
         self.steps = 0
-        # id -> (term, is_value); holding the term pins its id for the run
-        self._vmemo: dict[int, tuple[Term, bool]] = {}
-
-    def _is_value(self, t: Term) -> bool:
-        """True when t contains no redex: a numeral, a non-nil primitive, or
-        a partial application spine whose arguments are again values.
-
-        Memoized per run so shared program trees are checked once; repeated
-        fixed-point unfoldings of the same closure then skip the walk.
-        """
-        memo = self._vmemo
-        todo = [t]
-        while todo:
-            u = todo.pop()
-            if id(u) in memo:
-                continue
-            if isinstance(u, Num):
-                memo[id(u)] = (u, True)
-            elif isinstance(u, Prim):
-                memo[id(u)] = (u, u.tag != 6)
-            elif isinstance(u, Var):
-                memo[id(u)] = (u, False)
-            else:
-                head = u
-                args = []
-                while isinstance(head, App):
-                    args.append(head.arg)
-                    head = head.fn
-                if not (isinstance(head, Prim) and head.tag != 6
-                        and len(args) < PRIM_ARITY[head.tag]):
-                    memo[id(u)] = (u, False)
-                    continue
-                pending = [a for a in args if id(a) not in memo]
-                if pending:
-                    todo.append(u)
-                    todo.extend(pending)
-                else:
-                    memo[id(u)] = (u, all(memo[id(a)][1] for a in args))
-        return memo[id(t)][1]
 
     def _tick(self) -> bool:
         if self.steps >= self.fuel:
@@ -121,11 +82,10 @@ class Machine:
         mode_eval = True
         while True:
             if mode_eval:
-                # an input spine can hide redexes in its arguments, so a
-                # partial application counts as a value only after the full
-                # (memoized) check
+                # an input spine can hide redexes in its arguments; its
+                # room, fixed when it was built, says whether it is a value
                 if isinstance(t, App):
-                    if self._is_value(t):
+                    if t.room:
                         mode_eval = False
                         continue
                     stack.append(("arg", t.arg))
@@ -161,14 +121,11 @@ class Machine:
             if not self._tick():
                 return None
             return App(decode_term_cached(f.value), v), True
-        head, args = _head_args(f)
-        arity = PRIM_ARITY[head.tag]
-        if len(args) + 1 < arity:
-            out = App(f, v)
-            self._vmemo[id(out)] = (out, True)  # built from value parts
-            return out, False
+        if f.room > 1:
+            return App(f, v), False
         if not self._tick():
             return None
+        head, args = spine(f)
         tag = head.tag
         # spine arguments are values by the descend-always invariant, so K
         # and ifz can return them without re-evaluation
@@ -197,16 +154,6 @@ class Machine:
             (s,) = args
             return Num(coding.seq_proj(_as_nat(s), _as_nat(v))), False
         raise AssertionError(head)
-
-
-def _head_args(f: Term) -> tuple[Prim, list[Term]]:
-    args: list[Term] = []
-    while isinstance(f, App):
-        args.append(f.arg)
-        f = f.fn
-    assert isinstance(f, Prim)
-    args.reverse()
-    return f, args
 
 
 def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term | None, int]:

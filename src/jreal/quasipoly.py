@@ -16,6 +16,7 @@ modulus, so equality of canonical values is plain structural equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count
 from math import gcd
 
@@ -286,7 +287,9 @@ def _splits(parts: int, total: int):
             yield (head,) + rest
 
 
-def of_weight(w: int) -> list[QuasiPoly]:
+# enumerate_qp and index_of walk every block below the one they need
+@cache
+def of_weight(w: int) -> tuple[QuasiPoly, ...]:
     out = []
     for m in range(1, w + 1):
         for d in range(w - m + 1):
@@ -299,7 +302,7 @@ def of_weight(w: int) -> list[QuasiPoly]:
                     if canon(m, rows) == qp:
                         out.append(qp)
     out.sort(key=lambda q: (q.modulus, q.degree, q.coeff_sum, q.residues))
-    return out
+    return tuple(out)
 
 
 def _rows_for(split: tuple[int, ...], deg_cap: int):

@@ -8,12 +8,20 @@ term, and codes grow linearly with term size.
 
 Variables exist only at build time (for the bracket abstractor); encoding a
 term containing a variable raises ``NotClosed``.
+
+Each node fixes, when it is built, whether it is a value (no contraction can
+fire inside it).  Its ``room`` is how many more arguments it takes before it
+fires, and 0 when it is not a value: a primitive's arity (0 for nil, which
+alone contracts to the numeral 0), 1 for a numeral (applied, it unquotes), 0
+for a variable, and for an application one less than its function's, when
+that is more than 1 and the argument is a value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 from .coding import phi_join, phi_split
 
@@ -24,6 +32,10 @@ PRIM_ARITY = (2, 3, 1, 1, 3, 2, 0, 2, 1, 2)
 @dataclass(frozen=True, slots=True)
 class Prim:
     tag: int
+    room: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "room", PRIM_ARITY[self.tag])
 
     def __repr__(self) -> str:
         return PRIM_NAMES[self.tag]
@@ -32,6 +44,7 @@ class Prim:
 @dataclass(frozen=True, slots=True)
 class Num:
     value: int
+    room: ClassVar[int] = 1
 
     def __repr__(self) -> str:
         return str(self.value)
@@ -40,6 +53,7 @@ class Num:
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    room: ClassVar[int] = 0
 
     def __repr__(self) -> str:
         return self.name
@@ -49,6 +63,12 @@ class Var:
 class App:
     fn: "Term"
     arg: "Term"
+    room: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        room = self.fn.room
+        object.__setattr__(
+            self, "room", room - 1 if room > 1 and self.arg.room else 0)
 
     def __repr__(self) -> str:
         return show_term(self)
@@ -61,6 +81,11 @@ K, S, SUCC, PRED, IFZ, FIX, NIL, CONS, LEN, PROJ = (Prim(i) for i in range(10))
 
 class NotClosed(ValueError):
     """Raised when a term with free variables reaches the coder."""
+
+
+def is_value(t: Term) -> bool:
+    """No contraction can fire inside t (see the module docstring)."""
+    return t.room > 0
 
 
 def ap(fn: Term, *args: Term) -> Term:
@@ -104,26 +129,52 @@ def subst(t: Term, env: dict[str, Term]) -> Term:
 
 
 def encode_term(t: Term) -> int:
-    head, args = spine(t)
-    match head:
-        case Prim(tag):
-            atom = tag
-        case Num(value):
-            atom = 10 + value
-        case Var(name):
-            raise NotClosed(f"free variable {name!r}")
-        case _:
-            raise TypeError(head)
-    return phi_join([encode_term(a) for a in args], atom)
+    # explicit stacks, so codes may nest deeper than the recursion limit:
+    # `todo` holds subterms and (atom, argument count) frames, `codes` the
+    # codes of finished arguments in order
+    codes: list[int] = []
+    todo: list[Term | tuple[int, int]] = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, tuple):
+            atom, n = u
+            k = len(codes) - n
+            codes[k:] = [phi_join(codes[k:], atom)]
+            continue
+        head, args = spine(u)
+        match head:
+            case Prim(tag):
+                atom = tag
+            case Num(value):
+                atom = 10 + value
+            case Var(name):
+                raise NotClosed(f"free variable {name!r}")
+            case _:
+                raise TypeError(head)
+        todo.append((atom, len(args)))
+        todo.extend(reversed(args))
+    return codes[0]
 
 
 def decode_term(code: int) -> Term:
     """Total: every natural is the code of a closed term."""
-    blocks, atom = phi_split(code)
-    t: Term = Prim(atom) if atom < 10 else Num(atom - 10)
-    for b in blocks:
-        t = App(t, decode_term(b))
-    return t
+    # the mirror image of encode_term: `todo` holds codes and
+    # (head, argument count) frames, `terms` the finished arguments
+    terms: list[Term] = []
+    todo: list[int | tuple[Term, int]] = [code]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, tuple):
+            t, n = c
+            k = len(terms) - n
+            for a in terms[k:]:
+                t = App(t, a)
+            terms[k:] = [t]
+            continue
+        blocks, atom = phi_split(c)
+        todo.append((Prim(atom) if atom < 10 else Num(atom - 10), len(blocks)))
+        todo.extend(reversed(blocks))
+    return terms[0]
 
 
 @lru_cache(maxsize=8192)

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from jreal import prog
-from jreal.coding import decode_seq, encode_seq, pair
+from jreal.coding import decode_seq, encode_seq, pair, phi_join
 from jreal.machine import (
     DEFAULT_FUEL,
     OutOfFuel,
@@ -142,3 +142,13 @@ def test_steps_are_reported():
     assert steps == 1
     _, steps = eval_term(Num(5), fuel=10)
     assert steps == 0
+
+
+def test_apply_handles_codes_nested_past_the_recursion_limit():
+    # K (K (... 0)) nested 1,500 deep: a 42,786-bit code.  Applying it drops
+    # one K; compare codes, and never print one (4,300-digit limit).
+    codes = [phi_join([], 10)]
+    for _ in range(1_500):
+        codes.append(phi_join([codes[-1]], 0))
+    assert codes[-1].bit_length() == 42_786
+    assert apply(codes[-1], 3, 100) == Value(codes[-2])

@@ -1,0 +1,56 @@
+"""Compiled codes and machine step counts that the term layer must not move.
+
+The digests are sha256 of ``hex(code)``: the codes run to thousands of
+digits.  Any change to bracket abstraction, the coder or the machine's
+reduction order shows up here first.
+"""
+
+import hashlib
+
+import pytest
+
+from jreal import kit, prog
+from jreal.deciders import decider_code, decider_term, parse_dec
+from jreal.machine import eval_term
+from jreal.terms import App, Num, ap, encode_term
+
+TREE = "union (one 2) (not one 5)"
+
+CODE_DIGESTS = {
+    "A_CODE": "fec754530348e0cb84a22ad83c130564227d125ca807c2956bacbfe86a03f6a2",
+    "B_CODE": "242a87162ef9ce9f28ce3e0d1fe0bb011dbb995cb57623d851f50e091f344d19",
+    "C_CODE": "04feb93d55af80825ad7553a57c9404bc97a262add028383a53c3caa595f4e39",
+    "D_CODE": "058f60eb05d0647e5ae84d1657b0f1f228b552056005e9623b8d8dced50e1ede",
+    "E_CODE": "d7e250dbdaa12c76062c6009012f820c2528c1023a6ea4f4e1cbfb80f860e209",
+    "G_BUILDER_CODE": "5fd727fe6266de99ab4bbc3c4aa36e7aa2ad442e44d90ee0f275d791344f7971",
+    "ANYZERO_CODE": "6b657eb6aa582a805dfe277e657a35d3e822d3087315019f71e06ede2a74c208",
+    "LEASTZERO_CODE": "6f275bec2112ea968cebbc855b86681fdddfa204c629e0c8678023dcad691eeb",
+    "MOD": "7de6389e1a242761ea54f8d1f455c9aa531e109a91aef964e3194454d716f308",
+    "decider": "3a5be20ff647b57452ae941676b3b0108ef336144f4d13204a9b11a4f2a09b22",
+}
+
+
+def _digest(code: int) -> str:
+    return hashlib.sha256(hex(code).encode()).hexdigest()
+
+
+def _code(name: str) -> int:
+    if name == "MOD":
+        return encode_term(prog.MOD)
+    if name == "decider":
+        return decider_code(parse_dec(TREE))
+    return getattr(kit, name)
+
+
+@pytest.mark.parametrize("name", sorted(CODE_DIGESTS))
+def test_compiled_code_is_pinned(name):
+    assert _digest(_code(name)) == CODE_DIGESTS[name]
+
+
+def test_step_counts_are_pinned():
+    assert eval_term(ap(prog.MUL, Num(6), Num(7)), 100_000) == (Num(42), 16_472)
+    assert eval_term(ap(prog.MOD, Num(100), Num(7)), 100_000) == (Num(2), 29_067)
+    out, steps = eval_term(App(decider_term(parse_dec(TREE)), Num(5)), 100_000)
+    assert steps == 162
+    assert _digest(out.value) == (
+        "ebe42cfcd3d8c01a2e92d660f5c22ed4a4a0dbd5134939c453d14c920ccc08c6")

@@ -122,7 +122,7 @@ def test_enumeration_unique_and_canonical_to_grade_four():
     rank = 0
     for w in range(1, 5):
         block = of_weight(w)
-        assert block == sorted(
+        assert list(block) == sorted(
             block, key=lambda q: (q.modulus, q.degree, q.coeff_sum, q.residues))
         for q in block:
             assert q.weight == w

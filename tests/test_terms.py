@@ -12,6 +12,7 @@ from jreal.terms import (
     NIL,
     NotClosed,
     Num,
+    PRIM_ARITY,
     PRIM_NAMES,
     Prim,
     S,
@@ -21,6 +22,7 @@ from jreal.terms import (
     ap,
     decode_term,
     encode_term,
+    is_value,
     parse_term,
     show_term,
     spine,
@@ -34,6 +36,20 @@ closed_terms = st.recursive(
     ),
     lambda sub: st.tuples(sub, sub).map(lambda fa: App(*fa)),
     max_leaves=25,
+)
+
+# atoms of every kind (nil, numerals, variables), grown into spines of up to
+# four arguments whose heads may be spines again, so over-applied primitives
+# and applied numerals are common
+any_terms = st.recursive(
+    st.one_of(
+        st.integers(min_value=0, max_value=9).map(Prim),
+        st.integers(min_value=0, max_value=200).map(Num),
+        st.sampled_from("xyz").map(Var),
+    ),
+    lambda sub: st.tuples(sub, st.lists(sub, min_size=1, max_size=4)).map(
+        lambda ha: ap(ha[0], *ha[1])),
+    max_leaves=30,
 )
 
 
@@ -114,3 +130,34 @@ def test_prim_names_are_the_parser_keywords():
         t = parse_term(name)
         assert isinstance(t, Prim)
         assert show_term(t) == name
+
+
+def _value_by_walk(t) -> bool:
+    """Reference predicate: walk the spine and its arguments."""
+    head, args = spine(t)
+    if isinstance(head, Num):
+        return not args  # an applied numeral is an unquote redex
+    if isinstance(head, Prim):
+        return (head.tag != 6 and len(args) < PRIM_ARITY[head.tag]
+                and all(_value_by_walk(a) for a in args))
+    return False
+
+
+@given(any_terms)
+def test_is_value_agrees_with_the_spine_walk(t):
+    todo = [t]  # every subterm, so a disagreement deep inside is not masked
+    while todo:
+        u = todo.pop()
+        assert is_value(u) == _value_by_walk(u), show_term(u)
+        if isinstance(u, App):
+            todo += [u.fn, u.arg]
+
+
+def test_is_value_cases():
+    x = Var("x")
+    for t in [K, S, Num(7), App(K, Num(1)), ap(S, K, K), ap(IFZ, Num(0), K),
+              App(CONS, App(K, S))]:
+        assert is_value(t), show_term(t)
+    for t in [NIL, x, App(K, x), ap(K, Num(1), Num(2)), App(Num(3), K),
+              App(K, NIL), ap(S, K, App(SUCC, Num(0))), App(x, K)]:
+        assert not is_value(t), show_term(t)
