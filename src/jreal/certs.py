@@ -36,9 +36,6 @@ class Base:
 class Lift:
     threshold: int
     tails: tuple[tuple[int, "Cert"], ...]
-    # schema is a free-form note that all tails share one shape; the checker
-    # ignores it and the text format does not carry it.
-    schema: str | None = None
 
 
 Cert = Base | Lift
@@ -95,7 +92,7 @@ def _check(x: int, target: JSet, cert: Cert, policy: CheckPolicy, depth: int) ->
             if not got:
                 return Rejected(f"base: {a} not in {show_jset(target)}")
             return Accepted()
-        case Lift(threshold, tails, _):
+        case Lift(threshold, tails):
             parts = coding.decode_seq(x)
             if len(parts) != 2 or parts[0] != 1:
                 return Rejected(f"lift: {x} is not a 1-tagged pair")
@@ -222,7 +219,7 @@ def lifted_constant(x: int, cert: Cert, threshold: int, policy: CheckPolicy) -> 
     """Wrap a certified member as a 1-tagged constant code, certified."""
     e = encode_term(App(K, Num(x)))
     tails = tuple((m, cert) for m in policy.window_points(threshold))
-    return coding.pair(1, e), Lift(threshold, tails, schema="constant")
+    return coding.pair(1, e), Lift(threshold, tails)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +238,7 @@ def show_cert(cert: Cert) -> str:
             return f"(base {a})"
         case Base(a, inner):
             return f"(base {a} {show_cert(inner)})"
-        case Lift(threshold, tails, _):
+        case Lift(threshold, tails):
             body = " ".join(f"({m} {show_cert(c)})" for m, c in tails)
             return f"(lift {threshold} {body})" if body else f"(lift {threshold})"
         case _:

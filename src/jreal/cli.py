@@ -44,6 +44,19 @@ def _read(path: str) -> str:
         return pathlib.Path(path).read_text()
     except OSError as exc:
         raise UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
+def _nat(what: str, value: int | str) -> int:
+    """A natural number from a flag or a case field."""
+    try:
+        n = int(value, 0) if isinstance(value, str) else value
+    except ValueError:
+        raise UsageError(f"{what}: bad number {value!r}") from None
+    if n < 0:
+        raise UsageError(f"{what} must be a natural number, got {n}")
+    return n
 
 
 def _read_doctrine(path: str) -> Doctrine:
@@ -154,7 +167,7 @@ def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
 def _cmd_jcert_check(args, policy: CheckPolicy) -> Report:
     target = _try_usage(parse_jset, args.set)
     cert = _try_usage(parse_cert, _read(args.cert))
-    res = check_cert(args.x, target, cert, policy)
+    res = check_cert(_nat("--x", args.x), target, cert, policy)
     caveats = ()
     if isinstance(res, Accepted):
         c = case_pass("cert", "accepted", f"x={args.x} lands in {args.set}")
@@ -198,7 +211,7 @@ def _cmd_jdec_build(args, policy: CheckPolicy) -> Report:
 
 def _cmd_jdec_run(args, policy: CheckPolicy) -> Report:
     tree = _try_usage(parse_dec, _read(args.file))
-    res = run_decider(tree, args.n, policy)
+    res = run_decider(tree, _nat("--n", args.n), policy)
     c = _dec_case(f"n={args.n}", res, ground_truth(tree, args.n))
     return Report(f"jdec run {args.file}", (c,))
 
@@ -207,7 +220,7 @@ def _cmd_jdec_table(args, policy: CheckPolicy) -> Report:
     tree = _try_usage(parse_dec, _read(args.file))
     cases = tuple(_dec_case(f"n={n}", run_decider(tree, n, policy),
                             ground_truth(tree, n))
-                  for n in range(args.upto + 1))
+                  for n in range(_nat("--upto", args.upto) + 1))
     return Report(f"jdec table {args.file}", cases)
 
 
@@ -251,7 +264,7 @@ def _cmd_asm_track(args, policy: CheckPolicy) -> Report:
     bad = [v for v in table.values() if v not in dst.points]
     if bad:
         raise UsageError(f"map hits unknown points {bad}")
-    tracker = _try_usage(int, args.tracker, 0)
+    tracker = _nat("--tracker", args.tracker)
     mor = morphism_from_table(src, dst, table, tracker)
     rep = check_tracking(mor, policy)
     caveats = (LIFT_CAVEAT,) if rep.sampled else ()
@@ -279,7 +292,7 @@ def _show_map(A, table: tuple) -> str:
 def _cmd_asm_exp(args, policy: CheckPolicy) -> Report:
     A = _read_assembly(args.left)
     B = _read_assembly(args.right)
-    res = exponent_finite(A, B, args.bound, policy)
+    res = exponent_finite(A, B, _nat("--bound", args.bound), policy)
     cases = []
     for i, mor in enumerate(res.morphisms):
         table = tuple(mor.map(p) for p in A.points)
@@ -341,7 +354,7 @@ def _realize_case(ident: str, verdict) -> Case:
 def _cmd_realize_check(args, policy: CheckPolicy) -> Report:
     phi = _try_usage(parse_formula, args.formula)
     env = _realize_env(args.asm)
-    v = _try_usage(jrealizes, args.e, phi, env, policy)
+    v = _try_usage(jrealizes, _nat("--e", args.e), phi, env, policy)
     caveats = v.evidence.caveats if isinstance(v, Realized) else ()
     return Report("realize check", (_realize_case("check", v),), caveats)
 
@@ -368,7 +381,7 @@ def _cmd_realize_build(args, policy: CheckPolicy) -> Report:
 
 def _case_fields(path: pathlib.Path) -> dict[str, str]:
     fields: dict[str, str] = {}
-    for ln in path.read_text().splitlines():
+    for ln in _read(str(path)).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -399,7 +412,7 @@ def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
         phi = _try_usage(parse_formula, fields["formula"])
         env = _realize_env(str(path.parent / fields["asm"])
                            if "asm" in fields else None)
-        e = (int(fields["e"], 0) if "e" in fields
+        e = (_nat(f"{path.name}: e", fields["e"]) if "e" in fields
              else _build_realizer(phi))
         v = _try_usage(jrealizes, e, phi, env, policy)
         expect = fields.get("expect", "realized")
@@ -423,13 +436,6 @@ def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
 
 # ---------------------------------------------------------------------------
 # skolem
-
-
-def _chain_to(k: int) -> "skolem.ChainState":
-    state = skolem.initial_chain()
-    while state.k < k:
-        state = skolem.extend_chain(state)
-    return state
 
 
 def _cmd_skolem_extend(args, policy: CheckPolicy) -> Report:
@@ -457,10 +463,8 @@ def _cmd_skolem_extend(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_skolem_sign(args, policy: CheckPolicy) -> Report:
-    i, j = args.i, args.j
-    if min(i, j) < 0:
-        raise UsageError("indices must be nonnegative")
-    state = _chain_to(max(i, j) + 1)
+    i, j = _nat("i", args.i), _nat("j", args.j)
+    state = skolem.Model().ensure(max(i, j) + 1)
     rel = skolem.sign(state, i, j)
     detail = f"{show_qp(enumerate_qp(i))} vs {show_qp(enumerate_qp(j))}"
     return Report(f"skolem sign {i} {j}",

@@ -29,7 +29,7 @@ from random import Random
 
 from . import coding
 from .bracket import lam
-from .certs import Accepted, Base, Cert, CheckPolicy, check_cert
+from .certs import Accepted, Base, Cert, CheckPolicy, _tokenize, check_cert
 from .jsets import Singleton
 from .kit import (
     A_TERM,
@@ -374,10 +374,6 @@ def show_dec(tree: DecTree) -> str:
                 return "union"
             return "union " + " ".join(f"({show_dec(p)})" for p in parts)
     raise TypeError(f"not a decision tree: {tree!r}")
-
-
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _parse(tokens: list[str], pos: int) -> tuple[DecTree, int]:

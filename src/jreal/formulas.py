@@ -10,7 +10,6 @@ shape is what the classifier and the realizer builder recognize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -146,53 +145,6 @@ def free_vars(phi: Formula) -> frozenset[str]:
         case All(v, body) | Ex(v, body):
             return free_vars(body) - {v}
     raise TypeError(phi)
-
-
-def subst_term(t: TermAst, name: str, value: int) -> TermAst:
-    match t:
-        case NVar(n):
-            return Lit(value) if n == name else t
-        case Lit(_):
-            return t
-        case Succ(a):
-            return Succ(subst_term(a, name, value))
-        case Plus(a, b):
-            return Plus(subst_term(a, name, value), subst_term(b, name, value))
-        case Times(a, b):
-            return Times(subst_term(a, name, value), subst_term(b, name, value))
-    raise TypeError(t)
-
-
-def subst(phi: Formula, name: str, value: int) -> Formula:
-    """Plug a numeral in for a free variable, respecting shadowing."""
-    match phi:
-        case Eq(l, r):
-            return Eq(subst_term(l, name, value), subst_term(r, name, value))
-        case Less(l, r):
-            return Less(subst_term(l, name, value), subst_term(r, name, value))
-        case Rel(rn, args):
-            return Rel(rn, tuple(subst_term(a, name, value) for a in args))
-        case And(a, b):
-            return And(subst(a, name, value), subst(b, name, value))
-        case Or(a, b):
-            return Or(subst(a, name, value), subst(b, name, value))
-        case Imp(a, b):
-            return Imp(subst(a, name, value), subst(b, name, value))
-        case All(v, body):
-            return phi if v == name else All(v, subst(body, name, value))
-        case Ex(v, body):
-            return phi if v == name else Ex(v, subst(body, name, value))
-    raise TypeError(phi)
-
-
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    yield phi
-    match phi:
-        case And(a, b) | Or(a, b) | Imp(a, b):
-            yield from subformulas(a)
-            yield from subformulas(b)
-        case All(_, body) | Ex(_, body):
-            yield from subformulas(body)
 
 
 def bound_of(phi: Formula) -> tuple[str, TermAst, Formula] | None:

@@ -157,7 +157,7 @@ def mirror_b(g: MirrorFn, x: int, cert: Cert, policy: CheckPolicy) -> tuple[int,
         case Base(y, _):
             out, out_inner = g.on_value(y)
             return coding.pair(0, out), Base(out, out_inner)
-        case Lift(threshold, _, _):
+        case Lift(threshold, _):
             e_in = _tagged(x, 1)
             table = _tail_table(cert, policy)
             tails = []
@@ -177,7 +177,7 @@ def mirror_c(f: MirrorFn, threshold: int, policy: CheckPolicy) -> tuple[int, Cer
         v_m, inner = f.on_value(m)
         tails.append((m, Base(v_m, inner)))
     out = coding.pair(1, encode_term(_c_tail_term(f.term)))
-    return out, Lift(threshold, tuple(tails), schema="staged")
+    return out, Lift(threshold, tuple(tails))
 
 
 def mirror_d(x: int, cert: Cert, policy: CheckPolicy) -> tuple[int, Cert]:
@@ -186,7 +186,7 @@ def mirror_d(x: int, cert: Cert, policy: CheckPolicy) -> tuple[int, Cert]:
             if inner is None:
                 raise MirrorError("flatten needs an inner certificate on base inputs")
             return y, inner
-        case Lift(threshold, _, _):
+        case Lift(threshold, _):
             e_in = _tagged(x, 1)
             table = _tail_table(cert, policy)
             tails = []

@@ -264,18 +264,9 @@ def _polys_of(deg_cap: int, total: int):
         yield ()
         return
     for deg in range(deg_cap + 1):
-        for cs in _coeff_tuples(deg + 1, total):
+        for cs in _splits(deg + 1, total):
             if cs[-1] != 0:
                 yield cs
-
-
-def _coeff_tuples(length: int, total: int):
-    if length == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _coeff_tuples(length - 1, total - head):
-            yield (head,) + rest
 
 
 def _splits(parts: int, total: int):
@@ -372,6 +363,8 @@ def parse_qp(text: str) -> QuasiPoly:
         m = int(head[4:])
     except ValueError:
         raise QpSyntaxError(f"bad modulus {head[4:]!r}") from None
+    if m < 1:
+        raise QpSyntaxError(f"modulus {m} below 1")
     rows: dict[int, tuple[int, ...]] = {}
     for chunk in body.split(";"):
         chunk = chunk.strip()
@@ -400,25 +393,26 @@ def _parse_poly(text: str) -> tuple[int, ...]:
         if not part:
             raise QpSyntaxError("empty term")
         if "n" not in part:
-            try:
-                coeffs[0] = coeffs.get(0, 0) + int(part)
-            except ValueError:
-                raise QpSyntaxError(f"bad constant {part!r}") from None
+            coeffs[0] = coeffs.get(0, 0) + _nat_or_die(part)
             continue
         c_txt, _, pow_txt = part.partition("n")
-        c = 1 if not c_txt.strip() else _int_or_die(c_txt.strip())
+        c = 1 if not c_txt.strip() else _nat_or_die(c_txt.strip())
         p = 1
         if pow_txt.strip():
             if not pow_txt.strip().startswith("^"):
                 raise QpSyntaxError(f"bad power in {part!r}")
-            p = _int_or_die(pow_txt.strip()[1:])
+            p = _nat_or_die(pow_txt.strip()[1:])
         coeffs[p] = coeffs.get(p, 0) + c
     width = max(coeffs) + 1 if coeffs else 0
     return _trim(tuple(coeffs.get(i, 0) for i in range(width)))
 
 
-def _int_or_die(s: str) -> int:
+def _nat_or_die(s: str) -> int:
+    """Coefficients and powers are natural numbers."""
     try:
-        return int(s)
+        n = int(s)
     except ValueError:
         raise QpSyntaxError(f"bad number {s!r}") from None
+    if n < 0:
+        raise QpSyntaxError(f"negative number {s!r}")
+    return n

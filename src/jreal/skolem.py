@@ -8,7 +8,8 @@ displayed union (below the least, equal to it, strictly between neighbours,
 and so on, above the greatest), and the first infinite cell survives.  A
 strictly increasing selector picks one fresh witness from each live set;
 two representatives name the same element exactly when they agree along the
-selector's tail, and that agreement is read off a finite sign matrix.
+selector's tail, and the chain keeps the enumerated functions as an
+ascending list of such equality classes.
 
 The payoff is a structure where order and equality between elements are
 decided by finite polynomial comparisons, embedded copies of the naturals
@@ -20,7 +21,6 @@ over the induced assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import lcm
 
 from . import coding
@@ -81,35 +81,30 @@ from .terms import CONS, K, LEN, PROJ, SUCC, App, Num, Var, ap, encode_term
 @dataclass(frozen=True, slots=True)
 class ChainState:
     """Functions 0..k incorporated, with the surviving definable set, the
-    selector prefix, and the settled pairwise order."""
+    selector prefix, and the settled order: ``classes`` holds the indices
+    0..k grouped by settled equality, the groups in ascending order."""
 
     k: int
     live: DefinableSet
     psi: tuple[int, ...]
-    signs: tuple[tuple[str, ...], ...]
+    classes: tuple[tuple[int, ...], ...]
     reps: tuple[QuasiPoly, ...]
 
 
 def initial_chain() -> ChainState:
-    return ChainState(0, FULL_SET, (0,), (("=",),), (const(0),))
+    return ChainState(0, FULL_SET, (0,), ((0,),), (const(0),))
 
 
 _FLIP = {"<": ">", ">": "<", "=": "="}
 
 
-def _classes(signs: tuple[tuple[str, ...], ...]) -> list[list[int]]:
-    """Indices grouped by settled equality, ordered ascending."""
-    groups: list[list[int]] = []
-    for i in range(len(signs)):
-        for g in groups:
-            if signs[i][g[0]] == "=":
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    groups.sort(key=cmp_to_key(
-        lambda a, b: -1 if signs[a[0]][b[0]] == "<" else 1))
-    return groups
+def _live_classes(live: DefinableSet,
+                  *qps: QuasiPoly) -> tuple[int, list[int]]:
+    """The joint modulus of the live set and qps, with the live residues
+    modulo it."""
+    modulus = lcm(live.modulus, *(qp.modulus for qp in qps))
+    return modulus, [r for r in range(modulus)
+                     if r % live.modulus in live.residues]
 
 
 def _position(new: QuasiPoly, betas: tuple[QuasiPoly, ...], modulus: int,
@@ -144,16 +139,11 @@ def _reduce(ds: DefinableSet) -> DefinableSet:
 
 def extend_chain(state: ChainState) -> ChainState:
     new = enumerate_qp(state.k + 1)
-    classes = _classes(state.signs)
-    betas = tuple(state.reps[g[0]] for g in classes)
-    modulus = state.live.modulus
-    for qp in (new,) + betas:
-        modulus = lcm(modulus, qp.modulus)
+    betas = tuple(state.reps[g[0]] for g in state.classes)
+    modulus, residues = _live_classes(state.live, new, *betas)
 
     cells: dict[int, tuple[list[int], int]] = {}
-    for r in range(modulus):
-        if r % state.live.modulus not in state.live.residues:
-            continue
+    for r in residues:
         cell, thr = _position(new, betas, modulus, r, state.live.threshold)
         res, t = cells.get(cell, ([], state.live.threshold))
         res.append(r)
@@ -163,35 +153,26 @@ def extend_chain(state: ChainState) -> ChainState:
     res, thr = cells[chosen]
     live = _reduce(DefinableSet(modulus, frozenset(res), thr))
 
-    n_classes = len(betas)
-    def rel_to(ci: int) -> str:
-        if chosen == 2 * n_classes:
-            return ">"
-        if chosen % 2:
-            j = chosen // 2
-            if ci == j:
-                return "="
-            return state.signs[classes[j][0]][classes[ci][0]]
-        return ">" if ci < chosen // 2 else "<"
-
-    class_of = [0] * (state.k + 1)
-    for ci, g in enumerate(classes):
-        for i in g:
-            class_of[i] = ci
-    new_row = tuple(rel_to(class_of[i]) for i in range(state.k + 1)) + ("=",)
-    signs = tuple(row + (_FLIP[new_row[i]],)
-                  for i, row in enumerate(state.signs)) + (new_row,)
+    # an odd cell ties the newcomer with class j, an even one opens a new
+    # class at position j
+    j = chosen // 2
+    classes = list(state.classes)
+    if chosen % 2:
+        classes[j] += (state.k + 1,)
+    else:
+        classes.insert(j, (state.k + 1,))
 
     return ChainState(state.k + 1, live,
                       state.psi + (live.least_above(state.psi[-1]),),
-                      signs, state.reps + (new,))
+                      tuple(classes), state.reps + (new,))
 
 
 def sign(state: ChainState, i: int, j: int) -> str:
     """Settled order of enumerated functions i and j along the selector."""
     if not (0 <= i <= state.k and 0 <= j <= state.k):
         raise ValueError(f"extend the chain to {max(i, j)} first")
-    return state.signs[i][j]
+    pos = {n: c for c, g in enumerate(state.classes) for n in g}
+    return "=" if pos[i] == pos[j] else ("<" if pos[i] < pos[j] else ">")
 
 
 def show_chain(state: ChainState) -> str:
@@ -199,7 +180,7 @@ def show_chain(state: ChainState) -> str:
     res = ",".join(str(r) for r in sorted(live.residues))
     tail = ",".join(str(p) for p in state.psi[-6:])
     return (f"chain k={state.k} live=(mod {live.modulus}: {{{res}}} "
-            f"from {live.threshold}) classes={len(_classes(state.signs))} "
+            f"from {live.threshold}) classes={len(state.classes)} "
             f"psi tail=[...{tail}]")
 
 
@@ -253,7 +234,8 @@ class Model:
         if hit is not None:
             return hit
         while True:
-            rels = self._class_rels(f, g)
+            modulus, residues = _live_classes(self.state.live, f, g)
+            rels = {compare_on_class(f, g, modulus, r)[0] for r in residues}
             if len(rels) == 1:
                 rel = rels.pop()
                 self._sign_memo[key] = rel
@@ -261,21 +243,11 @@ class Model:
                 return rel
             self.state = extend_chain(self.state)
 
-    def _class_rels(self, f: QuasiPoly, g: QuasiPoly) -> set[str]:
-        live = self.state.live
-        modulus = lcm(live.modulus, f.modulus, g.modulus)
-        return {compare_on_class(f, g, modulus, r)[0]
-                for r in range(modulus)
-                if r % live.modulus in live.residues}
-
     def settle_threshold(self, f: QuasiPoly, g: QuasiPoly) -> int:
         """Past this value the settled relation holds at every live point."""
         self.sign_qp(f, g)
-        live = self.state.live
-        modulus = lcm(live.modulus, f.modulus, g.modulus)
-        return max(compare_on_class(f, g, modulus, r)[1]
-                   for r in range(modulus)
-                   if r % live.modulus in live.residues)
+        modulus, residues = _live_classes(self.state.live, f, g)
+        return max(compare_on_class(f, g, modulus, r)[1] for r in residues)
 
     def eq(self, a: ModelElem, b: ModelElem) -> bool:
         return self.sign_qp(a.rep, b.rep) == "="
@@ -297,10 +269,8 @@ def standard_value(model: Model, e: ModelElem) -> int | None:
     syntactically, so the loop always exits."""
     rep = e.rep
     while True:
-        live = model.state.live
-        modulus = lcm(live.modulus, rep.modulus)
-        polys = {rep.poly_at(r) for r in range(modulus)
-                 if r % live.modulus in live.residues}
+        _, residues = _live_classes(model.state.live, rep)
+        polys = {rep.poly_at(r) for r in residues}
         if all(len(p) > 1 for p in polys):
             return None
         if all(len(p) <= 1 for p in polys):

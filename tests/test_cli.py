@@ -124,3 +124,35 @@ def test_zero_policy_bound_is_a_usage_error(flag, where, capsysbinary):
     argv = [flag, "0"] + leaf if where == "global" else leaf + [flag, "0"]
     err = _usage_error(argv, capsysbinary)
     assert "at least 1" in err
+
+
+# name -> (argv, files written under a temporary directory); "{tmp}" in an
+# argument stands for that directory
+BAD_INPUTS = {
+    "tracker": (["asm", "track", TWO, "--map", "p:p,q:q",
+                 "--tracker", "-3"], {}),
+    "jdec-n": (["jdec", "run", "tests/data/one.dec", "--n", "-1"], {}),
+    "jdec-upto": (["jdec", "table", "tests/data/one.dec", "--upto", "-2"], {}),
+    "realize-e": (["realize", "check", "--formula", "0 = 0", "--e", "-4"], {}),
+    "asm-bound": (["asm", "exp", TWO, TWO, "--bound", "-5"], {}),
+    "jcert-x": (["jcert", "check", "--x", "-5", "--set", "{2}",
+                 "--cert", "tests/data/base.cert"], {}),
+    "skolem-modulus": (["skolem", "standard", "mod 0:"], {}),
+    "corpus-e-text": (["realize", "corpus", "{tmp}"],
+                      {"a.case": b"formula: 0 = 0\ne: zz\n"}),
+    "corpus-e-negative": (["realize", "corpus", "{tmp}"],
+                          {"a.case": b"formula: 0 = 0\ne: -7\n"}),
+    "corpus-undecodable": (["realize", "corpus", "{tmp}"],
+                           {"a.case": b"formula: 0 = 0\n\xff\xfe\n"}),
+    "jdec-undecodable": (["jdec", "run", "{tmp}/t.dec", "--n", "1"],
+                         {"t.dec": b"one \xff"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_a_usage_error(name, tmp_path, capsysbinary):
+    argv, files = BAD_INPUTS[name]
+    for fname, data in files.items():
+        (tmp_path / fname).write_bytes(data)
+    _usage_error([a.replace("{tmp}", str(tmp_path)) for a in argv],
+                 capsysbinary)

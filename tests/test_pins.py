@@ -1,15 +1,16 @@
-"""Compiled codes and machine step counts that the term layer must not move.
+"""Compiled codes, machine step counts and the Skolem chain, pinned.
 
-The digests are sha256 of ``hex(code)``: the codes run to thousands of
+The code digests are sha256 of ``hex(code)``: the codes run to thousands of
 digits.  Any change to bracket abstraction, the coder or the machine's
-reduction order shows up here first.
+reduction order shows up here first.  The chain pin is the sha256 of the
+whole sign table at k=150 together with its one-line summary.
 """
 
 import hashlib
 
 import pytest
 
-from jreal import kit, prog
+from jreal import kit, prog, skolem
 from jreal.deciders import decider_code, decider_term, parse_dec
 from jreal.machine import eval_term
 from jreal.terms import App, Num, ap, encode_term
@@ -54,3 +55,14 @@ def test_step_counts_are_pinned():
     assert steps == 162
     assert _digest(out.value) == (
         "ebe42cfcd3d8c01a2e92d660f5c22ed4a4a0dbd5134939c453d14c920ccc08c6")
+
+
+def test_chain_is_pinned():
+    s = skolem.Model().ensure(150)
+    table = "".join(skolem.sign(s, i, j)
+                    for i in range(151) for j in range(151))
+    assert hashlib.sha256(table.encode()).hexdigest() == (
+        "132c83403f962b65498fbe5315dae95d04a16cab73a77513b7af91789d710d49")
+    assert skolem.show_chain(s) == (
+        "chain k=150 live=(mod 60: {0} from 3) classes=41 "
+        "psi tail=[...1680,1740,1800,1860,1920,1980]")

@@ -206,6 +206,10 @@ def test_parse_normalizes():
     "mod 2: 0 -> 1; 2 -> 0",
     "mod 1: 0 -> q",
     "mod 1: 0 => 1",
+    "mod 0:",
+    "mod 1: 0 -> -3",
+    "mod 1: 0 -> 1 + -2 n",
+    "mod 1: 0 -> n^-1",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(QpSyntaxError):
