@@ -22,8 +22,9 @@ from .assemblies import (AsmSyntaxError, Subobject, check_tracking,
 from .certs import Accepted, CheckPolicy, check_cert, parse_cert
 from .deciders import (Verdict, ground_truth, parse_dec, run_decider,
                        show_dec)
-from .doctrine import (Doctrine, lfp_by_intersection, lfp_local, local_laws,
-                       parse_doctrine, pitts_f_finite, uniformity_finite)
+from .doctrine import (Doctrine, MonoOp, lfp_by_intersection, lfp_local,
+                       local_laws, parse_doctrine, pitts_f_finite,
+                       uniformity_finite)
 from .formulas import parse_formula
 from .jsets import Finite, parse_jset
 from .quasipoly import enumerate_qp, show_qp
@@ -59,9 +60,13 @@ def _nat(what: str, value: int | str) -> int:
     return n
 
 
-def _read_doctrine(path: str) -> Doctrine:
+def _read_closure(path: str) -> tuple[Doctrine, MonoOp, MonoOp]:
+    """The doctrine in a file, its map F and the least closed J above F."""
+    text = _read(path)
     try:
-        return parse_doctrine(_read(path))
+        d = parse_doctrine(text)
+        F = pitts_f_finite(d)
+        return d, F, lfp_local(d, F)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -99,8 +104,7 @@ def _big(n: int) -> str:
 
 
 def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
-    d = _read_doctrine(args.file)
-    J = lfp_local(d, pitts_f_finite(d))
+    d, _, J = _read_closure(args.file)
     rep = local_laws(d, J)
     cases = []
     for name, w in (("e1", rep.e1), ("e2", rep.e2),
@@ -122,15 +126,10 @@ def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
-    d = _read_doctrine(args.file)
-    F = pitts_f_finite(d)
-    try:
-        J = lfp_local(d, F)
-        mask = _parse_mask(args.set, d)
-        iterated = J[mask]
-        meet = lfp_by_intersection(d, F, mask)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    d, F, J = _read_closure(args.file)
+    mask = _try_usage(_parse_mask, args.set, d)
+    iterated = J[mask]
+    meet = lfp_by_intersection(d, F, mask)
     cases = [
         case_pass("iterate", _show_mask(iterated),
                   f"rule closure of {_show_mask(mask)}"),
@@ -145,8 +144,7 @@ def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
-    d = _read_doctrine(args.file)
-    J = lfp_local(d, pitts_f_finite(d))
+    d, _, J = _read_closure(args.file)
     rep = uniformity_finite(d, J)
     if rep.verified:
         c = case_pass("uniformity", "Verified",
@@ -363,7 +361,10 @@ def _build_realizer(phi) -> int:
     try:
         return build_delta0(phi)
     except ValueError as delta_exc:
-        e = build_sigma1(phi)
+        try:
+            e = build_sigma1(phi)
+        except ValueError:
+            e = None
         if e is None:
             raise UsageError(f"no realizer constructed: {delta_exc}") from None
         return e

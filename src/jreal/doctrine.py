@@ -6,11 +6,18 @@ at construction, and every law is witnessed by a concrete element or reported
 absent.  The least closed operator above a monotone map is computed per set
 by iterating the two generating rules and cross-checked against the big
 intersection it is supposed to equal.
+
+A doctrine carries two tables fixed when it is built, both filled subset by
+subset from ``A ^ lowbit(A)``: ``images[e][A]``, the image of the set A under
+row e (-1 where e is undefined somewhere on A), and ``pair_images[a][B]``,
+the defined pair codes ``pair(a, b)`` for b in B.  ``arrow(d, A, B)`` is the
+rows whose image of A is defined and inside B; ``wedge(d, A, B)`` is the OR
+of ``pair_images[a][B]`` over the members a of A.  Neither builds anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 MAX_SIZE = 16
@@ -25,6 +32,29 @@ class Doctrine:
     size: int
     app: tuple[int, ...]   # row-major e*size+x, -1 for undefined
     pair: tuple[int, ...]  # row-major x*size+y, -1 for undefined
+    # images[e][A]: the image of A under row e, -1 if e is undefined on A
+    images: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # pair_images[a][B]: the defined pair codes pair(a, b) for b in B
+    pair_images: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = self.size
+        images, pair_images = [], []
+        for e in range(n):
+            app_row = self.app[e * n:(e + 1) * n]
+            pair_row = self.pair[e * n:(e + 1) * n]
+            img = [0] * (1 << n)
+            pim = [0] * (1 << n)
+            for A in range(1, 1 << n):
+                low = A & -A
+                x = low.bit_length() - 1
+                rest, v, p = img[A ^ low], app_row[x], pair_row[x]
+                img[A] = -1 if rest < 0 or v < 0 else rest | 1 << v
+                pim[A] = pim[A ^ low] if p < 0 else pim[A ^ low] | 1 << p
+            images.append(tuple(img))
+            pair_images.append(tuple(pim))
+        object.__setattr__(self, "images", tuple(images))
+        object.__setattr__(self, "pair_images", tuple(pair_images))
 
     @property
     def full(self) -> int:
@@ -99,60 +129,25 @@ def identity_op(size: int) -> MonoOp:
 
 
 # ---------------------------------------------------------------------------
-# arrow and wedge with caching
-
-
-class Table:
-    """Cached arrow/wedge computations over one doctrine."""
-
-    def __init__(self, d: Doctrine):
-        self.d = d
-        self._arrow: dict[tuple[int, int], int] = {}
-        self._wedge: dict[tuple[int, int], int] = {}
-
-    def arrow(self, A: int, B: int) -> int:
-        key = (A, B)
-        got = self._arrow.get(key)
-        if got is not None:
-            return got
-        d = self.d
-        mask = 0
-        for e in range(d.size):
-            row = d.app[e * d.size:(e + 1) * d.size]
-            ok = True
-            for a in bits(A):
-                t = row[a]
-                if t < 0 or not B >> t & 1:
-                    ok = False
-                    break
-            if ok:
-                mask |= 1 << e
-        self._arrow[key] = mask
-        return mask
-
-    def wedge(self, A: int, B: int) -> int:
-        key = (A, B)
-        got = self._wedge.get(key)
-        if got is not None:
-            return got
-        d = self.d
-        mask = 0
-        for a in bits(A):
-            row = d.pair[a * d.size:(a + 1) * d.size]
-            for b in bits(B):
-                p = row[b]
-                if p >= 0:
-                    mask |= 1 << p
-        self._wedge[key] = mask
-        return mask
+# arrow and wedge
 
 
 def arrow(d: Doctrine, A: int, B: int) -> int:
-    return Table(d).arrow(A, B)
+    """The rows defined on all of A that send A into B."""
+    mask = 0
+    for e, image in enumerate(d.images):
+        img = image[A]
+        if img >= 0 and not img & ~B:
+            mask |= 1 << e
+    return mask
 
 
 def wedge(d: Doctrine, A: int, B: int) -> int:
-    return Table(d).wedge(A, B)
+    """The defined pair codes pair(a, b) for a in A and b in B."""
+    mask = 0
+    for a in bits(A):
+        mask |= d.pair_images[a][B]
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +162,12 @@ class Witness:
 
 def preorder_witness(d: Doctrine, F: MonoOp, G: MonoOp) -> Witness | None:
     """An element sending every F-stage into the matching G-stage, if any."""
-    t = Table(d)
     mask = d.full
     for A in range(1 << d.size):
-        mask &= t.arrow(F[A], G[A])
+        mask &= arrow(d, F[A], G[A])
         if not mask:
-            return None
-    return Witness((mask & -mask).bit_length() - 1, "preorder")
+            break
+    return _least(mask, "preorder")
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,61 +190,57 @@ def _least(mask: int, law: str) -> Witness | None:
     return Witness((mask & -mask).bit_length() - 1, law)
 
 
-def _law_masks(d: Doctrine, J: MonoOp, t: Table) -> tuple[int, int, int, int]:
+def _e2_mask(d: Doctrine, J: MonoOp) -> int:
+    """The rows sending every set into its closure."""
+    e2 = d.full
+    for A in range(1 << d.size):
+        e2 &= arrow(d, A, J[A])
+        if not e2:
+            break
+    return e2
+
+
+def _law_masks(d: Doctrine, J: MonoOp) -> tuple[int, int, int, int]:
     n = 1 << d.size
     e1 = e4 = d.full
     for A in range(n):
         ja = J[A]
         for B in range(n):
             if e1:
-                e1 &= t.arrow(t.arrow(A, B), t.arrow(ja, J[B]))
+                e1 &= arrow(d, arrow(d, A, B), arrow(d, ja, J[B]))
             if e4:
-                e4 &= t.arrow(t.wedge(ja, J[B]), J[t.wedge(A, B)])
+                e4 &= arrow(d, wedge(d, ja, J[B]), J[wedge(d, A, B)])
             if not e1 and not e4:
                 break
         if not e1 and not e4:
             break
-    e2 = e3 = d.full
+    e3 = d.full
     for A in range(n):
-        e2 &= t.arrow(A, J[A])
-        e3 &= t.arrow(J[J[A]], J[A])
-        if not e2 and not e3:
+        e3 &= arrow(d, J[J[A]], J[A])
+        if not e3:
             break
-    return e1, e2, e3, e4
+    return e1, _e2_mask(d, J), e3, e4
 
 
 def local_laws(d: Doctrine, J: MonoOp) -> LawReport:
-    t = Table(d)
-    m1, m2, m3, m4 = _law_masks(d, J, t)
-    derived, note = derive_e4(d, J, _least(m1, "E1"), _least(m3, "E3"), t, m4)
-    return LawReport(
-        _least(m1, "E1"), _least(m2, "E2"), _least(m3, "E3"), _least(m4, "E4"),
-        derived, note,
-    )
+    m1, m2, m3, m4 = _law_masks(d, J)
+    w1, w3 = _least(m1, "E1"), _least(m3, "E3")
+    derived, note = derive_e4(d, w1, w3, m4)
+    return LawReport(w1, _least(m2, "E2"), w3, _least(m4, "E4"), derived, note)
 
 
-def derive_e4(d: Doctrine, J: MonoOp,
-              w1: Witness | None, w3: Witness | None,
-              t: Table | None = None, e4_mask: int | None = None) -> tuple[Witness | None, str]:
+def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
+              e4_mask: int) -> tuple[Witness | None, str]:
     """Build a pair-merging witness out of the push and flatten witnesses.
 
     The construction mirrors how the law follows from the other three: section
     rows for the pairing, pushed through the first witness, then a row that
     runs the composite and one flattening.  Every stage is a table search;
-    the found element is verified against the law's set before it is reported.
+    the found element is verified against ``e4_mask``, the rows that satisfy
+    the law, before it is reported.
     """
     if w1 is None or w3 is None:
         return None, "underivable: missing ingredient witnesses"
-    t = t or Table(d)
-    if e4_mask is None:
-        e4_mask = d.full
-        for A in range(1 << d.size):
-            for B in range(1 << d.size):
-                e4_mask &= t.arrow(t.wedge(J[A], J[B]), J[t.wedge(A, B)])
-                if not e4_mask:
-                    break
-            if not e4_mask:
-                break
     size = d.size
     firsts = sorted({x for x in range(size) for y in range(size) if d.pair_at(x, y) is not None})
     seconds = sorted({y for x in range(size) for y in range(size) if d.pair_at(x, y) is not None})
@@ -332,12 +322,11 @@ def _require_bottom(d: Doctrine, A: int) -> int:
 
 def lfp_local(d: Doctrine, F: MonoOp) -> MonoOp:
     """Per-set iteration of the two closure rules to stabilization."""
-    t = Table(d)
     table = []
     for A in range(1 << d.size):
         B = _require_bottom(d, A)
         while True:
-            nxt = B | t.wedge(2, F[B])  # {1} wedge F(stage), defined pairs only
+            nxt = B | wedge(d, 2, F[B])  # {1} wedge F(stage), defined pairs only
             if nxt == B:
                 break
             B = nxt
@@ -347,13 +336,12 @@ def lfp_local(d: Doctrine, F: MonoOp) -> MonoOp:
 
 def lfp_by_intersection(d: Doctrine, F: MonoOp, A: int) -> int:
     """The same operator as the meet of all closed supersets; for cross-checks."""
-    t = Table(d)
     seed = _require_bottom(d, A)
     out = d.full
     for B in range(1 << d.size):
         if seed & ~B:
             continue
-        if t.wedge(2, F[B]) & ~B:
+        if wedge(d, 2, F[B]) & ~B:
             continue
         out &= B
     return out
@@ -361,13 +349,12 @@ def lfp_by_intersection(d: Doctrine, F: MonoOp, A: int) -> int:
 
 def pitts_f_finite(d: Doctrine) -> MonoOp:
     """A maps to the union over n of (up-set of n) arrow A."""
-    t = Table(d)
     table = []
     for A in range(1 << d.size):
         out = 0
         for n in range(d.size):
             up = (d.full >> n) << n
-            out |= t.arrow(up, A)
+            out |= arrow(d, up, A)
         table.append(out)
     return mono_op(d.size, tuple(table))
 
@@ -390,20 +377,14 @@ class UniformityReport:
 
 def uniformity_finite(d: Doctrine, J: MonoOp) -> UniformityReport:
     """One element self-paired into the equality set of every subset."""
-    t = Table(d)
-    e2 = d.full
-    for A in range(1 << d.size):
-        e2 &= t.arrow(A, J[A])
-        if not e2:
-            break
-    for a in bits(e2):
+    for a in bits(_e2_mask(d, J)):
         x = d.pair_at(a, a)
         if x is None:
             continue
         failures = []
         for A in range(1 << d.size):
-            side = t.arrow(A, J[A])
-            if not (side >> a & 1 and t.wedge(side, side) >> x & 1):
+            side = arrow(d, A, J[A])
+            if not (side >> a & 1 and wedge(d, side, side) >> x & 1):
                 failures.append(A)
         return UniformityReport(x, a, 1 << d.size, tuple(failures))
     return UniformityReport(None, None, 1 << d.size, ())
@@ -454,7 +435,6 @@ def random_doctrine(rng: Random, size: int) -> Doctrine:
 def candidate_ops(d: Doctrine) -> list[tuple[str, MonoOp]]:
     """The shipped enumeration of operator tables law searches range over."""
     n = 1 << d.size
-    t = Table(d)
     out: list[tuple[str, MonoOp]] = [
         ("identity", identity_op(d.size)),
         ("top", MonoOp(d.size, tuple(d.full for _ in range(n)))),
@@ -463,7 +443,7 @@ def candidate_ops(d: Doctrine) -> list[tuple[str, MonoOp]]:
     for C in range(n):
         out.append((f"join_{C}", MonoOp(d.size, tuple(A | C for A in range(n)))))
     for C in range(min(n, 16)):
-        out.append((f"arrow_{C}", MonoOp(d.size, tuple(t.arrow(C, A) for A in range(n)))))
+        out.append((f"arrow_{C}", MonoOp(d.size, tuple(arrow(d, C, A) for A in range(n)))))
     return out
 
 

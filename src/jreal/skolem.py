@@ -429,8 +429,7 @@ def _transfer_sampled(model: Model, phi: Formula, asn, window: int) -> TransferR
 
 
 def qp_data(qp: QuasiPoly) -> int:
-    rows = coding.encode_seq([coding.encode_seq(cs) for cs in qp.residues])
-    return coding.pair(qp.modulus, rows)
+    return _join_data(qp.modulus, qp.residues)
 
 
 def elem_code(qp: QuasiPoly, psi_code: int) -> int:
@@ -440,9 +439,8 @@ def elem_code(qp: QuasiPoly, psi_code: int) -> int:
 def decode_elem_code(code: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(modulus, raw coefficient rows, selector prefix) of a realizer."""
     data, psi_code = coding.unpair(code)
-    m, rows_code = coding.unpair(data)
-    rows = tuple(coding.decode_seq(rc) for rc in coding.decode_seq(rows_code))
-    return m, rows, coding.decode_seq(psi_code)
+    m, rows = _split_data(data)
+    return m, tuple(rows), coding.decode_seq(psi_code)
 
 
 # python mirrors of the object-level tracker arithmetic; kept untrimmed and
@@ -451,7 +449,7 @@ def decode_elem_code(code: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple
 def mirror_add(d1: int, d2: int) -> int:
     m1, rows1 = _split_data(d1)
     m2, rows2 = _split_data(d2)
-    m = _slow_lcm(m1, m2)
+    m = lcm(m1, m2)
     rows = [_mirror_padd(rows1[r % m1], rows2[r % m2]) for r in range(m)]
     return _join_data(m, rows)
 
@@ -459,7 +457,7 @@ def mirror_add(d1: int, d2: int) -> int:
 def mirror_mul(d1: int, d2: int) -> int:
     m1, rows1 = _split_data(d1)
     m2, rows2 = _split_data(d2)
-    m = _slow_lcm(m1, m2)
+    m = lcm(m1, m2)
     rows = [_mirror_pmul(rows1[r % m1], rows2[r % m2]) for r in range(m)]
     return _join_data(m, rows)
 
@@ -481,13 +479,6 @@ def _split_data(d: int) -> tuple[int, list[tuple[int, ...]]]:
 def _join_data(m: int, rows) -> int:
     return coding.pair(m, coding.encode_seq(
         [coding.encode_seq(r) for r in rows]))
-
-
-def _slow_lcm(a: int, b: int) -> int:
-    t = a
-    while t % b:
-        t += a
-    return t
 
 
 def _mirror_padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

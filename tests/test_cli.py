@@ -126,6 +126,9 @@ def test_zero_policy_bound_is_a_usage_error(flag, where, capsysbinary):
     assert "at least 1" in err
 
 
+# the bottom-stage pairing misses pair(0, 1), which the closure needs
+PARTIAL_DOCTRINE = b"doctrine 2\napp 0 0 = 0\npair 0 0 = 0\n"
+
 # name -> (argv, files written under a temporary directory); "{tmp}" in an
 # argument stands for that directory
 BAD_INPUTS = {
@@ -146,6 +149,15 @@ BAD_INPUTS = {
                            {"a.case": b"formula: 0 = 0\n\xff\xfe\n"}),
     "jdec-undecodable": (["jdec", "run", "{tmp}/t.dec", "--n", "1"],
                          {"t.dec": b"one \xff"}),
+    "doctrine-laws-partial": (["doctrine", "laws", "{tmp}/p.doc"],
+                              {"p.doc": PARTIAL_DOCTRINE}),
+    "doctrine-uniformity-partial": (["doctrine", "uniformity", "{tmp}/p.doc"],
+                                    {"p.doc": PARTIAL_DOCTRINE}),
+    "build-false": (["realize", "build", "--formula", "0 = 1"], {}),
+    "build-unbounded": (["realize", "build", "--formula", "forall x. x = x"],
+                        {}),
+    "corpus-no-realizer": (["realize", "corpus", "{tmp}"],
+                           {"a.case": b"formula: forall x. x = x\n"}),
 }
 
 

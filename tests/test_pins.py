@@ -1,17 +1,23 @@
-"""Compiled codes, machine step counts and the Skolem chain, pinned.
+"""Compiled codes, machine step counts, the Skolem chain and the doctrine
+lab, pinned.
 
 The code digests are sha256 of ``hex(code)``: the codes run to thousands of
 digits.  Any change to bracket abstraction, the coder or the machine's
 reduction order shows up here first.  The chain pin is the sha256 of the
-whole sign table at k=150 together with its one-line summary.
+whole sign table at k=150 together with its one-line summary.  The doctrine
+pin is the sha256 of the F and J tables of seeded random doctrines with the
+law and uniformity reports of both operators.
 """
 
 import hashlib
+from random import Random
 
 import pytest
 
 from jreal import kit, prog, skolem
 from jreal.deciders import decider_code, decider_term, parse_dec
+from jreal.doctrine import (local_laws, lfp_local, pitts_f_finite,
+                            random_doctrine, uniformity_finite)
 from jreal.machine import eval_term
 from jreal.terms import App, Num, ap, encode_term
 
@@ -66,3 +72,17 @@ def test_chain_is_pinned():
     assert skolem.show_chain(s) == (
         "chain k=150 live=(mod 60: {0} from 3) classes=41 "
         "psi tail=[...1680,1740,1800,1860,1920,1980]")
+
+
+def test_doctrine_lab_is_pinned():
+    h = hashlib.sha256()
+    for size in range(3, 7):
+        for seed in range(10):
+            d = random_doctrine(Random(seed), size)
+            F = pitts_f_finite(d)
+            J = lfp_local(d, F)
+            h.update(repr((F.table, J.table,
+                           local_laws(d, F), uniformity_finite(d, F),
+                           local_laws(d, J), uniformity_finite(d, J))).encode())
+    assert h.hexdigest() == (
+        "7f8639f7d06a60dc3c8a288a6e8cb1857ec58f6c2675f95d2a62d677399dd3dc")
