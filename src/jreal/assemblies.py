@@ -10,6 +10,12 @@ Checks over infinite carriers are sampled and say so in their reports.
 Whether a tracker's output lands is decided by ``CertSearch.decide``: an
 untagged output or a base payload outside the target is Failed, and a
 certificate search that finds nothing is only ever Unknown, never Failed.
+
+``track_rows`` is the one apply-then-land loop.  The realizability checker
+runs its implication and universal clauses through it too, with its own
+landing rule: a realizer of an implication or of a universal tracks a map
+from the antecedent's realizers, or from the carrier's points, into the
+closure of the consequent's or the instance's realizers.
 """
 
 from __future__ import annotations
@@ -87,7 +93,11 @@ class ProductAssembly:
 
     def realizer_set(self, p: Point) -> JSet:
         a, b = p
-        return wedge_target(self.left.realizer_set(a), self.right.realizer_set(b))
+        try:
+            return wedge_target(self.left.realizer_set(a),
+                                self.right.realizer_set(b))
+        except ValueError as exc:
+            raise ValueError(f"product point {p}: {exc}") from None
 
     def sample_points(self, k: int) -> tuple[Point, ...]:
         side = max(2, int(k ** 0.5) + 1)
@@ -145,11 +155,15 @@ def realizer_elements(S: JSet, k: int) -> tuple[tuple[int, ...], bool]:
             return tuple(sample(S, k)), True
 
 
-def _track_rows(tracker: int, rows, policy: CheckPolicy, samples: int,
-                sampled: bool) -> TrackReport:
+def track_rows(tracker: int, rows,
+               lands: Callable[[int, JSet], tuple[bool | None, str]],
+               fuel: int, samples: int, sampled: bool) -> TrackReport:
     """Every realizer of each row's source set, under the tracker, must land
-    in the closure of the row's target set; rows are (point, source, target)."""
-    searcher = CertSearch(policy, TRACK_THRESHOLD)
+    in the closure of the row's target set; rows are (point, source, target).
+
+    ``lands(v, target)`` is the landing rule: True or False when decided,
+    None when not, each with a reason.  The first False fails the check.
+    """
     checked = 0
     unknown: tuple | None = None
     note = ""
@@ -158,9 +172,9 @@ def _track_rows(tracker: int, rows, policy: CheckPolicy, samples: int,
         sampled = sampled or approx
         for r in elems:
             checked += 1
-            res = apply_cached(tracker, r, policy.fuel)
+            res = apply_cached(tracker, r, fuel)
             if isinstance(res, Value):
-                inside, why = searcher.decide(res.value, target)
+                inside, why = lands(res.value, target)
             else:
                 inside, why = None, "tracker ran out of fuel"
             if inside is False:
@@ -178,7 +192,9 @@ def check_tracking(mor: Morphism, policy: CheckPolicy | None = None,
     policy = policy or CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
     rows = ((x, mor.src.realizer_set(x), mor.dst.realizer_set(mor.map(x)))
             for x in mor.src.sample_points(samples))
-    return _track_rows(mor.tracker, rows, policy, samples, not mor.src.finite)
+    lands = CertSearch(policy, TRACK_THRESHOLD).decide
+    return track_rows(mor.tracker, rows, lands, policy.fuel, samples,
+                      not mor.src.finite)
 
 
 def identity_morphism(A: Assembly) -> Morphism:
@@ -348,7 +364,9 @@ def subobject_check(sub: Subobject, base: Assembly,
     rows = [(x, refined, base.realizer_set(x))
             for x in base.sample_points(samples)
             if is_empty(refined := sub.R(x)) is not True]
-    rep = _track_rows(sub.tracker, rows, policy, samples, not base.finite)
+    lands = CertSearch(policy, TRACK_THRESHOLD).decide
+    rep = track_rows(sub.tracker, rows, lands, policy.fuel, samples,
+                     not base.finite)
     return rep, tuple(x for x, _, _ in rows)
 
 

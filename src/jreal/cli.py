@@ -277,8 +277,10 @@ def _cmd_asm_product(args, policy: CheckPolicy) -> Report:
     cases = (
         case_pass("points", str(len(A.points) * len(B.points)),
                   f"pairs of {A.name} and {B.name}"),
-        _track_case("proj-left", check_tracking(proj_left(AB), policy)),
-        _track_case("proj-right", check_tracking(proj_right(AB), policy)),
+        _track_case("proj-left",
+                    _try_usage(check_tracking, proj_left(AB), policy)),
+        _track_case("proj-right",
+                    _try_usage(check_tracking, proj_right(AB), policy)),
     )
     return Report(f"asm product {args.left} {args.right}", cases)
 

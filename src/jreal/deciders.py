@@ -141,23 +141,13 @@ def _enum_term(member_codes: tuple[int, ...]) -> Term:
 
 
 @cache
-def _any_lifted():
-    return cor_gh().any_zero
-
-
-def _any_zero_code() -> int:
-    return _any_lifted().g_code
-
-
-@cache
 def _stage_term(tree: "Union") -> Term:
     """The staged scan body of a union decider, with the point left free."""
     enum_code = encode_term(_enum_term(tuple(decider_code(p) for p in tree.parts)))
-    return lam("n", App(Num(_any_zero_code()),
+    return lam("n", App(Num(cor_gh().any_zero.g_code),
                         ap(BUILDSCAN, Num(enum_code), Var("x"), Var("n"))))
 
 
-@cache
 def decider_term(tree: DecTree) -> Term:
     match tree:
         case One(point):
@@ -241,7 +231,7 @@ def _mirror_run(tree: DecTree, x: int, policy: CheckPolicy,
             else:
                 bit, threshold = 1, 0
                 entry = [(coding.pair(0, 1), Base(1))]
-            scanner = _any_lifted()
+            scanner = cor_gh().any_zero
 
             def stage_value(m: int) -> tuple[int, Cert]:
                 scan = [entry[min(i, len(entry) - 1)] for i in range(m, -1, -1)]
@@ -295,11 +285,6 @@ def _match_bits(keys: list[int]) -> Term:
     return bits
 
 
-@cache
-def _least_zero_code() -> int:
-    return cor_gh().least_zero.g_code
-
-
 @dataclass(frozen=True, slots=True)
 class Representation:
     graph: tuple[tuple[int, int], ...]
@@ -314,7 +299,7 @@ def represent_from_graph(graph: dict[int, int] | list[tuple[int, int]]) -> Repre
         raise ValueError("graph keys must be distinct")
     vals = [v for _, v in pairs]
     l = len(pairs)
-    scan_body = p1(App(Num(_least_zero_code()), _match_bits(keys)))
+    scan_body = p1(App(Num(cor_gh().least_zero.g_code), _match_bits(keys)))
     scan_term = lam("x", scan_body)
     main_term = lam("x", App(
         lam("m", ite(ap(EQ01, Var("m"), Num(l)),

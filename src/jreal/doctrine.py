@@ -322,11 +322,12 @@ def _require_bottom(d: Doctrine, A: int) -> int:
 
 def lfp_local(d: Doctrine, F: MonoOp) -> MonoOp:
     """Per-set iteration of the two closure rules to stabilization."""
+    lift = 2 & d.full  # the tag set {1}, empty on a one-point carrier
     table = []
     for A in range(1 << d.size):
         B = _require_bottom(d, A)
         while True:
-            nxt = B | wedge(d, 2, F[B])  # {1} wedge F(stage), defined pairs only
+            nxt = B | wedge(d, lift, F[B])  # {1} wedge F(stage), defined pairs only
             if nxt == B:
                 break
             B = nxt
@@ -337,11 +338,12 @@ def lfp_local(d: Doctrine, F: MonoOp) -> MonoOp:
 def lfp_by_intersection(d: Doctrine, F: MonoOp, A: int) -> int:
     """The same operator as the meet of all closed supersets; for cross-checks."""
     seed = _require_bottom(d, A)
+    lift = 2 & d.full
     out = d.full
     for B in range(1 << d.size):
         if seed & ~B:
             continue
-        if wedge(d, 2, F[B]) & ~B:
+        if wedge(d, lift, F[B]) & ~B:
             continue
         out &= B
     return out

@@ -21,12 +21,13 @@ tail certificate names its sample points but not the values behind them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from . import coding, prog
 from .bracket import lam
 from .certs import Base, Cert, CertSearch, CheckPolicy, Lift, check_cert, Accepted
-from .jsets import Finite, JSet, Singleton, UpFrom, Cofinite
+from .jsets import Finite, JSet, Singleton, UpFrom, Cofinite, show_jset
 from .machine import OutOfFuel, apply_cached
 from .prog import EQ01, LT01, SUFFIX, _v, ite, p0, p1, tag0, tag1
 from .terms import (
@@ -231,7 +232,7 @@ def wedge_target(A: JSet, B: JSet) -> Finite:
             case Singleton(k):
                 return (k,)
             case _:
-                raise ValueError("wedge targets need finite shapes")
+                raise ValueError(f"wedge targets need finite shapes, not {show_jset(S)}")
 
     return Finite(frozenset(coding.pair(a, b) for a in elems(A) for b in elems(B)))
 
@@ -379,6 +380,7 @@ class ScanPair:
     least_zero: LiftedFn
 
 
+@cache
 def cor_gh() -> ScanPair:
     return ScanPair(
         lemma_g(ANYZERO_CODE, host_anyzero),

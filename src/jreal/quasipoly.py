@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import count
-from math import gcd
+from math import lcm
 
 # ---------------------------------------------------------------------------
 # integer polynomials (private helpers; signed coefficients allowed)
@@ -149,18 +149,18 @@ def ident() -> QuasiPoly:
 
 
 def qp_add(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
-    m = _lcm(f.modulus, g.modulus)
+    m = lcm(f.modulus, g.modulus)
     return canon(m, (_padd(f.poly_at(r), g.poly_at(r)) for r in range(m)))
 
 
 def qp_mul(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
-    m = _lcm(f.modulus, g.modulus)
+    m = lcm(f.modulus, g.modulus)
     return canon(m, (_pmul(f.poly_at(r), g.poly_at(r)) for r in range(m)))
 
 
 def qp_compose(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
     """f after g; the modulus lifts to make g's value class constant."""
-    m = _lcm(f.modulus, g.modulus)
+    m = lcm(f.modulus, g.modulus)
     rows = []
     for r in range(m):
         inner = g.poly_at(r)
@@ -174,10 +174,6 @@ def qp_compose(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
     return out
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 # ---------------------------------------------------------------------------
 # eventual comparison along residue classes
 
@@ -186,7 +182,7 @@ def compare_on_class(f: QuasiPoly, g: QuasiPoly, modulus: int,
                      residue: int) -> tuple[str, int]:
     """The settled relation of f to g on one residue class, with the least
     threshold past which it holds at every class member."""
-    if modulus % _lcm(f.modulus, g.modulus) != 0:
+    if modulus % lcm(f.modulus, g.modulus) != 0:
         raise ValueError("class modulus must refine both operands")
     diff = _psub(f.poly_at(residue), g.poly_at(residue))
     tail = _sign_tail(diff)
@@ -228,7 +224,7 @@ class DefinableSet:
         raise AssertionError("a nonempty residue set meets every window")
 
     def subset_of(self, other: "DefinableSet") -> bool:
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         for r in range(m):
             if r % self.modulus not in self.residues:
                 continue

@@ -13,6 +13,13 @@ Clause conventions pinned here:
     their own; the existential's first component is evidence for the
     witness alone.
 
+The landing rule: whether a value lies in the closure of a realizer set is
+``CertSearch.decide``'s answer, True, False or undecided.  A definite False
+refutes on any carrier; an undecided answer reads as outside only on an exact
+(finite) carrier and stays Unknown on an infinite one.  Implication and
+universal realizers track maps, so both clauses run through the tracking
+loop ``assemblies.track_rows`` with this rule.
+
 Checks against an infinite carrier range over a declared window and are
 stamped as sampled in the evidence; they never silently claim certainty.
 On finite carriers with finite realizer shapes the checker commits to
@@ -25,15 +32,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
-from .assemblies import Assembly, NatAssembly, realizer_elements
+from .assemblies import Assembly, NatAssembly, TrackStatus, track_rows
 from .bracket import lam
 from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy
 from .formulas import (
     All, And, Eq, Ex, Formula, Imp, Less, Or, Rel,
     eval_term, free_vars, is_delta0, bound_of, truth, show_formula,
 )
-from .jsets import ByPredicate, JSet, member
-from .machine import DEFAULT_FUEL, Value, apply_cached
+from .jsets import ByPredicate, JSet, Singleton, member
+from .machine import DEFAULT_FUEL
 from .prog import LT01, ite, ite_table, seq2, tag0
 from .terms import App, K, Num, Var, ap, encode_term
 
@@ -98,11 +105,12 @@ class Checker:
 
     # -- membership -------------------------------------------------------
 
-    def certify(self, v: int, S: JSet) -> bool | None:
-        # only an exact carrier turns "not shown inside" into a refutation
-        if self.searcher.decide(v, S)[0]:
-            return True
-        return False if self.exact else None
+    def lands(self, v: int, S: JSet) -> tuple[bool | None, str]:
+        """``decide``, except that an exact carrier reads undecided as outside."""
+        inside, why = self.searcher.decide(v, S)
+        if inside is None and self.exact:
+            return False, why
+        return inside, why
 
     def prefix_ok(self, e: int, scope: tuple) -> tuple[bool | None, str]:
         """e against the closure of each scope realizer set, flat when long."""
@@ -116,7 +124,7 @@ class Checker:
             if len(parts) != len(scope):
                 return False, f"prefix is not a {len(scope)}-sequence"
         for (name, _), part, S in zip(scope, parts, sets):
-            got = self.certify(part, S)
+            got = self.lands(part, S)[0]
             if got is not True:
                 verdict = "outside" if got is False else "undecided against"
                 return got, f"prefix for {name} {verdict} its closure"
@@ -210,43 +218,22 @@ class Checker:
                     case Unknown(d):
                         return Unknown(f"{side} disjunct: {d}")
             case Imp(a, b):
-                return self._check_imp(e, a, b, scope)
+                target = self.realizer_jset(b, scope)
+                rows = ((m, Singleton(m), target) for m in range(self.cand_bound)
+                        if isinstance(self.check(m, a, scope), Realized))
+                return self._check_map(
+                    e, scope, "implication", rows,
+                    (f"antecedent realizers sampled below {self.cand_bound}",))
             case Ex(var, body):
                 return self._check_ex(e, var, body, scope)
             case All(var, body):
-                return self._check_all(e, var, body, scope)
+                points, caveat = self._points()
+                rows = ((y, self.env.assembly.realizer_set(y),
+                         self.realizer_jset(body, ((var, y),) + scope))
+                        for y in points)
+                return self._check_map(e, scope, "universal", rows,
+                                       (caveat,) if caveat else ())
         raise TypeError(phi)
-
-    def _check_imp(self, e: int, a: Formula, b: Formula, scope: tuple) -> Verdict3:
-        parts = coding.decode_seq(e)
-        if len(parts) != 2:
-            return Refuted("implication realizer is not a pair")
-        ok, note = self.prefix_ok(parts[0], scope)
-        if ok is False:
-            return Refuted(note)
-        target = self.realizer_jset(b, scope)
-        caveats = [f"antecedent realizers sampled below {self.cand_bound}"]
-        notes = [note]
-        pending: str | None = None if ok is True else note
-        hits = 0
-        for m in range(self.cand_bound):
-            got = self.check(m, a, scope)
-            if not isinstance(got, Realized):
-                continue
-            hits += 1
-            res = apply_cached(parts[1], m, self.policy.fuel)
-            if not isinstance(res, Value):
-                pending = pending or f"consequent map ran out of fuel on {m}"
-                continue
-            landed = self.certify(res.value, target)
-            if landed is False:
-                return Refuted(f"consequent map leaves the closure on input {m}")
-            if landed is None:
-                pending = pending or f"consequent closure undecided on input {m}"
-        if pending is not None:
-            return Unknown(pending)
-        notes.append(f"consequent map lands for {hits} antecedent realizers")
-        return Realized(e, Evidence(tuple(notes), tuple(caveats)))
 
     def _points(self) -> tuple[tuple[Point, ...], str | None]:
         if self.env.assembly.finite:
@@ -261,7 +248,7 @@ class Checker:
         points, caveat = self._points()
         pending: str | None = None
         for a in points:
-            ev_ok = self.certify(parts[0], self.env.assembly.realizer_set(a))
+            ev_ok = self.lands(parts[0], self.env.assembly.realizer_set(a))[0]
             if ev_ok is False:
                 continue
             if ev_ok is None:
@@ -281,40 +268,27 @@ class Checker:
             return Refuted("no carrier point admits this realizer as witness")
         return Unknown(f"no witness on the window; {caveat}")
 
-    def _check_all(self, e: int, var: str, body: Formula, scope: tuple) -> Verdict3:
+    def _check_map(self, e: int, scope: tuple, clause: str, rows,
+                   caveats: tuple[str, ...]) -> Verdict3:
+        """Implication and universal: a prefix, then a map that tracks every
+        row's realizers into the closure of the row's target."""
         parts = coding.decode_seq(e)
         if len(parts) != 2:
-            return Refuted("universal realizer is not a pair")
+            return Refuted(f"{clause} realizer is not a pair")
         ok, note = self.prefix_ok(parts[0], scope)
         if ok is False:
             return Refuted(note)
-        pending: str | None = None if ok is True else note
-        points, caveat = self._points()
-        caveats = [caveat] if caveat else []
-        checked = 0
-        for y in points:
-            inner_scope = ((var, y),) + scope
-            target = self.realizer_jset(body, inner_scope)
-            elems, approx = realizer_elements(
-                self.env.assembly.realizer_set(y), 8)
-            if approx:
-                caveats.append(f"realizers of {y} sampled")
-            for k in elems:
-                checked += 1
-                res = apply_cached(parts[1], k, self.policy.fuel)
-                if not isinstance(res, Value):
-                    pending = pending or f"instance map ran out of fuel at {y}"
-                    continue
-                landed = self.certify(res.value, target)
-                if landed is False:
-                    return Refuted(f"instance at {y} leaves the closure")
-                if landed is None:
-                    pending = pending or f"instance closure undecided at {y}"
-        if pending is not None:
-            return Unknown(pending)
+        rep = track_rows(parts[1], rows, self.lands, self.policy.fuel, 8, False)
+        if rep.status is TrackStatus.FAILED:
+            return Refuted(f"{clause} map leaves the closure at {rep.witness[0]}")
+        if ok is None:
+            return Unknown(note)
+        if rep.status is TrackStatus.UNKNOWN:
+            return Unknown(f"{clause} map undecided at {rep.witness[0]}: {rep.note}")
+        if rep.sampled:
+            caveats += ("realizer sets sampled",)
         return Realized(e, Evidence(
-            (note, f"{checked} instance obligations discharged"),
-            tuple(caveats)))
+            (note, f"{clause} map lands for {rep.checked} realizers"), caveats))
 
 
 def _merge(a: Evidence, b: Evidence) -> Evidence:

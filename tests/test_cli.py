@@ -128,6 +128,10 @@ def test_zero_policy_bound_is_a_usage_error(flag, where, capsysbinary):
 
 # the bottom-stage pairing misses pair(0, 1), which the closure needs
 PARTIAL_DOCTRINE = b"doctrine 2\napp 0 0 = 0\npair 0 0 = 0\n"
+# realizer sets of infinite shape, which a product's wedge cannot list
+WIDE_ASM = b"point p realizers upfrom 3\npoint q realizers cofinite{1}\n"
+# one point, so the lift rule's tag 1 lies outside the carrier
+ONE_POINT_DOCTRINE = b"doctrine 1\napp 0 0 = 0\npair 0 0 = 0\n"
 
 # name -> (argv, files written under a temporary directory); "{tmp}" in an
 # argument stands for that directory
@@ -158,13 +162,65 @@ BAD_INPUTS = {
                         {}),
     "corpus-no-realizer": (["realize", "corpus", "{tmp}"],
                            {"a.case": b"formula: forall x. x = x\n"}),
+    "asm-product-wide": (["asm", "product", TWO, "{tmp}/w.asm"],
+                         {"w.asm": WIDE_ASM}),
 }
+
+
+def _in_tmp(argv, files, tmp_path) -> list[str]:
+    for fname, data in files.items():
+        (tmp_path / fname).write_bytes(data)
+    return [a.replace("{tmp}", str(tmp_path)) for a in argv]
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_is_a_usage_error(name, tmp_path, capsysbinary):
     argv, files = BAD_INPUTS[name]
-    for fname, data in files.items():
-        (tmp_path / fname).write_bytes(data)
-    _usage_error([a.replace("{tmp}", str(tmp_path)) for a in argv],
-                 capsysbinary)
+    _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
+
+
+def test_product_error_names_the_point(tmp_path, capsysbinary):
+    argv, files = BAD_INPUTS["asm-product-wide"]
+    err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert "('p', 'p')" in err and "upfrom 3" in err
+
+
+WIDE = {"w.asm": WIDE_ASM}
+ONE = {"one.doc": ONE_POINT_DOCTRINE}
+EMPTY_UNION = {"u.dec": b"union\n"}
+
+# valid inputs at the edges of each family: infinite realizer shapes, a
+# one-point doctrine and an empty union
+SWEEP = {
+    "asm-track": (["asm", "track", "{tmp}/w.asm", "--map", "p:p,q:q",
+                   "--tracker", str(A_CODE)], WIDE),
+    "asm-product": (["asm", "product", "{tmp}/w.asm", "{tmp}/w.asm"], WIDE),
+    "asm-exp": (["asm", "exp", "{tmp}/w.asm", "{tmp}/w.asm", "--bound", "16",
+                 "--fuel", "300"], WIDE),
+    "asm-sub": (["asm", "sub", "{tmp}/w.asm", "--points", "p"], WIDE),
+    "realize-all": (["realize", "check", "--asm", "{tmp}/w.asm", "--formula",
+                     "forall x. x = x", "--e", "99071"], WIDE),
+    "realize-imp": (["realize", "check", "--asm", "{tmp}/w.asm", "--formula",
+                     "0 = 0 -> 0 = 0", "--e", "99071"], WIDE),
+    "doctrine-laws": (["doctrine", "laws", "{tmp}/one.doc"], ONE),
+    "doctrine-lfp": (["doctrine", "lfp", "{tmp}/one.doc", "--set", "1"], ONE),
+    "doctrine-uniformity": (["doctrine", "uniformity", "{tmp}/one.doc"], ONE),
+    "jdec-run": (["jdec", "run", "{tmp}/u.dec", "--n", "3"], EMPTY_UNION),
+    "jdec-table": (["jdec", "table", "{tmp}/u.dec", "--upto", "2"],
+                   EMPTY_UNION),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_edge_inputs_report_or_fail_cleanly(name, tmp_path, capsysbinary):
+    # an uncaught exception fails the test; otherwise the run either prints
+    # a report (exit 0, 1, or 2 when unknowns outnumber decided cases) or a
+    # usage error (exit 2)
+    argv, files = SWEEP[name]
+    code, out, err = run(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if out:
+        assert err == "" and "\ncounts " in out
+    else:
+        assert code == 2 and err.startswith("jreal: error:")

@@ -1,12 +1,15 @@
-"""Compiled codes, machine step counts, the Skolem chain and the doctrine
-lab, pinned.
+"""Compiled codes, machine step counts, the Skolem chain, the doctrine lab
+and the realizability checker's verdicts, pinned.
 
 The code digests are sha256 of ``hex(code)``: the codes run to thousands of
 digits.  Any change to bracket abstraction, the coder or the machine's
 reduction order shows up here first.  The chain pin is the sha256 of the
 whole sign table at k=150 together with its one-line summary.  The doctrine
 pin is the sha256 of the F and J tables of seeded random doctrines with the
-law and uniformity reports of both operators.
+law and uniformity reports of both operators.  The checker pins are the
+sha256 of (carrier, formula, e, verdict class) for small codes e and three
+map realizers: every triple on two finite carriers, and the Realized ones on
+the naturals.
 """
 
 import hashlib
@@ -14,12 +17,18 @@ from random import Random
 
 import pytest
 
-from jreal import kit, prog, skolem
+from jreal import coding, kit, prog, skolem
+from jreal.assemblies import FiniteAssembly
+from jreal.bracket import lam
+from jreal.certs import CheckPolicy
 from jreal.deciders import decider_code, decider_term, parse_dec
 from jreal.doctrine import (local_laws, lfp_local, pitts_f_finite,
                             random_doctrine, uniformity_finite)
-from jreal.machine import eval_term
-from jreal.terms import App, Num, ap, encode_term
+from jreal.formulas import parse_formula
+from jreal.jsets import Cofinite, Finite, UpFrom
+from jreal.machine import DEFAULT_FUEL, eval_term
+from jreal.realizes import Env, jrealizes, nat_env
+from jreal.terms import App, K, Num, Var, ap, encode_term
 
 TREE = "union (one 2) (not one 5)"
 
@@ -86,3 +95,53 @@ def test_doctrine_lab_is_pinned():
                            local_laws(d, J), uniformity_finite(d, J))).encode())
     assert h.hexdigest() == (
         "7f8639f7d06a60dc3c8a288a6e8cb1857ec58f6c2675f95d2a62d677399dd3dc")
+
+
+VERDICT_FORMULAS = (
+    "forall x. x = x", "forall x. x < 2", "exists x. x = 1",
+    "exists x. x = x /\\ 0 = 0", "0 = 0 -> 0 = 0", "0 = 1 -> 0 = 0",
+    "0 = 0 -> 0 = 1", "0 = 0 /\\ 0 < 1", "0 = 1 \\/ 0 = 0",
+    "forall x. x = x -> x = x", "forall x. exists y. x = y",
+    "(forall x. x = x) -> 0 = 0",
+)
+
+
+def _map_realizers() -> tuple[int, ...]:
+    """<0, map> for maps sending k to 0 (untagged), to <0,<0,0>>, and to
+    <0,<0,k>>: no instance lands, some land, every instance lands."""
+    wrap = lambda t: App(Num(kit.A_CODE), t)
+    maps = (App(K, Num(0)), lam("k", wrap(wrap(Num(0)))),
+            lam("k", wrap(wrap(Var("k")))))
+    return tuple(coding.pair(0, encode_term(m)) for m in maps)
+
+
+def _verdicts(env: Env):
+    pol = CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
+    codes = tuple(range(48)) + _map_realizers()
+    for text in VERDICT_FORMULAS:
+        phi = parse_formula(text)
+        for e in codes:
+            yield (env.assembly.name, text, e,
+                   type(jrealizes(e, phi, env, pol)).__name__)
+
+
+def test_checker_verdicts_on_finite_carriers_are_pinned():
+    tri = FiniteAssembly("tri", (0, 1, 2), (Finite(frozenset({0})),
+                                            Finite(frozenset({1})),
+                                            Finite(frozenset({2, 3}))))
+    wide = FiniteAssembly("wide", (0, 1), (UpFrom(3), Cofinite(frozenset({1}))))
+    h = hashlib.sha256()
+    for asm in (tri, wide):
+        for row in _verdicts(Env(asm)):
+            h.update(repr(row).encode())
+    assert h.hexdigest() == (
+        "559683ab1a3fef22272617987294ffbb842ec554dbca43dcee7d65d62ed7a762")
+
+
+def test_checker_realized_verdicts_on_the_naturals_are_pinned():
+    h = hashlib.sha256()
+    for row in _verdicts(nat_env()):
+        if row[3] == "Realized":
+            h.update(repr(row).encode())
+    assert h.hexdigest() == (
+        "76ffe003eef221b8c6a7b31ff53f8382543b422dbbc20586b94442effc71eef6")

@@ -12,15 +12,15 @@ from jreal.formulas import (
     All, And, Eq, Ex, Imp, Less, Lit, NVar, Or,
     parse_formula, truth,
 )
-from jreal.jsets import Finite
+from jreal.jsets import Cofinite, Finite, UpFrom
 from jreal.kit import A_CODE
 from jreal.machine import DEFAULT_FUEL, Value, apply_cached
-from jreal.prog import seq2, tag0
+from jreal.prog import ite_table, seq2, tag0
 from jreal.realizes import (
     Checker, Env, Realized, Refuted, Unknown, build_delta0, build_sigma1,
     jrealizes, nat_env,
 )
-from jreal.terms import App, Num, Var, encode_term
+from jreal.terms import App, K, Num, Var, encode_term
 
 POL = CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
 
@@ -68,19 +68,55 @@ def test_universal_via_double_unit_on_window():
     assert any("50-point window" in c for c in v.evidence.caveats)
 
 
-def test_universal_escaping_instance_unknown_on_nat_refuted_on_finite():
-    # the constant payload leaves the closure of E(y) for other y; the
-    # sampled carrier can only say Unknown, the finite carrier refutes
+def test_universal_over_sampled_realizer_sets_carries_a_caveat():
+    aa = encode_term(lam("k", App(Num(A_CODE), App(Num(A_CODE), Var("k")))))
+    wide = FiniteAssembly("wide", (0, 1),
+                          (UpFrom(3), Cofinite(frozenset({1}))))
+    v = jrealizes(coding.pair(0, aa), parse_formula("forall x. x = x"),
+                  Env(wide), POL)
+    assert isinstance(v, Realized)
+    assert any("sampled" in c for c in v.evidence.caveats)
+
+
+def test_universal_escaping_instance_refuted_on_nat_and_on_finite():
+    # the constant payload leaves the closure of E(y) for other y: its base
+    # payload is definitely outside, so the sampled carrier refutes too
     const = encode_term(lam("k", tag0(seq2(Num(0), Num(0)))))
     v = jrealizes(coding.pair(0, const), parse_formula("forall x. x = x"),
                   nat_env(), POL, quant_window=10)
-    assert isinstance(v, Unknown)
-    assert "undecided" in v.diagnostics
+    assert isinstance(v, Refuted)
+    assert "leaves the closure" in v.reason
     stray = encode_term(lam("k", tag0(seq2(Num(0), Num(9)))))
     ck = Checker(Env(tri_assembly()), POL)
     got = ck.check(coding.pair(0, stray), All("x", Eq(NVar("x"), NVar("x"))))
     assert isinstance(got, Refuted)
     assert "leaves the closure" in got.reason
+
+
+# <0, code of K 0>: its map sends every input to 0, which is not a tagged pair
+UNTAGGED = coding.pair(0, encode_term(App(K, Num(0))))
+
+
+@pytest.mark.parametrize("text", ["forall x. x = x", "0 = 0 -> 0 = 0"])
+def test_untagged_map_output_refuted_on_nat(text):
+    v = jrealizes(UNTAGGED, parse_formula(text), nat_env(), POL)
+    assert isinstance(v, Refuted)
+    assert "leaves the closure at 0" in v.reason
+
+
+def test_implication_map_leaving_on_one_antecedent_refuted_on_finite():
+    # under x = 2 the antecedent realizers include 8 = <0,2> and 25 = <0,3>;
+    # the map keeps 8 but sends every other input to <0,0>, whose payload 0
+    # realizes nothing; the identity-like map into the closure is the twin
+    env = Env(tri_assembly(), assignment=(("x", 2),))
+    phi = parse_formula("x = x -> x = x")
+    keeps_8 = encode_term(lam("m", tag0(ite_table(Var("m"), [(8, 8)], Num(0)))))
+    bad = jrealizes(coding.pair(8, keeps_8), phi, env, POL)
+    assert isinstance(bad, Refuted)
+    assert "leaves the closure" in bad.reason
+    assert bad.reason.endswith(" 25")
+    wraps = encode_term(lam("m", tag0(Var("m"))))
+    assert isinstance(jrealizes(coding.pair(8, wraps), phi, env, POL), Realized)
 
 
 def test_non_pair_realizers_refuted_structurally():
