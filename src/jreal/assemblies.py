@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import product as iproduct
-from typing import Callable
+from typing import Any, Callable
 
 from . import coding, prog
 from .bracket import lam
@@ -156,13 +156,15 @@ def realizer_elements(S: JSet, k: int) -> tuple[tuple[int, ...], bool]:
 
 
 def track_rows(tracker: int, rows,
-               lands: Callable[[int, JSet], tuple[bool | None, str]],
+               lands: Callable[[int, Any], tuple[bool | None, str]],
                fuel: int, samples: int, sampled: bool) -> TrackReport:
     """Every realizer of each row's source set, under the tracker, must land
     in the closure of the row's target set; rows are (point, source, target).
 
     ``lands(v, target)`` is the landing rule: True or False when decided,
     None when not, each with a reason.  The first False fails the check.
+    The target is passed to it as the row holds it, so a rule may ask for
+    more than the set.
     """
     checked = 0
     unknown: tuple | None = None

@@ -274,13 +274,14 @@ def _cmd_asm_product(args, policy: CheckPolicy) -> Report:
     A = _read_assembly(args.left)
     B = _read_assembly(args.right)
     AB = product(A, B)
+    for a in A.points:  # a wedge lists its factors' realizer sets
+        for b in B.points:
+            _try_usage(AB.realizer_set, (a, b))
     cases = (
         case_pass("points", str(len(A.points) * len(B.points)),
                   f"pairs of {A.name} and {B.name}"),
-        _track_case("proj-left",
-                    _try_usage(check_tracking, proj_left(AB), policy)),
-        _track_case("proj-right",
-                    _try_usage(check_tracking, proj_right(AB), policy)),
+        _track_case("proj-left", check_tracking(proj_left(AB), policy)),
+        _track_case("proj-right", check_tracking(proj_right(AB), policy)),
     )
     return Report(f"asm product {args.left} {args.right}", cases)
 

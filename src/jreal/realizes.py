@@ -14,11 +14,13 @@ Clause conventions pinned here:
     witness alone.
 
 The landing rule: whether a value lies in the closure of a realizer set is
-``CertSearch.decide``'s answer, True, False or undecided.  A definite False
-refutes on any carrier; an undecided answer reads as outside only on an exact
-(finite) carrier and stays Unknown on an infinite one.  Implication and
-universal realizers track maps, so both clauses run through the tracking
-loop ``assemblies.track_rows`` with this rule.
+``CertSearch.decide``'s answer, True, False or undecided.  An undecided
+answer reads as outside only on an exact (finite) carrier.  A definite False
+refutes, except on an infinite carrier where the value is the map's image of
+an antecedent realizer whose own verdict carries caveats: that realizer may
+not be one, so the False stays Unknown.  Implication and universal realizers
+track maps, so both clauses run through the tracking loop
+``assemblies.track_rows`` with this rule.
 
 Checks against an infinite carrier range over a declared window and are
 stamped as sampled in the evidence; they never silently claim certainty.
@@ -105,11 +107,14 @@ class Checker:
 
     # -- membership -------------------------------------------------------
 
-    def lands(self, v: int, S: JSet) -> tuple[bool | None, str]:
-        """``decide``, except that an exact carrier reads undecided as outside."""
+    def lands(self, v: int, S: JSet, sure: bool = True) -> tuple[bool | None, str]:
+        """``decide``, except that an exact carrier reads undecided as outside
+        and that False stays undecided when v's source is not ``sure``."""
         inside, why = self.searcher.decide(v, S)
         if inside is None and self.exact:
             return False, why
+        if inside is False and not sure:
+            return None, f"{why}, from a sampled antecedent realizer"
         return inside, why
 
     def prefix_ok(self, e: int, scope: tuple) -> tuple[bool | None, str]:
@@ -218,9 +223,12 @@ class Checker:
                     case Unknown(d):
                         return Unknown(f"{side} disjunct: {d}")
             case Imp(a, b):
+                # rows carry (target, sure) for lands; see the module docstring
                 target = self.realizer_jset(b, scope)
-                rows = ((m, Singleton(m), target) for m in range(self.cand_bound)
-                        if isinstance(self.check(m, a, scope), Realized))
+                rows = ((m, Singleton(m),
+                         (target, self.exact or not got.evidence.caveats))
+                        for m in range(self.cand_bound)
+                        if isinstance(got := self.check(m, a, scope), Realized))
                 return self._check_map(
                     e, scope, "implication", rows,
                     (f"antecedent realizers sampled below {self.cand_bound}",))
@@ -229,7 +237,7 @@ class Checker:
             case All(var, body):
                 points, caveat = self._points()
                 rows = ((y, self.env.assembly.realizer_set(y),
-                         self.realizer_jset(body, ((var, y),) + scope))
+                         (self.realizer_jset(body, ((var, y),) + scope), True))
                         for y in points)
                 return self._check_map(e, scope, "universal", rows,
                                        (caveat,) if caveat else ())
@@ -271,14 +279,16 @@ class Checker:
     def _check_map(self, e: int, scope: tuple, clause: str, rows,
                    caveats: tuple[str, ...]) -> Verdict3:
         """Implication and universal: a prefix, then a map that tracks every
-        row's realizers into the closure of the row's target."""
+        row's realizers into the closure of the row's target; each row's
+        target is a (realizer set, sure) pair for ``lands``."""
         parts = coding.decode_seq(e)
         if len(parts) != 2:
             return Refuted(f"{clause} realizer is not a pair")
         ok, note = self.prefix_ok(parts[0], scope)
         if ok is False:
             return Refuted(note)
-        rep = track_rows(parts[1], rows, self.lands, self.policy.fuel, 8, False)
+        rep = track_rows(parts[1], rows, lambda v, t: self.lands(v, *t),
+                         self.policy.fuel, 8, False)
         if rep.status is TrackStatus.FAILED:
             return Refuted(f"{clause} map leaves the closure at {rep.witness[0]}")
         if ok is None:

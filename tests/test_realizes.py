@@ -104,6 +104,16 @@ def test_untagged_map_output_refuted_on_nat(text):
     assert "leaves the closure at 0" in v.reason
 
 
+def test_map_leaving_on_a_sampled_antecedent_realizer_not_refuted_on_nat():
+    # x = 100 has no witness on the window, so every pair counts as a
+    # sampled realizer of the inner implication, 2 = <0,0> among them;
+    # really the inner implication has none, and every map realizes this
+    v = jrealizes(UNTAGGED, parse_formula(
+        "((exists x. x = 100) -> 0 = 1) -> 0 = 1"), nat_env(), POL)
+    assert isinstance(v, Unknown)
+    assert "sampled antecedent realizer" in v.diagnostics
+
+
 def test_implication_map_leaving_on_one_antecedent_refuted_on_finite():
     # under x = 2 the antecedent realizers include 8 = <0,2> and 25 = <0,3>;
     # the map keeps 8 but sends every other input to <0,0>, whose payload 0
