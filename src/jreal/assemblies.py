@@ -271,14 +271,15 @@ def _impossible_map(A: FiniteAssembly, B: FiniteAssembly,
     for x, i in zip(A.points, images):
         for r in src_elems[x]:
             owners.setdefault(r, []).append(i)
+    # a sample of an infinite set can look disjoint from another when the
+    # sets meet, so only exact sets are compared
+    exact = [None if approx else set(es)
+             for es, approx in (realizer_elements(S, 8) for S in B.realizers)]
     for r, idxs in owners.items():
         for i in idxs:
             for j in idxs:
-                if i == j:
-                    continue
-                ei = set(realizer_elements(B.realizers[i], 8)[0])
-                ej = set(realizer_elements(B.realizers[j], 8)[0])
-                if not (ei & ej):
+                if (i != j and exact[i] is not None and exact[j] is not None
+                        and not exact[i] & exact[j]):
                     return (f"realizer {r} is shared by points with "
                             f"disjoint image realizer sets")
     return None

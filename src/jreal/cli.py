@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import replace
+import functools
 import pathlib
 import sys
 
@@ -562,6 +563,8 @@ def _common_flags(p: argparse.ArgumentParser, top: bool) -> None:
                    help="report format (default text)")
 
 
+# parsing leaves the parser as it was, so one serves every call of main
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="jreal")
     _common_flags(top, top=True)

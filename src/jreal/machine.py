@@ -14,6 +14,14 @@ first, for the same reason.
 
 Divergence and fuel exhaustion are indistinguishable by design: both surface
 as ``OutOfFuel``.
+
+``Machine.eval`` is one loop over one stack of terms and two marker objects.
+``_ARG`` over a term marks an argument still to evaluate; ``_APP`` over a
+value marks a function waiting for the value being returned.  A function
+value with room 1 fires, and since no primitive takes more than three
+arguments its head is found at a fixed depth, with no spine walk.  A
+contraction whose result is an application to evaluate (S, fix, a numeral
+unquote) pushes the application's parts rather than building it.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from functools import lru_cache
 
 from . import coding
 from .terms import (
+    FIX,
     App,
     Num,
     Prim,
@@ -30,7 +39,6 @@ from .terms import (
     Var,
     decode_term_cached,
     encode_term,
-    spine,
 )
 
 DEFAULT_FUEL = 20000
@@ -60,6 +68,10 @@ def _as_nat(t: Term) -> int:
     return encode_term(t)
 
 
+_ARG = object()
+_APP = object()
+
+
 class Machine:
     """Single-run evaluator; kept as a class so steps can be inspected."""
 
@@ -69,91 +81,103 @@ class Machine:
         self.fuel = fuel
         self.steps = 0
 
-    def _tick(self) -> bool:
-        if self.steps >= self.fuel:
-            return False
-        self.steps += 1
-        return True
-
     def eval(self, t: Term) -> Term | None:
         """Reduce t to a value term, or None on fuel exhaustion."""
-        # stack entries: ("arg", term) pending argument, ("app", value) pending fn
-        stack: list[tuple[str, Term]] = []
-        mode_eval = True
-        while True:
-            if mode_eval:
-                # an input spine can hide redexes in its arguments; its
-                # room, fixed when it was built, says whether it is a value
-                if isinstance(t, App):
-                    if t.room:
-                        mode_eval = False
+        # Each pass descends t to a value, pushing the argument of every
+        # non-value application under _ARG, then hands the value to the
+        # stack.  An _ARG entry swaps in its argument to evaluate, leaving
+        # the value under _APP, or, when the argument is a value already,
+        # applies the value to it at once; an _APP entry applies its
+        # function to the value.  The head of a firing function is f, f.fn
+        # or f.fn.fn for arity 1, 2 or 3.  Steps are counted in a local and
+        # written back on every exit, returns and raises alike.
+        fuel = self.fuel
+        steps = self.steps
+        stack: list = []
+        push = stack.append
+        pop = stack.pop
+        try:
+            while True:
+                while not t.room:
+                    if type(t) is App:
+                        push(t.arg)
+                        push(_ARG)
+                        t = t.fn
+                    elif type(t) is Var:
+                        raise NotClosedAtRuntime(t.name)
+                    else:  # nil, the one primitive of arity 0
+                        if steps >= fuel:
+                            return None
+                        steps += 1
+                        t = Num(0)
+                # t is a value
+                while stack:
+                    if pop() is _ARG:
+                        arg = pop()
+                        if not arg.room:
+                            push(t)
+                            push(_APP)
+                            t = arg
+                            break
+                        f = t
+                        t = arg
+                    else:
+                        f = pop()
+                    if f.room > 1:
+                        t = App(f, t)
                         continue
-                    stack.append(("arg", t.arg))
-                    t = t.fn
-                    continue
-                if isinstance(t, Var):
-                    raise NotClosedAtRuntime(t.name)
-                if isinstance(t, Prim) and t.tag == 6:
-                    # nil: nullary contraction to the empty-sequence numeral
-                    if not self._tick():
+                    if steps >= fuel:
                         return None
-                    t = Num(0)
-                mode_eval = False
-                continue
-            # return mode: t is a value
-            if not stack:
-                return t
-            kind, payload = stack.pop()
-            if kind == "arg":
-                stack.append(("app", t))
-                t = payload
-                mode_eval = True
-                continue
-            # kind == "app": apply value `payload` to value `t`
-            out = self._apply_value(payload, t)
-            if out is None:
-                return None
-            t, mode_eval = out
-
-    def _apply_value(self, f: Term, v: Term) -> tuple[Term, bool] | None:
-        """Apply one value to another.  Returns (term, needs_eval) or None."""
-        if isinstance(f, Num):
-            if not self._tick():
-                return None
-            return App(decode_term_cached(f.value), v), True
-        if f.room > 1:
-            return App(f, v), False
-        if not self._tick():
-            return None
-        head, args = spine(f)
-        tag = head.tag
-        # spine arguments are values by the descend-always invariant, so K
-        # and ifz can return them without re-evaluation
-        if tag == 0:  # K a b -> a
-            return args[0], False
-        if tag == 1:  # S f g x -> f x (g x)
-            a, b = args
-            return App(App(a, v), App(b, v)), True
-        if tag == 2:  # succ
-            return Num(_as_nat(v) + 1), False
-        if tag == 3:  # pred
-            n = _as_nat(v)
-            return Num(n - 1 if n > 0 else 0), False
-        if tag == 4:  # ifz c a b
-            c, a = args
-            return (a if _as_nat(c) == 0 else v), False
-        if tag == 5:  # fix f x -> f (fix f) x
-            (fn,) = args
-            return App(App(fn, App(Prim(5), fn)), v), True
-        if tag == 7:  # cons
-            (a,) = args
-            return Num(coding.seq_cons(_as_nat(a), _as_nat(v))), False
-        if tag == 8:  # len
-            return Num(coding.seq_len(_as_nat(v))), False
-        if tag == 9:  # proj
-            (s,) = args
-            return Num(coding.seq_proj(_as_nat(s), _as_nat(v))), False
-        raise AssertionError(head)
+                    steps += 1
+                    if type(f) is Num:
+                        push(t)
+                        push(_ARG)
+                        t = decode_term_cached(f.value)
+                        break
+                    # spine arguments of a value are values, so K and ifz
+                    # return them without re-evaluation
+                    if type(f) is Prim:
+                        tag = f.tag
+                    elif type(g := f.fn) is Prim:
+                        tag = g.tag
+                        a = f.arg
+                    else:
+                        tag = g.fn.tag
+                        a = g.arg
+                        b = f.arg
+                    if tag == 0:  # K a t -> a
+                        t = a
+                    elif tag == 1:  # S a b t -> a t (b t), t goes to a next
+                        push(App(b, t))
+                        push(_ARG)
+                        push(a)
+                        push(_APP)
+                    elif tag == 5:  # fix a t -> a (fix a) t
+                        push(t)
+                        push(_ARG)
+                        push(a)
+                        push(_APP)
+                        t = App(FIX, a)
+                    elif tag == 4:  # ifz a b t -> b if a is 0, else t
+                        if _as_nat(a) == 0:
+                            t = b
+                    elif tag == 2:  # succ
+                        t = Num(_as_nat(t) + 1)
+                    elif tag == 3:  # pred
+                        n = _as_nat(t)
+                        t = Num(n - 1 if n > 0 else 0)
+                    elif tag == 7:  # cons
+                        t = Num(coding.seq_cons(_as_nat(a), _as_nat(t)))
+                    elif tag == 8:  # len
+                        t = Num(coding.seq_len(_as_nat(t)))
+                    elif tag == 9:  # proj
+                        t = Num(coding.seq_proj(_as_nat(a), _as_nat(t)))
+                    else:
+                        raise AssertionError(f)
+                else:
+                    return t
+        finally:
+            self.steps = steps
 
 
 def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term | None, int]:

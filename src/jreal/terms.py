@@ -65,13 +65,19 @@ class App:
     arg: "Term"
     room: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        room = self.fn.room
-        object.__setattr__(
-            self, "room", room - 1 if room > 1 and self.arg.room else 0)
+    # the machine builds one per contraction; writing the slots through
+    # their descriptors costs less than __post_init__ and frozen setattr
+    def __init__(self, fn: "Term", arg: "Term") -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+        room = fn.room
+        _set_room(self, room - 1 if room > 1 and arg.room else 0)
 
     def __repr__(self) -> str:
         return show_term(self)
+
+
+_set_fn, _set_arg, _set_room = (d.__set__ for d in (App.fn, App.arg, App.room))
 
 
 Term = Prim | Num | Var | App

@@ -236,6 +236,20 @@ def test_exponent_excludes_provably_untrackable_map():
     assert res.unknown_maps == ()
 
 
+def test_exponent_does_not_exclude_on_sampled_image_sets():
+    # the 8-element samples of upfrom 3 and upfrom 20 are disjoint, but the
+    # sets meet: a tracker sending 1 to <0, 20> tracks a>p b>q
+    src = FiniteAssembly("src", ("a", "b"),
+                         (Finite(frozenset({1})), Finite(frozenset({1}))))
+    dst = FiniteAssembly("dst", ("p", "q"), (UpFrom(3), UpFrom(20)))
+    res = exponent_finite(src, dst, 8)
+    assert res.excluded_maps == ()
+    assert ("p", "q") in res.unknown_maps
+    tracker = encode_term(App(K, Num(coding.pair(0, 20))))
+    m = morphism_from_table(src, dst, {"a": "p", "b": "q"}, tracker)
+    assert check_tracking(m).status is TrackStatus.VERIFIED
+
+
 def test_exponent_reports_unknown_below_small_bound():
     two = FiniteAssembly("two", ("p", "q"),
                          (Finite(frozenset({0})), Finite(frozenset({1}))))

@@ -102,6 +102,21 @@ def test_global_format_applies(capsysbinary):
     assert out == (GOLDEN / "skolem-sign.tsv").read_text()
 
 
+def test_calls_in_a_row_share_no_flags(capsysbinary):
+    # one parser serves every call; a flag or an error of one call must
+    # not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    check = ["realize", "check", "--formula", "0 = 0", "--e", "2"]
+    _, out, _ = run(["--fuel", "7"] + check, capsysbinary)
+    assert "fuel=7" in out.splitlines()[1].split()
+    _, plain, _ = run(check, capsysbinary)
+    assert "fuel=200000" in plain.splitlines()[1].split()
+    _usage_error(["--fuel", "0"] + check, capsysbinary)
+    code, _, err = run(check[:-1], capsysbinary)
+    assert code == 2 and "--e" in err
+    assert run(check, capsysbinary) == (0, plain, "")
+
+
 def _usage_error(argv, capsysbinary) -> str:
     code, out, err = run(argv, capsysbinary)
     assert code == 2

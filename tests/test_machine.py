@@ -2,12 +2,15 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jreal import prog
 from jreal.coding import decode_seq, encode_seq, pair, phi_join
 from jreal.machine import (
     DEFAULT_FUEL,
+    Machine,
+    NotClosedAtRuntime,
     OutOfFuel,
     Value,
     apply,
@@ -27,11 +30,14 @@ from jreal.terms import (
     PROJ,
     S,
     SUCC,
+    App,
     Var,
     ap,
+    decode_term,
     encode_term,
 )
 from jreal.bracket import lam
+from support import ReferenceMachine
 
 OMEGA = ap(FIX, lam("f", "x", ap(Var("f"), Var("x"))))  # diverges on anything
 
@@ -152,3 +158,77 @@ def test_apply_handles_codes_nested_past_the_recursion_limit():
         codes.append(phi_join([codes[-1]], 0))
     assert codes[-1].bit_length() == 42_786
     assert apply(codes[-1], 3, 100) == Value(codes[-2])
+
+
+# ---------------------------------------------------------------------------
+# the machine against the reference loop in tests/support.py
+
+
+def _run(machine, t, fuel):
+    """(kind, value term or variable name, steps) of one run."""
+    m = machine(fuel)
+    try:
+        out = m.eval(t)
+    except NotClosedAtRuntime as exc:
+        return "open", str(exc), m.steps
+    if out is None:
+        return "fuel", None, m.steps
+    return "value", out, m.steps
+
+
+def _same_as_reference(t, fuel):
+    got = _run(Machine, t, fuel)
+    assert got == _run(ReferenceMachine, t, fuel)
+    if got[0] == "fuel":
+        assert got[2] == fuel
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16 - 1),
+       st.integers(min_value=0, max_value=63),
+       st.integers(min_value=0, max_value=400))
+def test_machine_matches_reference_on_codes(e, n, fuel):
+    _same_as_reference(App(decode_term(e), Num(n)), fuel)
+
+
+I = ap(S, K, K)
+
+FIXED_CASES = {
+    "nil": NIL,
+    "nil argument": ap(SUCC, NIL),
+    "numeral unquote": ap(Num(encode_term(I)), Num(5)),
+    "unquote to a partial application": ap(Num(encode_term(S)), K, K, Num(4)),
+    "open after a contraction": ap(K, ap(SUCC, Num(0)), Var("x")),
+    "open argument": ap(K, Var("y")),
+    "S after S": ap(I, ap(I, Num(3))),
+    "fix after succ": ap(FIX, K, ap(SUCC, Num(0))),
+    "ifz": ap(IFZ, ap(PRED, Num(1)), ap(K, Num(7)), Num(8)),
+    "sequences": ap(PROJ, ap(CONS, Num(9), NIL), ap(LEN, Num(encode_seq([2])))),
+    "divergence": ap(OMEGA, Num(0)),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_CASES)
+def test_machine_matches_reference_at_every_fuel(name):
+    t = FIXED_CASES[name]
+    for fuel in range(40):
+        _same_as_reference(t, fuel)
+
+
+def test_fixed_cases_end_where_they_should():
+    assert _same_as_reference(NIL, 1) == ("value", Num(0), 1)
+    assert _same_as_reference(NIL, 0) == ("fuel", None, 0)
+    assert _same_as_reference(FIXED_CASES["numeral unquote"], 9) == (
+        "value", Num(5), 3)
+    assert _same_as_reference(FIXED_CASES["open after a contraction"], 9) == (
+        "open", "x", 1)
+    # fuel runs out exactly on a contraction that pushes its pending
+    # argument: the second S of I (I 3), and the fix after succ 0
+    assert _same_as_reference(FIXED_CASES["S after S"], 2) == ("fuel", None, 2)
+    assert _same_as_reference(FIXED_CASES["S after S"], 4) == (
+        "value", Num(3), 4)
+    assert _same_as_reference(FIXED_CASES["fix after succ"], 1) == (
+        "fuel", None, 1)
+    assert _same_as_reference(FIXED_CASES["fix after succ"], 3) == (
+        "value", ap(FIX, K), 3)

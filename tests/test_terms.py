@@ -1,5 +1,7 @@
 """Term syntax, Godel numbering, and the text reader/printer."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +84,18 @@ def test_open_terms_have_no_code():
         encode_term(Var("x"))
     with pytest.raises(NotClosed):
         encode_term(App(K, Var("x")))
+
+
+def test_applications_are_frozen_structural_values():
+    a, b = App(K, Num(3)), App(K, Num(3))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != App(K, Num(4)) and a.room == 1
+    match a:
+        case App(fn, arg):
+            assert (fn, arg) == (K, Num(3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.fn = S
+    assert repr(a) == "K 3"
 
 
 def test_spine():
