@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from itertools import product as iproduct
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import coding, prog
 from .bracket import lam
 from .certs import (SCAN_THRESHOLD, TRACK_THRESHOLD, Accepted, Base,
-                    CertSearch, CheckPolicy, check_cert)
+                    CertSearch, CheckPolicy, check_cert, tagged)
 from .jsets import Finite, JSet, Singleton, is_empty, sample, show_jset, parse_jset
 from .kit import A_CODE, B_TERM, D_TERM, E_TERM, wedge_target
 from .machine import DEFAULT_FUEL, Value, apply_cached
@@ -262,26 +262,33 @@ class ExponentResult:
     excluded_maps: tuple[tuple[tuple, str], ...]  # provably untrackable, with reason
 
 
+def _exact_meet(sets: Iterable[JSet]) -> set[int] | None:
+    """The elements common to the exact sets among ``sets``, None when no set
+    is exact.  A realizer shared by points must go to one value in the
+    closure of every image's realizer set, and the closure preserves finite
+    meets, so an empty meet defeats every tracker.  Samples of infinite sets
+    are left out: two can look disjoint when the sets meet."""
+    common: set[int] | None = None
+    for S in sets:
+        elems, approx = realizer_elements(S, 0)
+        if not approx:
+            common = set(elems) if common is None else common & set(elems)
+    return common
+
+
 def _impossible_map(A: FiniteAssembly, B: FiniteAssembly,
                     src_elems: dict, images: tuple[int, ...]) -> str | None:
-    """A shared realizer whose images have disjoint finite realizer sets
-    defeats every tracker: certificates are value-directed, so one output
-    value cannot certify into two disjoint sets."""
-    owners: dict[int, list[int]] = {}
+    """A shared realizer whose images' exact realizer sets have an empty
+    meet: no tracker exists, since certificates are value-directed."""
+    owners: dict[int, set[int]] = {}
     for x, i in zip(A.points, images):
         for r in src_elems[x]:
-            owners.setdefault(r, []).append(i)
-    # a sample of an infinite set can look disjoint from another when the
-    # sets meet, so only exact sets are compared
-    exact = [None if approx else set(es)
-             for es, approx in (realizer_elements(S, 8) for S in B.realizers)]
+            owners.setdefault(r, set()).add(i)
     for r, idxs in owners.items():
-        for i in idxs:
-            for j in idxs:
-                if (i != j and exact[i] is not None and exact[j] is not None
-                        and not exact[i] & exact[j]):
-                    return (f"realizer {r} is shared by points with "
-                            f"disjoint image realizer sets")
+        common = _exact_meet(B.realizers[i] for i in idxs)
+        if common is not None and not common:
+            return (f"realizer {r} is shared by points with "
+                    f"disjoint image realizer sets")
     return None
 
 
@@ -306,8 +313,7 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
             res = apply_cached(e, r, policy.fuel)
             if not isinstance(res, Value):
                 break
-            parts = coding.decode_seq(res.value)
-            if len(parts) != 2 or parts[0] not in (0, 1):
+            if tagged(res.value) is None:
                 break
             row[r] = res.value
         else:
@@ -381,22 +387,20 @@ def table_tracker(src: Assembly, dst: Assembly, table: dict) -> int | None:
     """A lookup-based tracker for a map of finite assemblies, if one exists.
 
     A realizer shared between source points forces one output realizer good
-    for every image; when the intersection is empty the map is untrackable
-    by any function of realizers alone and None is returned.
+    for every image; when the images' realizer sets have no common element
+    the map is untrackable by any function of realizers alone and None is
+    returned.
     """
-    rows: list[tuple[int, int]] = []
     seen: dict[int, set] = {}
     for x in src.points:
-        elems, approx = realizer_elements(src.realizer_set(x), 8)
-        if approx:
+        elems, approx = realizer_elements(src.realizer_set(x), 0)
+        if approx or realizer_elements(dst.realizer_set(table[x]), 0)[1]:
             raise ValueError("table trackers need finite realizer shapes")
         for r in elems:
             seen.setdefault(r, set()).add(table[x])
+    rows: list[tuple[int, int]] = []
     for r, targets in sorted(seen.items()):
-        commons = None
-        for t in targets:
-            elems, _ = realizer_elements(dst.realizer_set(t), 8)
-            commons = set(elems) if commons is None else commons & set(elems)
+        commons = _exact_meet(dst.realizer_set(t) for t in targets)
         if not commons:
             return None
         rows.append((r, min(commons)))

@@ -69,6 +69,15 @@ class Rejected:
 CheckResult = Accepted | Rejected
 
 
+def tagged(v: int) -> tuple[int, int] | None:
+    """(tag, payload) when v is <0,a> or <1,e>, the two shapes the closure
+    rules make; None for every other code, which lies in no closure."""
+    parts = coding.decode_seq(v)
+    if len(parts) == 2 and parts[0] < 2:
+        return parts
+    return None
+
+
 def check_cert(x: int, target: JSet, cert: Cert, policy: CheckPolicy) -> CheckResult:
     return _check(x, target, cert, policy, policy.depth)
 
@@ -93,10 +102,10 @@ def _check(x: int, target: JSet, cert: Cert, policy: CheckPolicy, depth: int) ->
                 return Rejected(f"base: {a} not in {show_jset(target)}")
             return Accepted()
         case Lift(threshold, tails):
-            parts = coding.decode_seq(x)
-            if len(parts) != 2 or parts[0] != 1:
+            got = tagged(x)
+            if got is None or got[0] != 1:
                 return Rejected(f"lift: {x} is not a 1-tagged pair")
-            e = parts[1]
+            e = got[1]
             table = dict(tails)
             for m in policy.window_points(threshold):
                 tail = table.get(m)
@@ -152,11 +161,12 @@ class CertSearch:
         payload against a plain target is a direct membership question;
         against a closure target, and for a lift, a certificate is searched.
         """
-        parts = coding.decode_seq(v)
-        if len(parts) != 2 or parts[0] not in (0, 1):
+        got = tagged(v)
+        if got is None:
             return False, "tracker output is not a tagged pair"
-        if parts[0] == 0 and not isinstance(target, JOf):
-            inside = member(target, parts[1])
+        tag, payload = got
+        if tag == 0 and not isinstance(target, JOf):
+            inside = member(target, payload)
             if inside is None:
                 return None, "target membership undecided"
             if not inside:
@@ -183,30 +193,28 @@ class CertSearch:
             return self._memo[key]
         self._memo[key] = None  # cuts self-referential code loops short
         found: Cert | None = None
-        parts = coding.decode_seq(x)
-        if len(parts) == 2 and parts[0] == 0:
-            payload = parts[1]
-            if isinstance(target, JOf):
-                inner = self.search(payload, target.inner, depth - 1)
-                if inner is not None:
-                    found = Base(payload, inner)
-            elif member(target, payload):
-                found = Base(payload)
-        elif len(parts) == 2 and parts[0] == 1:
-            e = parts[1]
-            for threshold in range(self.max_threshold + 1):
-                tails: list[tuple[int, Cert]] = []
-                for m in self.policy.window_points(threshold):
-                    value = self._apply(e, m)
-                    if value is None:
+        match tagged(x):
+            case (0, payload):
+                if isinstance(target, JOf):
+                    inner = self.search(payload, target.inner, depth - 1)
+                    if inner is not None:
+                        found = Base(payload, inner)
+                elif member(target, payload):
+                    found = Base(payload)
+            case (1, e):
+                for threshold in range(self.max_threshold + 1):
+                    tails: list[tuple[int, Cert]] = []
+                    for m in self.policy.window_points(threshold):
+                        value = self._apply(e, m)
+                        if value is None:
+                            break
+                        sub = self.search(value, target, depth - 1)
+                        if sub is None:
+                            break
+                        tails.append((m, sub))
+                    else:
+                        found = Lift(threshold, tuple(tails))
                         break
-                    sub = self.search(value, target, depth - 1)
-                    if sub is None:
-                        break
-                    tails.append((m, sub))
-                else:
-                    found = Lift(threshold, tuple(tails))
-                    break
         self._memo[key] = found
         return found
 

@@ -24,8 +24,8 @@ from .certs import Accepted, CheckPolicy, check_cert, parse_cert
 from .deciders import (Verdict, ground_truth, parse_dec, run_decider,
                        show_dec)
 from .doctrine import (Doctrine, MonoOp, lfp_by_intersection, lfp_local,
-                       local_laws, parse_doctrine, pitts_f_finite,
-                       uniformity_finite)
+                       lift_caveats, local_laws, parse_doctrine,
+                       pitts_f_finite, uniformity_finite)
 from .formulas import parse_formula
 from .jsets import Finite, parse_jset
 from .quasipoly import enumerate_qp, show_qp
@@ -123,7 +123,7 @@ def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
     word = "Local" if rep.operator_is_local else "NotLocal"
     status = case_pass if rep.operator_is_local else case_fail
     cases.append(status("operator", word, "laws e1-e3 pin the closure"))
-    return Report(f"doctrine laws {args.file}", tuple(cases))
+    return Report(f"doctrine laws {args.file}", tuple(cases), lift_caveats(d))
 
 
 def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
@@ -141,7 +141,7 @@ def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
     else:
         cases.append(case_fail("agree", "Differ",
                                f"{_show_mask(iterated)} vs {_show_mask(meet)}"))
-    return Report(f"doctrine lfp {args.file}", tuple(cases))
+    return Report(f"doctrine lfp {args.file}", tuple(cases), lift_caveats(d))
 
 
 def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
@@ -156,7 +156,7 @@ def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
     else:
         c = case_fail("uniformity", "Failed",
                       f"element {rep.element} misses {len(rep.failures)} sets")
-    return Report(f"doctrine uniformity {args.file}", (c,))
+    return Report(f"doctrine uniformity {args.file}", (c,), lift_caveats(d))
 
 
 # ---------------------------------------------------------------------------

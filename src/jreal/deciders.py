@@ -207,24 +207,20 @@ def run_policy(tree: DecTree, fuel: int = DEFAULT_FUEL, window: int = 1) -> Chec
     return CheckPolicy(depth=cert_depth_bound(tree, window) + 1, window=window, fuel=fuel)
 
 
-def _mirror_run(tree: DecTree, x: int, policy: CheckPolicy,
-                memo: dict) -> tuple[int, Cert, int]:
+def _mirror_run(tree: DecTree, x: int, policy: CheckPolicy) -> tuple[int, Cert, int]:
     """Predicted output value, its certificate, and the answer bit."""
-    got = memo.get(tree)
-    if got is not None:
-        return got
     match tree:
         case One(point):
             bit = 0 if x == point else 1
-            out = coding.pair(0, bit), Base(bit), bit
+            return coding.pair(0, bit), Base(bit), bit
         case Not(inner):
-            v_in, c_in, b_in = _mirror_run(inner, x, policy, memo)
+            v_in, c_in, b_in = _mirror_run(inner, x, policy)
             swap = MirrorFn(Num(_SWAP_CODE), lambda y: ((1 if y == 0 else 0), None))
             v, c = mirror_b(swap, v_in, c_in, policy)
-            out = v, c, 1 - b_in
+            return v, c, 1 - b_in
         case Union(parts):
             if parts:
-                mems = [_mirror_run(p, x, policy, memo) for p in parts]
+                mems = [_mirror_run(p, x, policy) for p in parts]
                 bit = 0 if any(b == 0 for _, _, b in mems) else 1
                 threshold = next((i for i, (_, _, b) in enumerate(mems) if b == 0), 0)
                 entry = [(v, c) for v, c, _ in mems]
@@ -240,11 +236,8 @@ def _mirror_run(tree: DecTree, x: int, policy: CheckPolicy,
             f = MirrorFn(subst(_stage_term(tree), {"x": Num(x)}), stage_value)
             c_val, c_cert = mirror_c(f, threshold, policy)
             v, c = mirror_d(c_val, c_cert, policy)
-            out = v, c, bit
-        case _:
-            raise TypeError(f"not a decision tree: {tree!r}")
-    memo[tree] = out
-    return out
+            return v, c, bit
+    raise TypeError(f"not a decision tree: {tree!r}")
 
 
 def run_decider(tree: DecTree, x: int,
@@ -256,7 +249,7 @@ def run_decider(tree: DecTree, x: int,
         return RunResult(Verdict.UNKNOWN, None, None,
                          f"decider ran out of fuel after {res.steps} steps")
     try:
-        value, cert, bit = _mirror_run(tree, x, policy, {})
+        value, cert, bit = _mirror_run(tree, x, policy)
     except MirrorError as exc:
         return RunResult(Verdict.UNKNOWN, res.value, None, str(exc))
     if value != res.value:

@@ -349,6 +349,14 @@ def lfp_by_intersection(d: Doctrine, F: MonoOp, A: int) -> int:
     return out
 
 
+def lift_caveats(d: Doctrine) -> tuple[str, ...]:
+    """Say so when the lift rule can never fire: with pair(1, b) undefined
+    for every b, the closure of A is just the 0-tagged pairs of A."""
+    if wedge(d, 2 & d.full, d.full):
+        return ()
+    return ("lift rule unreachable: pair(1, b) is undefined for every b",)
+
+
 def pitts_f_finite(d: Doctrine) -> MonoOp:
     """A maps to the union over n of (up-set of n) arrow A."""
     table = []

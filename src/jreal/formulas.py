@@ -171,8 +171,10 @@ def is_delta0(phi: Formula) -> bool:
 
 
 def truth(phi: Formula, env: dict | None = None,
-          relations: dict | None = None) -> bool:
-    """Classical truth over the naturals; quantifiers must be guarded."""
+          relations: dict | None = None,
+          points: tuple[int, ...] | None = None) -> bool:
+    """Classical truth over the naturals; quantifiers must be guarded, unless
+    ``points`` is given, when every quantifier ranges over those points."""
     env = env or {}
     match phi:
         case Eq(l, r):
@@ -185,47 +187,27 @@ def truth(phi: Formula, env: dict | None = None,
             pts = tuple(eval_term(a, env) for a in args)
             return bool(relations[name](pts))
         case And(a, b):
-            return truth(a, env, relations) and truth(b, env, relations)
+            return (truth(a, env, relations, points)
+                    and truth(b, env, relations, points))
         case Or(a, b):
-            return truth(a, env, relations) or truth(b, env, relations)
+            return (truth(a, env, relations, points)
+                    or truth(b, env, relations, points))
         case Imp(a, b):
-            return (not truth(a, env, relations)) or truth(b, env, relations)
-        case All(_, _) | Ex(_, _):
-            got = bound_of(phi)
-            if got is None:
-                raise ValueError("unbounded quantifier has no classical "
-                                 "evaluation here")
-            v, t, _ = got
-            n = eval_term(t, env)
-            picks = (truth(phi.body, {**env, v: k}, relations)
-                     for k in range(n))
+            return ((not truth(a, env, relations, points))
+                    or truth(b, env, relations, points))
+        case All(v, body) | Ex(v, body):
+            if points is None:
+                got = bound_of(phi)
+                if got is None:
+                    raise ValueError("unbounded quantifier has no classical "
+                                     "evaluation here")
+                ks = range(eval_term(got[1], env))
+            else:
+                ks = points
             # the guard is part of the body, so evaluate the full body
+            picks = (truth(body, {**env, v: k}, relations, points) for k in ks)
             return all(picks) if isinstance(phi, All) else any(picks)
     raise TypeError(phi)
-
-
-def truth_over(phi: Formula, points: tuple[int, ...], env: dict | None = None,
-               relations: dict | None = None) -> bool:
-    """Classical truth with quantifiers ranging over an explicit carrier."""
-    env = env or {}
-    match phi:
-        case All(v, body):
-            return all(truth_over(body, points, {**env, v: k}, relations)
-                       for k in points)
-        case Ex(v, body):
-            return any(truth_over(body, points, {**env, v: k}, relations)
-                       for k in points)
-        case And(a, b):
-            return (truth_over(a, points, env, relations)
-                    and truth_over(b, points, env, relations))
-        case Or(a, b):
-            return (truth_over(a, points, env, relations)
-                    or truth_over(b, points, env, relations))
-        case Imp(a, b):
-            return ((not truth_over(a, points, env, relations))
-                    or truth_over(b, points, env, relations))
-        case _:
-            return truth(phi, env, relations)
 
 
 # ---------------------------------------------------------------------------

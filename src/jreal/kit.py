@@ -26,7 +26,8 @@ from typing import Callable
 
 from . import coding, prog
 from .bracket import lam
-from .certs import Base, Cert, CertSearch, CheckPolicy, Lift, check_cert, Accepted
+from .certs import (Accepted, Base, Cert, CertSearch, CheckPolicy, Lift,
+                    check_cert, tagged)
 from .jsets import Finite, JSet, Singleton, UpFrom, Cofinite, show_jset
 from .machine import OutOfFuel, apply_cached
 from .prog import EQ01, LT01, SUFFIX, _v, ite, p0, p1, tag0, tag1
@@ -127,26 +128,30 @@ class MirrorFn:
     on_value: Callable[[int], tuple[int, Cert | None]]
 
 
-def _tagged(x: int, want: int) -> int:
-    parts = coding.decode_seq(x)
-    if len(parts) != 2 or parts[0] != want:
-        raise MirrorError(f"value {_short(x)} is not a {want}-tagged pair")
-    return parts[1]
+def _lift(x: int, cert: Lift, policy: CheckPolicy,
+          step: Callable[[int, Cert], Cert], tail: Term) -> tuple[int, Cert]:
+    """The lift branch every mirror shares.
 
-
-def _replay(e: int, m: int, policy: CheckPolicy) -> int:
-    res = apply_cached(e, m, policy.fuel)
-    if isinstance(res, OutOfFuel):
-        raise MirrorError(f"input tail code {_short(e)} ran out of fuel at {m}")
-    return res.value
-
-
-def _tail_table(cert: Lift, policy: CheckPolicy) -> dict[int, Cert]:
+    x is <1,e> under a lift certificate; e is replayed at each window point
+    and ``step`` maps the value there, with its tail certificate, to the
+    output's tail certificate.  The output is <1, code of ``tail``>.
+    """
+    got = tagged(x)
+    if got is None or got[0] != 1:
+        raise MirrorError(f"value {_short(x)} is not a 1-tagged pair")
+    e = got[1]
     table = dict(cert.tails)
-    for m in policy.window_points(cert.threshold):
+    window = policy.window_points(cert.threshold)
+    for m in window:
         if m not in table:
             raise MirrorError(f"input certificate misses window point {m}")
-    return table
+    tails = []
+    for m in window:
+        res = apply_cached(e, m, policy.fuel)
+        if isinstance(res, OutOfFuel):
+            raise MirrorError(f"input tail code {_short(e)} ran out of fuel at {m}")
+        tails.append((m, step(res.value, table[m])))
+    return coding.pair(1, encode_term(tail)), Lift(cert.threshold, tuple(tails))
 
 
 def mirror_a(x: int, inner: Cert | None = None) -> tuple[int, Cert]:
@@ -158,16 +163,10 @@ def mirror_b(g: MirrorFn, x: int, cert: Cert, policy: CheckPolicy) -> tuple[int,
         case Base(y, _):
             out, out_inner = g.on_value(y)
             return coding.pair(0, out), Base(out, out_inner)
-        case Lift(threshold, _):
-            e_in = _tagged(x, 1)
-            table = _tail_table(cert, policy)
-            tails = []
-            for m in policy.window_points(threshold):
-                v_m = _replay(e_in, m, policy)
-                _, sub = mirror_b(g, v_m, table[m], policy)
-                tails.append((m, sub))
-            out = coding.pair(1, encode_term(_b_tail_term(g.term, x)))
-            return out, Lift(threshold, tuple(tails))
+        case Lift():
+            return _lift(x, cert, policy,
+                         lambda v, c: mirror_b(g, v, c, policy)[1],
+                         _b_tail_term(g.term, x))
         case _:
             raise TypeError(cert)
 
@@ -187,16 +186,10 @@ def mirror_d(x: int, cert: Cert, policy: CheckPolicy) -> tuple[int, Cert]:
             if inner is None:
                 raise MirrorError("flatten needs an inner certificate on base inputs")
             return y, inner
-        case Lift(threshold, _):
-            e_in = _tagged(x, 1)
-            table = _tail_table(cert, policy)
-            tails = []
-            for m in policy.window_points(threshold):
-                v_m = _replay(e_in, m, policy)
-                _, sub = mirror_d(v_m, table[m], policy)
-                tails.append((m, sub))
-            out = coding.pair(1, encode_term(_d_tail_term(x)))
-            return out, Lift(threshold, tuple(tails))
+        case Lift():
+            return _lift(x, cert, policy,
+                         lambda v, c: mirror_d(v, c, policy)[1],
+                         _d_tail_term(x))
         case _:
             raise TypeError(cert)
 
@@ -309,35 +302,23 @@ def mirror_lifted(
     policy: CheckPolicy,
 ) -> tuple[int, Cert]:
     """Mirror of the lifted code on a sequence of certified tagged values."""
-    xs = [x for x, _ in entries]
-    first = len(xs)
-    for k, x in enumerate(xs):
-        parts = coding.decode_seq(x)
-        if len(parts) != 2 or parts[0] not in (0, 1):
+    parts = [tagged(x) for x, _ in entries]
+    for k, got in enumerate(parts):
+        if got is None:
             raise MirrorError(f"coordinate {k} is not a tagged pair")
-        if parts[0] == 1 and first == len(xs):
-            first = k
-    if first == len(xs):
-        payloads = tuple(coding.decode_seq(x)[1] for x in xs)
-        out = fn.host(payloads)
+    first = next((k for k, (tag, _) in enumerate(parts) if tag == 1), None)
+    if first is None:
+        out = fn.host(tuple(payload for _, payload in parts))
         return coding.pair(0, out), Base(out)
-    cert_i = entries[first][1]
-    if not isinstance(cert_i, Lift):
+    x, cert = entries[first]
+    if not isinstance(cert, Lift):
         raise MirrorError(f"coordinate {first} is 1-tagged but not lift-certified")
-    e_i = coding.decode_seq(xs[first])[1]
-    table = _tail_table(cert_i, policy)
-    s_val = coding.encode_seq(xs)
-    tail_code = encode_term(
-        subst(_G_TAIL_TMPL, {"G": g_closure_term(fn.f_code), "s": Num(s_val), "i": Num(first)})
-    )
-    tails = []
-    for m in policy.window_points(cert_i.threshold):
-        v_m = _replay(e_i, m, policy)
-        replaced = list(entries)
-        replaced[first] = (v_m, table[m])
-        _, sub = mirror_lifted(fn, replaced, policy)
-        tails.append((m, sub))
-    return coding.pair(1, tail_code), Lift(cert_i.threshold, tuple(tails))
+    s_val = coding.encode_seq([x for x, _ in entries])
+    tail = subst(_G_TAIL_TMPL, {"G": g_closure_term(fn.f_code), "s": Num(s_val), "i": Num(first)})
+    return _lift(x, cert, policy,
+                 lambda v, c: mirror_lifted(
+                     fn, entries[:first] + [(v, c)] + entries[first + 1:], policy)[1],
+                 tail)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable
 from . import coding
 from .assemblies import Assembly, NatAssembly, TrackStatus, track_rows
 from .bracket import lam
-from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy
+from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy, tagged
 from .formulas import (
     All, And, Eq, Ex, Formula, Imp, Less, Or, Rel,
     eval_term, free_vars, is_delta0, bound_of, truth, show_formula,
@@ -82,7 +82,6 @@ Verdict3 = Realized | Refuted | Unknown
 class Env:
     assembly: Assembly
     assignment: tuple[tuple[str, Point], ...] = ()
-    evidence: tuple[tuple[str, int], ...] = ()
     relations: tuple[tuple[str, Callable[[tuple], JSet]], ...] = ()
 
 
@@ -253,6 +252,9 @@ class Checker:
         parts = coding.decode_seq(e)
         if len(parts) != 2:
             return Refuted("existential realizer is not a pair")
+        # untagged evidence lands in no closure, whatever the point
+        if tagged(parts[0]) is None:
+            return Refuted("witness evidence is not a tagged pair")
         points, caveat = self._points()
         pending: str | None = None
         for a in points:

@@ -53,7 +53,6 @@ from .formulas import (
     free_vars,
     show_formula,
     truth,
-    truth_over,
 )
 from .jsets import Finite
 from .prog import ADD, EQ01, LT01, MOD, MUL, SUFFIX, fixlam, ite, p0, p1, seq2, tag0
@@ -408,7 +407,7 @@ def _transfer_sampled(model: Model, phi: Formula, asn, window: int) -> TransferR
     verdicts = []
     for n in range(n0, n0 + window):
         env = {v: e.rep.value(psi[n]) for v, e in asn.items()}
-        verdicts.append(truth_over(phi, sample, env))
+        verdicts.append(truth(phi, env, points=sample))
     disagreements = ()
     if len(set(verdicts)) > 1:
         flips = [n0 + i for i in range(1, window) if verdicts[i] != verdicts[i - 1]]

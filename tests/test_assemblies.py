@@ -248,6 +248,24 @@ def test_exponent_does_not_exclude_on_sampled_image_sets():
     tracker = encode_term(App(K, Num(coding.pair(0, 20))))
     m = morphism_from_table(src, dst, {"a": "p", "b": "q"}, tracker)
     assert check_tracking(m).status is TrackStatus.VERIFIED
+    # table trackers intersect exact sets only
+    with pytest.raises(ValueError, match="finite realizer shapes"):
+        table_tracker(src, dst, {"a": "p", "b": "q"})
+
+
+def test_exponent_excludes_maps_whose_images_share_no_realizer():
+    # the three image sets meet pairwise but have no common element, so
+    # realizer 1 has nowhere to go that every image's closure contains
+    src = FiniteAssembly("src", ("a", "b", "c"), (Singleton(1),) * 3)
+    dst = FiniteAssembly("dst", ("p", "q", "r"),
+                         (Finite(frozenset({1, 2})), Finite(frozenset({2, 3})),
+                          Finite(frozenset({1, 3}))))
+    res = exponent_finite(src, dst, 8)
+    reasons = dict(res.excluded_maps)
+    assert "disjoint" in reasons[("p", "q", "r")]
+    assert ("p", "q", "p") not in reasons
+    assert table_tracker(src, dst, {"a": "p", "b": "q", "c": "r"}) is None
+    assert table_tracker(src, dst, {"a": "p", "b": "q", "c": "q"}) is not None
 
 
 def test_exponent_reports_unknown_below_small_bound():

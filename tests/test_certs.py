@@ -18,8 +18,9 @@ from jreal.certs import (
     parse_cert,
     search_cert,
     show_cert,
+    tagged,
 )
-from jreal.coding import pair
+from jreal.coding import decode_seq, encode_seq, pair
 from jreal.jsets import (
     ByPredicate,
     Cofinite,
@@ -38,6 +39,42 @@ from jreal.jsets import (
 from jreal.terms import FIX, Num, Var, ap, encode_term
 
 P = CheckPolicy(depth=4, window=4, fuel=2000)
+
+
+# ---------------------------------------------------------------------------
+# the closure value format
+
+
+def inline_tag(v):
+    """The hand-written test each caller made before ``tagged`` existed."""
+    parts = decode_seq(v)
+    if len(parts) != 2 or parts[0] not in (0, 1):
+        return None
+    return parts[0], parts[1]
+
+
+closure_like_codes = (
+    st.integers(min_value=0, max_value=2**16 - 1)
+    | st.builds(pair, st.integers(min_value=0, max_value=3),
+                st.integers(min_value=0, max_value=2**200))
+    | st.lists(st.integers(min_value=0, max_value=2**64), max_size=40).map(encode_seq)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_like_codes)
+def test_tagged_matches_the_inline_tag_test(v):
+    got = tagged(v)
+    assert got == inline_tag(v)
+    if got is not None:
+        assert pair(*got) == v
+
+
+def test_tagged_on_hand_picked_codes():
+    assert tagged(pair(0, 5)) == (0, 5)
+    assert tagged(pair(1, 2**90)) == (1, 2**90)
+    for v in (0, pair(2, 5), pair(3, 0), encode_seq([1, 0, 0]), encode_seq([0])):
+        assert tagged(v) is None
 
 
 # ---------------------------------------------------------------------------

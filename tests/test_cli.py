@@ -76,6 +76,14 @@ def test_golden_report(name, fmt, capsysbinary):
     assert code == want_code
 
 
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if n.startswith("doctrine-")])
+def test_doctrine_reports_say_the_lift_rule_is_unreachable(name, capsysbinary):
+    code, out, _ = run(CASES[name][0], capsysbinary)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "APPROX lift rule unreachable: pair(1, b) is undefined for every b")
+
+
 @pytest.mark.parametrize("argv", [
     ["--fuel", "7", "realize", "check", "--formula", "0 = 0", "--e", "2"],
     ["--fuel", "7", "skolem", "sign", "2", "5"],

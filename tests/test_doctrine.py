@@ -16,6 +16,7 @@ from jreal.doctrine import (
     identity_op,
     lfp_by_intersection,
     lfp_local,
+    lift_caveats,
     local_laws,
     make_doctrine,
     mono_op,
@@ -131,6 +132,14 @@ def test_lfp_requires_bottom_pairing():
     d = make_doctrine(2, {(0, 0): 0, (0, 1): 1}, {(0, 0): 0})
     with pytest.raises(UnsuitableDoctrine, match="pair\\(0,1\\)"):
         lfp_local(d, identity_op(2))
+
+
+def test_lift_rule_reach_is_reported():
+    for d in (shipped_d4(), shipped_d8(), tiny()):
+        assert lift_caveats(d) == (
+            "lift rule unreachable: pair(1, b) is undefined for every b",)
+    lifts = make_doctrine(2, {}, {(0, 0): 0, (1, 0): 1})
+    assert lift_caveats(lifts) == ()
 
 
 def test_pitts_f_hand_value():

@@ -6,7 +6,8 @@ import pytest
 
 from support import chain, nested_chain
 from jreal import coding, prog
-from jreal.certs import Accepted, Base, CheckPolicy, check_cert
+from jreal.bracket import lam
+from jreal.certs import Accepted, Base, CheckPolicy, Lift, check_cert
 from jreal.jsets import Finite, JOf, Singleton
 from jreal.kit import (
     A_CODE,
@@ -18,6 +19,7 @@ from jreal.kit import (
     FIND1,
     G_BUILDER_CODE,
     LEASTZERO_CODE,
+    MirrorError,
     MirrorFn,
     PAYLOADS,
     REPLACEAT,
@@ -35,7 +37,7 @@ from jreal.kit import (
     wedge_target,
 )
 from jreal.machine import Value, apply, apply_many
-from jreal.terms import Num, SUCC, encode_term
+from jreal.terms import FIX, K, App, Num, SUCC, Var, ap, encode_term
 
 P = CheckPolicy(depth=6, window=3, fuel=40000)
 
@@ -194,6 +196,62 @@ def test_least_zero_lifting():
                      fuel=20 * PG.fuel) == Value(out)
         got_check = check_cert(out, Singleton(want), out_cert, PG)
         assert isinstance(got_check, Accepted), got_check
+
+
+# ---------------------------------------------------------------------------
+# inputs a mirror's certificate does not cover
+
+OMEGA_TAIL = encode_term(lam("m", ap(ap(FIX, lam("f", "y", ap(Var("f"), Var("y")))),
+                                     Num(0))))
+LOW = CheckPolicy(depth=6, window=3, fuel=300)
+
+
+def const_lift(a, points=LOW.window_points(0)):
+    """<1, K <0,<0,a>>>, its tails certified on the given points as members
+    of the closure of the closure of {a}, so that flatten accepts them."""
+    x = coding.pair(0, a)
+    return (coding.pair(1, encode_term(App(K, Num(coding.pair(0, x))))),
+            Lift(0, tuple((m, Base(x, Base(a))) for m in points)))
+
+
+def fmap_succ(x, cert):
+    return mirror_b(SUCC_FN, x, cert, LOW)
+
+
+def flatten(x, cert):
+    return mirror_d(x, cert, LOW)
+
+
+def lifted(x, cert):
+    return mirror_lifted(cor_gh().any_zero, [(x, cert)], LOW)
+
+
+@pytest.mark.parametrize("mirror", [fmap_succ, flatten, lifted])
+def test_mirrors_reject_uncovered_lift_inputs(mirror):
+    x, cert = const_lift(4)
+    assert mirror(x, cert)[1].threshold == 0
+    if mirror is not lifted:  # lifted reads the tag itself
+        for bad in (coding.pair(0, 4), 0):
+            with pytest.raises(MirrorError, match="is not a 1-tagged pair"):
+                mirror(bad, cert)
+    x, short = const_lift(4, points=(0, 2))
+    with pytest.raises(MirrorError, match="misses window point 1"):
+        mirror(x, short)
+    diverges = coding.pair(1, OMEGA_TAIL)
+    with pytest.raises(MirrorError, match="ran out of fuel at 0"):
+        mirror(diverges, cert)
+    # coverage is checked before any replay
+    with pytest.raises(MirrorError, match="misses window point 1"):
+        mirror(diverges, short)
+
+
+def test_lifted_mirror_rejects_bad_coordinates():
+    x, cert = const_lift(0)
+    good = (coding.pair(0, 1), Base(1))
+    with pytest.raises(MirrorError, match="coordinate 1 is not a tagged pair"):
+        mirror_lifted(cor_gh().any_zero, [good, (0, Base(0)), (x, cert)], LOW)
+    with pytest.raises(MirrorError, match="coordinate 1 is 1-tagged but not lift-certified"):
+        mirror_lifted(cor_gh().any_zero, [good, (x, Base(0))], LOW)
 
 
 # ---------------------------------------------------------------------------

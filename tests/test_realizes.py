@@ -136,6 +136,16 @@ def test_non_pair_realizers_refuted_structurally():
     assert isinstance(jrealizes(0, parse_formula("exists x. x = x"), env, POL), Refuted)
 
 
+@pytest.mark.parametrize("e", [2, 7, 8, 10])
+def test_untagged_witness_evidence_refuted_on_nat(e):
+    # each e is a pair whose first component, 0 or 1, is no tagged pair,
+    # so it lands in no closure at any point of the carrier, window or not
+    assert coding.decode_seq(e)[0] in (0, 1)
+    v = jrealizes(e, parse_formula("exists x. x = 1"), nat_env(), POL)
+    assert isinstance(v, Refuted)
+    assert v.reason == "witness evidence is not a tagged pair"
+
+
 def test_open_formula_prefix_is_raw_membership():
     env = Env(tri_assembly(), assignment=(("x", 2),))
     assert isinstance(jrealizes(coding.pair(0, 3), parse_formula("x = x"), env, POL),
