@@ -10,7 +10,10 @@ Values are numbers.  A run that converges to a non-numeral value (a partial
 application spine) is reified to the Godel number of that spine, which is why
 ``apply(encode(K), x)`` returns a perfectly good code that can be applied
 again.  Primitives that need a numeral coerce any other value to its code
-first, for the same reason.
+first, for the same reason.  Reifying costs about as much as the new part of
+a value: applications keep the codes ``encode_term`` gave them, and encoding
+fills the decode cache, so a code the machine built unquotes through
+``decode_term_cached`` without a decode walk.
 
 Divergence and fuel exhaustion are indistinguishable by design: both surface
 as ``OutOfFuel``.

@@ -211,6 +211,8 @@ class Checker:
                 parts = coding.decode_seq(e)
                 if len(parts) != 2:
                     return Refuted("disjunction realizer is not a pair")
+                if parts[0] not in (0, 1):
+                    return Refuted("disjunction tag is not 0 or 1")
                 side, sub = ("left", a) if parts[0] == 0 else ("right", b)
                 v = self.check(parts[1], sub, scope)
                 match v:

@@ -15,12 +15,19 @@ fires, and 0 when it is not a value: a primitive's arity (0 for nil, which
 alone contracts to the numeral 0), 1 for a numeral (applied, it unquotes), 0
 for a variable, and for an application one less than its function's, when
 that is more than 1 and the argument is a value.
+
+An application keeps its code once ``encode_term`` has computed it, so a
+term shared as a DAG is coded once per distinct node, and ``subst`` returns
+every node under which nothing changed, so the closed parts of a template
+keep their codes from one instantiation to the next.  ``decode_term_cached``
+reads one cache of code -> term that decoding and encoding both fill: a code
+the program built decodes without a walk.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar
 
 from .coding import phi_join, phi_split
@@ -64,6 +71,8 @@ class App:
     fn: "Term"
     arg: "Term"
     room: int = field(init=False, compare=False, repr=False)
+    # written by encode_term; None until then
+    code: int | None = field(init=False, compare=False, repr=False)
 
     # the machine builds one per contraction; writing the slots through
     # their descriptors costs less than __post_init__ and frozen setattr
@@ -72,12 +81,14 @@ class App:
         _set_arg(self, arg)
         room = fn.room
         _set_room(self, room - 1 if room > 1 and arg.room else 0)
+        _set_code(self, None)
 
     def __repr__(self) -> str:
         return show_term(self)
 
 
-_set_fn, _set_arg, _set_room = (d.__set__ for d in (App.fn, App.arg, App.room))
+_set_fn, _set_arg, _set_room, _set_code = (
+    d.__set__ for d in (App.fn, App.arg, App.room, App.code))
 
 
 Term = Prim | Num | Var | App
@@ -121,13 +132,15 @@ def free_vars(t: Term) -> set[str]:
 
 
 def subst(t: Term, env: dict[str, Term]) -> Term:
-    match t:
-        case Var(name):
-            return env.get(name, t)
-        case App(fn, arg):
-            return App(subst(fn, env), subst(arg, env))
-        case _:
-            return t
+    """Replace the named variables; a node under which nothing changes is
+    returned itself, with its code."""
+    if type(t) is App:
+        fn = subst(t.fn, env)
+        arg = subst(t.arg, env)
+        return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    if type(t) is Var:
+        return env.get(t.name, t)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -136,30 +149,65 @@ def subst(t: Term, env: dict[str, Term]) -> Term:
 
 def encode_term(t: Term) -> int:
     # explicit stacks, so codes may nest deeper than the recursion limit:
-    # `todo` holds subterms and (atom, argument count) frames, `codes` the
-    # codes of finished arguments in order
+    # `todo` holds subterms and (application, atom, argument count) frames,
+    # `codes` the codes of finished arguments in order.  An application
+    # that tops a spine gets its code written when its frame closes, and
+    # one that has a code is not walked again.
+    if type(t) is App and t.code is not None:
+        return t.code
     codes: list[int] = []
-    todo: list[Term | tuple[int, int]] = [t]
+    push = codes.append
+    todo: list = [t]
+    pop = todo.pop
     while todo:
-        u = todo.pop()
-        if isinstance(u, tuple):
-            atom, n = u
+        u = pop()
+        kind = type(u)
+        if kind is tuple:
+            app, atom, n = u
             k = len(codes) - n
-            codes[k:] = [phi_join(codes[k:], atom)]
-            continue
-        head, args = spine(u)
-        match head:
-            case Prim(tag):
-                atom = tag
-            case Num(value):
-                atom = 10 + value
-            case Var(name):
-                raise NotClosed(f"free variable {name!r}")
-            case _:
-                raise TypeError(head)
-        todo.append((atom, len(args)))
-        todo.extend(reversed(args))
-    return codes[0]
+            code = phi_join(codes[k:], atom)
+            del codes[k:]
+            push(code)
+            _set_code(app, code)
+        elif kind is Num:
+            push(phi_join((), 10 + u.value))
+        elif kind is Prim:
+            push(_PRIM_CODES[u.tag])
+        elif kind is App:
+            code = u.code
+            if code is not None:
+                push(code)
+                continue
+            # the frame goes under the spine arguments, which are pushed
+            # last first so that the first is popped first
+            frame = len(todo)
+            todo.append(None)
+            n = 0
+            head = u
+            while type(head) is App:
+                todo.append(head.arg)
+                n += 1
+                head = head.fn
+            todo[frame] = (u, _atom(head), n)
+        else:
+            _atom(u)  # a variable, or not a term: raises
+    code = codes[0]
+    if type(t) is App:
+        _remember(code, t)
+    return code
+
+
+_PRIM_CODES = tuple(phi_join((), tag) for tag in range(len(PRIM_NAMES)))
+
+
+def _atom(head: Term) -> int:
+    if type(head) is Prim:
+        return head.tag
+    if type(head) is Num:
+        return 10 + head.value
+    if type(head) is Var:
+        raise NotClosed(f"free variable {head.name!r}")
+    raise TypeError(head)
 
 
 def decode_term(code: int) -> Term:
@@ -183,9 +231,31 @@ def decode_term(code: int) -> Term:
     return terms[0]
 
 
-@lru_cache(maxsize=8192)
-def decode_term_cached(code: int) -> Term:
-    return decode_term(code)
+_DECODED_MAX = 8192
+
+
+class _Decoded(OrderedDict):
+    """code -> term, oldest entry evicted first; a miss decodes."""
+
+    def __missing__(self, code: int) -> Term:
+        t = decode_term(code)
+        if type(t) is App:
+            _set_code(t, code)
+        _remember(code, t)
+        return t
+
+
+_decoded = _Decoded()
+
+
+def _remember(code: int, t: Term) -> None:
+    _decoded[code] = t
+    if len(_decoded) > _DECODED_MAX:
+        _decoded.popitem(last=False)
+
+
+# a hit is one C-level dict lookup: the machine unquotes numerals through it
+decode_term_cached = _decoded.__getitem__
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jreal import prog
+from jreal import prog, terms
 from jreal.coding import decode_seq, encode_seq, pair, phi_join
 from jreal.machine import (
     DEFAULT_FUEL,
@@ -158,6 +158,23 @@ def test_apply_handles_codes_nested_past_the_recursion_limit():
         codes.append(phi_join([codes[-1]], 0))
     assert codes[-1].bit_length() == 42_786
     assert apply(codes[-1], 3, 100) == Value(codes[-2])
+
+
+@pytest.mark.parametrize("code", [631, 2467, 3027])
+def test_coerced_values_are_coded_once_per_shared_node(code, monkeypatch):
+    # these build a value that doubles a shared subterm per round and coerce
+    # it to a number; coded as a tree, fuel 250 took 98,221 phi_join calls
+    calls = 0
+    join = terms.phi_join
+
+    def counted(blocks, tail):
+        nonlocal calls
+        calls += 1
+        return join(blocks, tail)
+
+    monkeypatch.setattr(terms, "phi_join", counted)
+    assert apply(code, 35, 250) == OutOfFuel(steps=250)
+    assert calls <= 100
 
 
 # ---------------------------------------------------------------------------

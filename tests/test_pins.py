@@ -135,7 +135,7 @@ def test_checker_verdicts_on_finite_carriers_are_pinned():
         for row in _verdicts(Env(asm)):
             h.update(repr(row).encode())
     assert h.hexdigest() == (
-        "559683ab1a3fef22272617987294ffbb842ec554dbca43dcee7d65d62ed7a762")
+        "5626e6953c81ca2c9db0e7c26af7c8b7afc6f5429baf71ec282f9a3b543a73f2")
 
 
 def test_checker_realized_verdicts_on_the_naturals_are_pinned():
@@ -144,4 +144,4 @@ def test_checker_realized_verdicts_on_the_naturals_are_pinned():
         if row[3] == "Realized":
             h.update(repr(row).encode())
     assert h.hexdigest() == (
-        "76ffe003eef221b8c6a7b31ff53f8382543b422dbbc20586b94442effc71eef6")
+        "fd10a7d4aba9af5343b556d29857c41c34c5c22978f7bde582f5401012092d41")

@@ -59,6 +59,13 @@ def test_disjunction_tag_selects_branch():
     assert isinstance(bad, Refuted)
 
 
+@pytest.mark.parametrize("e", [12, 38])  # <2,0> and <5,0>
+def test_disjunction_tag_beyond_one_is_refuted(e):
+    v = jrealizes(e, parse_formula("0 = 1 \\/ 0 = 0"), nat_env(), POL)
+    assert isinstance(v, Refuted)
+    assert v.reason == "disjunction tag is not 0 or 1"
+
+
 def test_universal_via_double_unit_on_window():
     aa = encode_term(lam("k", App(Num(A_CODE), App(Num(A_CODE), Var("k")))))
     v = jrealizes(coding.pair(0, aa), parse_formula("forall x. x = x"),
@@ -319,7 +326,7 @@ class Oracle:
                         and self.holds(parts[1], b, scope))
             case Or(a, b):
                 parts = coding.decode_seq(e)
-                if len(parts) != 2:
+                if len(parts) != 2 or parts[0] not in (0, 1):
                     return False
                 pick = a if parts[0] == 0 else b
                 return self.holds(parts[1], pick, scope)

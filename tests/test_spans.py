@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` wraps the functions named in its ``LAYERS`` table
 when a run is traced.  A name that no longer resolves breaks only traced
 runs, so this test loads that table (without writing anything under
-``perfbench/``) and resolves each name, ``Class.method`` included.
+``perfbench/``) and resolves each name, ``Class.method`` included.  A
+wrapper sees only calls made through a module binding, so the machine must
+keep unquoting through ``decode_term_cached``.
 """
 
 import importlib
@@ -12,6 +14,9 @@ import pathlib
 import sys
 
 import pytest
+
+from jreal import machine
+from jreal.terms import App, Num, S, K, ap, encode_term
 
 SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -44,3 +49,17 @@ def test_every_traced_name_resolves(monkeypatch):
                                   "no_such_function", "MAX_SIZE"])
 def test_a_missing_name_is_noticed(name):
     assert not _resolves("doctrine", name)
+
+
+def test_the_machine_unquotes_through_its_module_binding(monkeypatch):
+    calls = []
+    decode = machine.decode_term_cached
+
+    def counted(code):
+        calls.append(code)
+        return decode(code)
+
+    monkeypatch.setattr(machine, "decode_term_cached", counted)
+    skk = encode_term(ap(S, K, K))
+    assert machine.eval_term(App(Num(skk), Num(4)), 10) == (Num(4), 3)
+    assert calls == [skk]

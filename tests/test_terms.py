@@ -3,8 +3,9 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from jreal import terms
 from jreal.terms import (
     App,
     CONS,
@@ -23,7 +24,9 @@ from jreal.terms import (
     Var,
     ap,
     decode_term,
+    decode_term_cached,
     encode_term,
+    free_vars,
     is_value,
     parse_term,
     show_term,
@@ -55,6 +58,30 @@ any_terms = st.recursive(
 )
 
 
+# closed terms with numerals of 2^64 size, some wrapped 1 to 1,500 levels
+# deep in argument or in function position, past the recursion limit
+def _nest(leaf_depth_side):
+    t, depth, side = leaf_depth_side
+    for i in range(depth):
+        t = App(SUCC, t) if side else App(t, Num(i))
+    return t
+
+
+big_closed_terms = st.recursive(
+    st.one_of(
+        st.integers(min_value=0, max_value=9).map(Prim),
+        st.integers(min_value=0, max_value=2**64).map(Num),
+    ),
+    lambda sub: st.tuples(sub, sub).map(lambda fa: App(*fa)),
+    max_leaves=25,
+)
+coded_terms = st.one_of(
+    big_closed_terms,
+    st.tuples(big_closed_terms, st.integers(min_value=1, max_value=1_500),
+              st.booleans()).map(_nest),
+)
+
+
 def test_frozen_atom_codes():
     assert encode_term(K) == 0
     assert encode_term(S) == 1
@@ -77,6 +104,91 @@ def test_decode_then_encode(c):
 @given(closed_terms)
 def test_encode_then_decode(t):
     assert decode_term(encode_term(t)) == t
+
+
+def _rebuild(t, share: bool):
+    """A copy of t with fresh, uncoded applications; with share, one node
+    per distinct subterm, so the copy is a DAG."""
+    nodes: dict = {}
+    done: list = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if u is None:
+            arg, fn = done.pop(), done.pop()
+            key = (id(fn), id(arg))
+            if share and key in nodes:
+                done.append(nodes[key])
+            else:
+                nodes[key] = App(fn, arg)
+                done.append(nodes[key])
+        elif isinstance(u, App):
+            todo += [None, u.arg, u.fn]
+        else:
+            done.append(u)
+    return done[0]
+
+
+def _same_tree(a, b) -> bool:
+    """Structural equality without recursion."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if isinstance(x, App) and isinstance(y, App):
+            todo += [(x.fn, y.fn), (x.arg, y.arg)]
+        elif isinstance(x, App) or isinstance(y, App) or x != y:
+            return False
+    return True
+
+
+@settings(deadline=None)
+@given(coded_terms)
+def test_remembered_codes_agree_with_fresh_coding(t):
+    code = encode_term(t)
+    assert encode_term(t) == code
+    assert encode_term(_rebuild(t, share=False)) == code
+    assert encode_term(_rebuild(t, share=True)) == code
+    assert _same_tree(decode_term(code), t)
+    assert _same_tree(decode_term_cached(code), decode_term(code))
+
+
+def test_a_dag_is_coded_once_per_node(monkeypatch):
+    t = Num(2**64)
+    for _ in range(16):
+        t = ap(K, t, t)  # 2^16 leaves, 16 distinct applications
+    tree_code = encode_term(_rebuild(t, share=False))
+    calls = 0
+    join = terms.phi_join
+
+    def counted(blocks, tail):
+        nonlocal calls
+        calls += 1
+        return join(blocks, tail)
+
+    monkeypatch.setattr(terms, "phi_join", counted)
+    assert encode_term(t) == tree_code
+    assert calls == 18  # 16 spines, and the numeral at both its places
+
+
+@given(any_terms, st.sets(st.sampled_from("xyzw")))
+def test_subst_keeps_what_it_does_not_change(t, names):
+    env = {name: App(K, Num(i)) for i, name in enumerate(sorted(names))}
+    got = subst(t, env)
+    if not names & free_vars(t):
+        assert got is t
+    assert not names & free_vars(got)
+    assert got == _subst_by_rebuild(t, env)
+    if isinstance(t, App):
+        for old, new in ((t.fn, got.fn), (t.arg, got.arg)):
+            assert (new is old) == (not names & free_vars(old))
+
+
+def _subst_by_rebuild(t, env):
+    if isinstance(t, App):
+        return App(_subst_by_rebuild(t.fn, env), _subst_by_rebuild(t.arg, env))
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    return t
 
 
 def test_open_terms_have_no_code():
