@@ -182,13 +182,11 @@ def encode_term(t: Term) -> int:
             # last first so that the first is popped first
             frame = len(todo)
             todo.append(None)
-            n = 0
             head = u
             while type(head) is App:
                 todo.append(head.arg)
-                n += 1
                 head = head.fn
-            todo[frame] = (u, _atom(head), n)
+            todo[frame] = (u, _atom(head), len(todo) - frame - 1)
         else:
             _atom(u)  # a variable, or not a term: raises
     code = codes[0]
