@@ -25,14 +25,30 @@ value with room 1 fires, and since no primitive takes more than three
 arguments its head is found at a fixed depth, with no spine walk.  A
 contraction whose result is an application to evaluate (S, fix, a numeral
 unquote) pushes the application's parts rather than building it.
+
+Jets: ``prog.MONUS`` and ``prog.ADD`` on numerals run as Python arithmetic,
+charged the steps the program itself would take (``MONUS x y`` takes
+105 + 115y in all, ``ADD x y`` 107 + 117y, whatever x is).  A jet fires
+when ``fix`` fires on the program's own fixed function (the very object;
+``decode_term`` hands it back for its code), a numeral x, and a pending
+second argument.  The first ``pre`` of those steps bring ``fix F x`` to a
+value, so they are charged at once; the second argument is then
+evaluated as it would be, and a numeral y pays the rest.  A charge past
+the fuel ends the run at ``steps == fuel``, where every exhausted run
+ends.  Any other y gives the ``pre`` steps back and unfolds ``fix F x``
+after all, so a jet changes no step count, only the time.  ``JET_HITS``
+counts the calls each jet answered.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import coding
+from .prog import ADD, MONUS
 from .terms import (
     FIX,
     App,
@@ -42,6 +58,7 @@ from .terms import (
     Var,
     decode_term_cached,
     encode_term,
+    keep_decoded,
 )
 
 DEFAULT_FUEL = 20000
@@ -75,6 +92,32 @@ _ARG = object()
 _APP = object()
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Jet:
+    """A Peano program ``fix fn`` that the machine runs natively.
+
+    ``fix fn x y`` takes ``base + slope * y`` steps on numerals, of which
+    the first ``pre`` bring ``fix fn x`` to a value.  On the stack a jet
+    over the numeral x marks a call waiting for its second argument.
+    """
+
+    name: str
+    fn: Term
+    pre: int
+    base: int
+    slope: int
+    op: Callable[[int, int], int]
+
+
+_MONUS = Jet("MONUS", MONUS.arg, 72, 105, 115, lambda x, y: x - y if x > y else 0)
+_ADD = Jet("ADD", ADD.arg, 74, 107, 117, add)
+for _jet in (_MONUS, _ADD):
+    keep_decoded(_jet.fn)
+
+# calls answered by each jet, over the life of the process
+JET_HITS = {_MONUS.name: 0, _ADD.name: 0}
+
+
 class Machine:
     """Single-run evaluator; kept as a class so steps can be inspected."""
 
@@ -92,13 +135,16 @@ class Machine:
         # the value under _APP, or, when the argument is a value already,
         # applies the value to it at once; an _APP entry applies its
         # function to the value.  The head of a firing function is f, f.fn
-        # or f.fn.fn for arity 1, 2 or 3.  Steps are counted in a local and
-        # written back on every exit, returns and raises alike.
+        # or f.fn.fn for arity 1, 2 or 3.  A Jet entry over a numeral takes
+        # the value of a jetted call's second argument.  Steps are counted in
+        # a local and written back on every exit, returns and raises alike.
         fuel = self.fuel
         steps = self.steps
         stack: list = []
         push = stack.append
         pop = stack.pop
+        monus_fn = _MONUS.fn
+        add_fn = _ADD.fn
         try:
             while True:
                 while not t.room:
@@ -115,7 +161,8 @@ class Machine:
                         t = Num(0)
                 # t is a value
                 while stack:
-                    if pop() is _ARG:
+                    top = pop()
+                    if top is _ARG:
                         arg = pop()
                         if not arg.room:
                             push(t)
@@ -124,8 +171,29 @@ class Machine:
                             break
                         f = t
                         t = arg
-                    else:
+                    elif top is _APP:
                         f = pop()
+                    else:  # a jet, over its first argument
+                        x = pop()
+                        if type(t) is Num:
+                            steps += top.base - top.pre + top.slope * t.value
+                            if steps > fuel:
+                                steps = fuel
+                                return None
+                            JET_HITS[top.name] += 1
+                            t = Num(top.op(x.value, t.value))
+                            continue
+                        # not a numeral: give the pre steps back and unfold
+                        # fix fn x after all, then apply it to this value
+                        steps -= top.pre - 1
+                        push(t)
+                        push(_ARG)
+                        push(x)
+                        push(_ARG)
+                        push(top.fn)
+                        push(_APP)
+                        t = App(FIX, top.fn)
+                        break
                     if f.room > 1:
                         t = App(f, t)
                         continue
@@ -156,6 +224,29 @@ class Machine:
                         push(a)
                         push(_APP)
                     elif tag == 5:  # fix a t -> a (fix a) t
+                        if ((a is monus_fn or a is add_fn) and type(t) is Num
+                                and stack and stack[-1] is _ARG):
+                            jet = _MONUS if a is monus_fn else _ADD
+                            y = stack[-2]
+                            if type(y) is Num:
+                                steps += jet.base - 1 + jet.slope * y.value
+                                if steps > fuel:
+                                    steps = fuel
+                                    return None
+                                del stack[-2:]
+                                JET_HITS[jet.name] += 1
+                                t = Num(jet.op(t.value, y.value))
+                                continue
+                            if not y.room:
+                                steps += jet.pre - 1
+                                if steps > fuel:
+                                    steps = fuel
+                                    return None
+                                del stack[-2:]
+                                push(t)
+                                push(jet)
+                                t = y
+                                break
                         push(t)
                         push(_ARG)
                         push(a)

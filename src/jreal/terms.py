@@ -19,9 +19,12 @@ that is more than 1 and the argument is a value.
 An application keeps its code once ``encode_term`` has computed it, so a
 term shared as a DAG is coded once per distinct node, and ``subst`` returns
 every node under which nothing changed, so the closed parts of a template
-keep their codes from one instantiation to the next.  ``decode_term_cached``
-reads one cache of code -> term that decoding and encoding both fill: a code
-the program built decodes without a walk.
+keep their codes from one instantiation to the next; a node that has a code
+is closed, so ``subst`` does not enter it.  ``decode_term_cached`` reads one
+cache of code -> term that decoding and encoding both fill: a code the
+program built decodes without a walk.  ``decode_term`` hands back the terms
+given to ``keep_decoded`` as themselves, so the machine can know them by
+identity however their code arrives.
 """
 
 from __future__ import annotations
@@ -135,6 +138,8 @@ def subst(t: Term, env: dict[str, Term]) -> Term:
     """Replace the named variables; a node under which nothing changes is
     returned itself, with its code."""
     if type(t) is App:
+        if t.code is not None:  # only a closed node has a code
+            return t
         fn = subst(t.fn, env)
         arg = subst(t.arg, env)
         return t if fn is t.fn and arg is t.arg else App(fn, arg)
@@ -223,10 +228,24 @@ def decode_term(code: int) -> Term:
                 t = App(t, a)
             terms[k:] = [t]
             continue
+        t = _kept.get(c)
+        if t is not None:
+            terms.append(t)
+            continue
         blocks, atom = phi_split(c)
         todo.append((Prim(atom) if atom < 10 else Num(atom - 10), len(blocks)))
         todo.extend(reversed(blocks))
     return terms[0]
+
+
+# code -> the term decode_term returns for it, unwalked
+_kept: dict[int, Term] = {}
+
+
+def keep_decoded(t: Term) -> None:
+    """Make decode_term return t itself wherever t's code occurs, at the
+    top or as any subterm."""
+    _kept[encode_term(t)] = t
 
 
 _DECODED_MAX = 8192
