@@ -224,29 +224,22 @@ class Machine:
                         push(a)
                         push(_APP)
                     elif tag == 5:  # fix a t -> a (fix a) t
+                        # a jet over x takes the place of the pending y,
+                        # which is handed to it at once or evaluated first
                         if ((a is monus_fn or a is add_fn) and type(t) is Num
-                                and stack and stack[-1] is _ARG):
+                                and stack and stack[-1] is _ARG
+                                and (type(y := stack[-2]) is Num or not y.room)):
                             jet = _MONUS if a is monus_fn else _ADD
-                            y = stack[-2]
-                            if type(y) is Num:
-                                steps += jet.base - 1 + jet.slope * y.value
-                                if steps > fuel:
-                                    steps = fuel
-                                    return None
-                                del stack[-2:]
-                                JET_HITS[jet.name] += 1
-                                t = Num(jet.op(t.value, y.value))
+                            steps += jet.pre - 1
+                            if steps > fuel:
+                                steps = fuel
+                                return None
+                            stack[-2] = t
+                            stack[-1] = jet
+                            t = y
+                            if y.room:
                                 continue
-                            if not y.room:
-                                steps += jet.pre - 1
-                                if steps > fuel:
-                                    steps = fuel
-                                    return None
-                                del stack[-2:]
-                                push(t)
-                                push(jet)
-                                t = y
-                                break
+                            break
                         push(t)
                         push(_ARG)
                         push(a)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jreal import prog, terms
+from jreal import machine, prog, terms
 from jreal.coding import decode_seq, encode_seq, pair, phi_join
 from jreal.machine import (
     DEFAULT_FUEL,
@@ -249,3 +249,141 @@ def test_fixed_cases_end_where_they_should():
         "fuel", None, 1)
     assert _same_as_reference(FIXED_CASES["fix after succ"], 3) == (
         "value", ap(FIX, K), 3)
+
+
+# ---------------------------------------------------------------------------
+# jets: MONUS and ADD on numerals run natively, charged step for step
+
+UNBOUNDED = 10**9
+
+
+def _agrees_at_every_fuel(t, fuels=None):
+    """The machine's run of t at each fuel (all, from 0 up to what the run
+    needs, by default) against one unbounded reference run.  A reference
+    run with less fuel makes the same contractions until its fuel is spent,
+    so it ends OutOfFuel at exactly that fuel."""
+    kind, value, total = _run(ReferenceMachine, t, UNBOUNDED)
+    assert kind == "value"
+    for fuel in range(total + 1) if fuels is None else fuels(total):
+        want = (kind, value, total) if fuel >= total else ("fuel", None, fuel)
+        assert _run(Machine, t, fuel) == want, fuel
+    return value, total
+
+
+def _hits():
+    return dict(machine.JET_HITS)
+
+
+@pytest.mark.parametrize("name", ["MONUS", "ADD"])
+def test_jets_are_step_exact_at_every_fuel(name):
+    program = getattr(prog, name)
+    op = {"MONUS": lambda x, y: max(x - y, 0), "ADD": lambda x, y: x + y}[name]
+    before = _hits()
+    for y in range(24):
+        for x in range(24):
+            value, steps = _agrees_at_every_fuel(ap(program, Num(x), Num(y)))
+            assert value == Num(op(x, y))
+            assert steps == {"MONUS": 105 + 115 * y, "ADD": 107 + 117 * y}[name]
+    assert _hits()[name] > before[name]
+
+
+def test_the_reference_itself_stops_where_the_jets_do():
+    # _agrees_at_every_fuel reads the reference's short runs off its full
+    # one; here the reference runs at the edges of a jet's phases itself:
+    # fix F x comes to a value after 72 (MONUS) or 74 (ADD) steps, and the
+    # second argument pred 3 takes one more
+    for program, pre in ((prog.MONUS, 72), (prog.ADD, 74)):
+        t = ap(program, Num(9), ap(PRED, Num(3)))
+        _, _, total = _run(ReferenceMachine, t, UNBOUNDED)
+        for fuel in (0, 1, pre - 1, pre, pre + 1, pre + 2, total - 1, total):
+            _same_as_reference(t, fuel)
+
+
+SECOND_ARGUMENTS = {
+    "a numeral": lambda y: Num(y),
+    "pred of a numeral": lambda y: ap(PRED, Num(y + 1)),
+    "a jetted call": lambda y: ap(prog.ADD, Num(y // 2), Num(y - y // 2)),
+    "an unquoted numeral": lambda y: ap(Num(encode_term(I)), Num(y)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["MONUS", "ADD"]),
+       st.integers(min_value=0, max_value=2**64),
+       st.integers(min_value=0, max_value=200),
+       st.sampled_from(sorted(SECOND_ARGUMENTS)),
+       st.data())
+def test_jets_are_step_exact_on_large_numerals(name, x, y, shape, data):
+    t = ap(getattr(prog, name), Num(x), SECOND_ARGUMENTS[shape](y))
+    _, _, total = _run(ReferenceMachine, t, UNBOUNDED)
+    fuel = data.draw(st.integers(min_value=0, max_value=total + 3))
+    _agrees_at_every_fuel(t, lambda _: (fuel,))
+
+
+# a spine in place of a numeral: ifz and pred read its code, so the call
+# recurses on numerals from there; taken as the second argument right away
+# (a value), after evaluating it (the jet gives its steps back), or as x
+FALLBACKS = {
+    "MONUS 3 K": ap(prog.MONUS, Num(3), K),
+    "MONUS 3 (K K 0)": ap(prog.MONUS, Num(3), ap(K, K, Num(0))),
+    "ADD 4 (K (S K) 1)": ap(prog.ADD, Num(4), ap(K, ap(S, K), Num(1))),
+    "ADD (K K) 2": ap(prog.ADD, ap(K, K), Num(2)),
+    "MONUS (S K) 1": ap(prog.MONUS, ap(S, K), Num(1)),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_jets_fall_back_on_spines_at_every_fuel(name):
+    _agrees_at_every_fuel(FALLBACKS[name])
+
+
+def _sampled_fuels(total):
+    return sorted({*range(0, total, max(1, total // 40)), total - 1, total})
+
+
+SMALL_GRID = {
+    "EQ01": [(x, y) for x in range(5) for y in range(5)],
+    "LT01": [(x, y) for x in range(5) for y in range(5)],
+    "MUL": [(x, y) for x in range(4) for y in range(4)],
+    "MOD": [(x, k) for x in range(9) for k in (1, 2, 3, 5)],
+    "POLYEVAL": [(encode_seq(c), n) for c in ([], [3], [1, 2], [0, 1, 1])
+                 for n in range(3)],
+}
+
+
+@pytest.mark.parametrize("name", SMALL_GRID)
+def test_programs_using_jets_are_step_exact(name):
+    before = _hits()
+    for x, y in SMALL_GRID[name]:
+        _agrees_at_every_fuel(ap(getattr(prog, name), Num(x), Num(y)),
+                              _sampled_fuels)
+    assert _hits() != before
+
+
+def test_jets_fire_on_decoded_programs():
+    # a fresh decode, not the cache: the fixed functions of MONUS and ADD
+    # come back as the very objects the jets know
+    program = decode_term(encode_term(prog.EQ01))
+    assert program == prog.EQ01 and program is not prog.EQ01
+    for x, y in ((4, 6), (6, 4), (5, 5)):
+        before = _hits()
+        value, _ = _agrees_at_every_fuel(ap(program, Num(x), Num(y)),
+                                         _sampled_fuels)
+        assert value == Num(0 if x == y else 1)
+        after = _hits()
+        assert after["MONUS"] > before["MONUS"] and after["ADD"] > before["ADD"]
+    assert decode_term(encode_term(prog.MONUS)).arg is prog.MONUS.arg
+
+
+def _rebuilt(t):
+    return App(_rebuilt(t.fn), _rebuilt(t.arg)) if isinstance(t, App) else t
+
+
+def test_jets_know_their_programs_by_identity():
+    # an equal copy of MONUS is not jetted, and still gives the same run
+    copy = _rebuilt(prog.MONUS)
+    assert copy == prog.MONUS and copy.arg is not prog.MONUS.arg
+    before = _hits()
+    t = ap(copy, Num(7), Num(3))
+    assert _run(Machine, t, UNBOUNDED) == ("value", Num(4), 105 + 115 * 3)
+    assert _hits() == before
