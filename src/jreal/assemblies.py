@@ -30,13 +30,17 @@ from . import coding, prog
 from .bracket import lam
 from .certs import (SCAN_THRESHOLD, TRACK_THRESHOLD, Accepted, Base,
                     CertSearch, CheckPolicy, check_cert, tagged)
-from .jsets import Finite, JSet, Singleton, is_empty, sample, show_jset, parse_jset
+from .jsets import (Cofinite, Finite, JSet, Singleton, UpFrom, is_empty, sample,
+                    show_jset, parse_jset)
 from .kit import A_CODE, B_TERM, D_TERM, E_TERM, wedge_target
 from .machine import DEFAULT_FUEL, Value, apply_cached
 from .prog import p0, p1, tag0
 from .terms import App, Num, Var, ap, encode_term
 
 Point = object  # hashable labels: str, int, tuple
+
+# points sampled from an infinite carrier, and from each sampled realizer set
+TRACK_SAMPLES = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,9 +193,8 @@ def track_rows(tracker: int, rows,
     return TrackReport(TrackStatus.VERIFIED, None, checked, sampled, scope)
 
 
-def check_tracking(mor: Morphism, policy: CheckPolicy | None = None,
-                   samples: int = 16) -> TrackReport:
-    policy = policy or CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
+def check_tracking(mor: Morphism, policy: CheckPolicy,
+                   samples: int = TRACK_SAMPLES) -> TrackReport:
     rows = ((x, mor.src.realizer_set(x), mor.dst.realizer_set(mor.map(x)))
             for x in mor.src.sample_points(samples))
     lands = CertSearch(policy, TRACK_THRESHOLD).decide
@@ -293,7 +296,7 @@ def _impossible_map(A: FiniteAssembly, B: FiniteAssembly,
 
 
 def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
-                    policy: CheckPolicy | None = None) -> ExponentResult:
+                    policy: CheckPolicy) -> ExponentResult:
     """All tracked maps A -> B, trackers found by raw code enumeration.
 
     Each candidate code below the bound is run once on every source realizer;
@@ -303,7 +306,6 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
     """
     if not (A.finite and B.finite):
         raise ValueError("exponents are built for finite carriers only")
-    policy = policy or CheckPolicy(depth=3, window=2, fuel=600)
     src_elems = {x: realizer_elements(A.realizer_set(x), 8)[0] for x in A.points}
     all_rs = sorted({r for es in src_elems.values() for r in es})
     outputs: dict[int, dict[int, int]] = {}
@@ -366,15 +368,13 @@ class Subobject:
 
 
 def subobject_check(sub: Subobject, base: Assembly,
-                    policy: CheckPolicy | None = None,
-                    samples: int = 16) -> tuple[TrackReport, tuple[Point, ...]]:
+                    policy: CheckPolicy) -> tuple[TrackReport, tuple[Point, ...]]:
     """Tracking of the realizer refinement, plus the induced point set."""
-    policy = policy or CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
     rows = [(x, refined, base.realizer_set(x))
-            for x in base.sample_points(samples)
+            for x in base.sample_points(TRACK_SAMPLES)
             if is_empty(refined := sub.R(x)) is not True]
     lands = CertSearch(policy, TRACK_THRESHOLD).decide
-    rep = track_rows(sub.tracker, rows, lands, policy.fuel, samples,
+    rep = track_rows(sub.tracker, rows, lands, policy.fuel, TRACK_SAMPLES,
                      not base.finite)
     return rep, tuple(x for x, _, _ in rows)
 
@@ -423,21 +423,15 @@ class UniformityEvidence:
         return not self.failures
 
 
-def omega_uniformity(policy: CheckPolicy | None = None,
-                     sets: tuple[JSet, ...] | None = None,
-                     samples: int = 12) -> UniformityEvidence:
+def omega_uniformity() -> UniformityEvidence:
     """One element, paired with itself, lands in the equality set of every
     sampled family member; the exact finite version lives with the doctrines."""
-    from .jsets import Cofinite, UpFrom
-
-    policy = policy or CheckPolicy(depth=3, window=2, fuel=DEFAULT_FUEL)
-    if sets is None:
-        sets = (Finite(frozenset({0})), Finite(frozenset({0, 1, 2})),
-                Singleton(5), UpFrom(10), Cofinite(frozenset({1, 4})))
+    policy = CheckPolicy(depth=3, window=2, fuel=DEFAULT_FUEL)
     failures: list[str] = []
     checked = 0
-    for A in sets:
-        for x in sample(A, samples):
+    for A in (Finite(frozenset({0})), Finite(frozenset({0, 1, 2})),
+              Singleton(5), UpFrom(10), Cofinite(frozenset({1, 4}))):
+        for x in sample(A, 12):
             checked += 1
             res = apply_cached(A_CODE, x, policy.fuel)
             if not isinstance(res, Value) or res.value != coding.pair(0, x):

@@ -219,8 +219,8 @@ class CertSearch:
         return found
 
 
-def search_cert(x: int, target: JSet, policy: CheckPolicy, max_threshold: int = 4) -> Cert | None:
-    return CertSearch(policy, max_threshold).search(x, target)
+def search_cert(x: int, target: JSet, policy: CheckPolicy) -> Cert | None:
+    return CertSearch(policy).search(x, target)
 
 
 def lifted_constant(x: int, cert: Cert, threshold: int, policy: CheckPolicy) -> tuple[int, Cert]:

@@ -384,37 +384,34 @@ def _cmd_realize_build(args, policy: CheckPolicy) -> Report:
     return Report("realize build", cases, caveats)
 
 
-def _case_fields(path: pathlib.Path) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for ln in _read(str(path)).splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ":" not in ln:
-            raise UsageError(f"{path.name}: bad line {ln!r}")
-        key, val = ln.split(":", 1)
-        fields[key.strip()] = val.strip()
-    return fields
-
-
-def _corpus_files(dirname: str) -> list[pathlib.Path]:
+def _read_cases(dirname: str):
+    """Each ``.case`` file under dirname in name order, as its path, its
+    ``key: value`` fields and its parsed ``formula`` field."""
     root = pathlib.Path(dirname)
     if not root.is_dir():
         raise UsageError(f"{dirname} is not a directory")
     files = sorted(root.glob("*.case"))
     if not files:
         raise UsageError(f"no .case files under {dirname}")
-    return files
+    for path in files:
+        fields: dict[str, str] = {}
+        for ln in _read(str(path)).splitlines():
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            if ":" not in ln:
+                raise UsageError(f"{path.name}: bad line {ln!r}")
+            key, val = ln.split(":", 1)
+            fields[key.strip()] = val.strip()
+        if "formula" not in fields:
+            raise UsageError(f"{path.name}: missing formula")
+        yield path, fields, _try_usage(parse_formula, fields["formula"])
 
 
 def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
     cases = []
     caveats: dict[str, None] = {}
-    for path in _corpus_files(args.dir):
-        fields = _case_fields(path)
-        if "formula" not in fields:
-            raise UsageError(f"{path.name}: missing formula")
-        phi = _try_usage(parse_formula, fields["formula"])
+    for path, fields, phi in _read_cases(args.dir):
         env = _realize_env(str(path.parent / fields["asm"])
                            if "asm" in fields else None)
         e = (_nat(f"{path.name}: e", fields["e"]) if "e" in fields
@@ -514,11 +511,7 @@ def _cmd_skolem_transfer(args, policy: CheckPolicy) -> Report:
     model = skolem.Model()
     cases = []
     caveats: dict[str, None] = {}
-    for path in _corpus_files(args.corpus):
-        fields = _case_fields(path)
-        if "formula" not in fields:
-            raise UsageError(f"{path.name}: missing formula")
-        phi = _try_usage(parse_formula, fields["formula"])
+    for path, fields, phi in _read_cases(args.corpus):
         asn = _parse_assignment(fields.get("args", ""))
         rep = _try_usage(skolem.transfer_check, model, phi, asn,
                          policy.window * 6)

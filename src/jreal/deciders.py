@@ -102,13 +102,13 @@ def leaves(tree: DecTree) -> int:
             return sum(leaves(p) for p in parts)
 
 
-def random_tree(rng: Random, depth: int, limit: int = 10) -> DecTree:
+def random_tree(rng: Random, depth: int) -> DecTree:
     if depth <= 0 or rng.random() < 0.3:
-        return One(rng.randrange(limit))
+        return One(rng.randrange(10))
     if rng.random() < 0.4:
-        return Not(random_tree(rng, depth - 1, limit))
+        return Not(random_tree(rng, depth - 1))
     width = rng.randrange(2, 4)
-    return Union(tuple(random_tree(rng, depth - 1, limit) for _ in range(width)))
+    return Union(tuple(random_tree(rng, depth - 1) for _ in range(width)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,8 @@ def cert_depth_bound(tree: DecTree, window: int) -> int:
     raise TypeError(f"not a decision tree: {tree!r}")
 
 
-def run_policy(tree: DecTree, fuel: int = DEFAULT_FUEL, window: int = 1) -> CheckPolicy:
-    return CheckPolicy(depth=cert_depth_bound(tree, window) + 1, window=window, fuel=fuel)
+def run_policy(tree: DecTree) -> CheckPolicy:
+    return CheckPolicy(depth=cert_depth_bound(tree, 1) + 1, window=1, fuel=DEFAULT_FUEL)
 
 
 def _mirror_run(tree: DecTree, x: int, policy: CheckPolicy) -> tuple[int, Cert, int]:
@@ -240,10 +240,8 @@ def _mirror_run(tree: DecTree, x: int, policy: CheckPolicy) -> tuple[int, Cert, 
     raise TypeError(f"not a decision tree: {tree!r}")
 
 
-def run_decider(tree: DecTree, x: int,
-                policy: CheckPolicy | None = None) -> RunResult:
+def run_decider(tree: DecTree, x: int, policy: CheckPolicy) -> RunResult:
     """Classify a point, backing the verdict with a checked certificate."""
-    policy = policy or run_policy(tree)
     res = apply_cached(decider_code(tree), x, policy.fuel)
     if not isinstance(res, Value):
         return RunResult(Verdict.UNKNOWN, None, None,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-MAX_SIZE = 16
+MAX_SIZE = 10
 
 
 class UnsuitableDoctrine(ValueError):

@@ -171,30 +171,24 @@ def is_delta0(phi: Formula) -> bool:
 
 
 def truth(phi: Formula, env: dict | None = None,
-          relations: dict | None = None,
           points: tuple[int, ...] | None = None) -> bool:
     """Classical truth over the naturals; quantifiers must be guarded, unless
-    ``points`` is given, when every quantifier ranges over those points."""
+    ``points`` is given, when every quantifier ranges over those points.
+    A relation has no interpretation here: evaluating one raises."""
     env = env or {}
     match phi:
         case Eq(l, r):
             return eval_term(l, env) == eval_term(r, env)
         case Less(l, r):
             return eval_term(l, env) < eval_term(r, env)
-        case Rel(name, args):
-            if not relations or name not in relations:
-                raise ValueError(f"relation {name} has no interpretation")
-            pts = tuple(eval_term(a, env) for a in args)
-            return bool(relations[name](pts))
+        case Rel(name, _):
+            raise ValueError(f"relation {name} has no interpretation")
         case And(a, b):
-            return (truth(a, env, relations, points)
-                    and truth(b, env, relations, points))
+            return truth(a, env, points) and truth(b, env, points)
         case Or(a, b):
-            return (truth(a, env, relations, points)
-                    or truth(b, env, relations, points))
+            return truth(a, env, points) or truth(b, env, points)
         case Imp(a, b):
-            return ((not truth(a, env, relations, points))
-                    or truth(b, env, relations, points))
+            return (not truth(a, env, points)) or truth(b, env, points)
         case All(v, body) | Ex(v, body):
             if points is None:
                 got = bound_of(phi)
@@ -205,7 +199,7 @@ def truth(phi: Formula, env: dict | None = None,
             else:
                 ks = points
             # the guard is part of the body, so evaluate the full body
-            picks = (truth(body, {**env, v: k}, relations, points) for k in ks)
+            picks = (truth(body, {**env, v: k}, points) for k in ks)
             return all(picks) if isinstance(phi, All) else any(picks)
     raise TypeError(phi)
 

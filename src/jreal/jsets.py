@@ -88,8 +88,9 @@ def is_empty(A: JSet) -> bool | None:
             raise TypeError(A)
 
 
-def sample(A: JSet, count: int, *, scan: int = 512) -> tuple[int, ...]:
-    """Deterministic members of A, smallest first; short when A runs out."""
+def sample(A: JSet, count: int) -> tuple[int, ...]:
+    """Deterministic members of A, smallest first; short when A runs out.
+    A predicate set is only tried below 512."""
     out: list[int] = []
     match A:
         case Finite(elems):
@@ -105,7 +106,7 @@ def sample(A: JSet, count: int, *, scan: int = 512) -> tuple[int, ...]:
         case UpFrom(n):
             out = list(range(n, n + count))
         case ByPredicate(test, _):
-            for x in range(scan):
+            for x in range(512):
                 if len(out) >= count:
                     break
                 if test(x):

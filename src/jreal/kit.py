@@ -27,7 +27,7 @@ from typing import Callable
 from . import coding, prog
 from .bracket import lam
 from .certs import (Accepted, Base, Cert, CertSearch, CheckPolicy, Lift,
-                    check_cert, tagged)
+                    check_cert, lifted_constant, tagged)
 from .jsets import Finite, JSet, Singleton, UpFrom, Cofinite, show_jset
 from .machine import OutOfFuel, apply_cached
 from .prog import EQ01, LT01, SUFFIX, _v, ite, p0, p1, tag0, tag1
@@ -154,8 +154,8 @@ def _lift(x: int, cert: Lift, policy: CheckPolicy,
     return coding.pair(1, encode_term(tail)), Lift(cert.threshold, tuple(tails))
 
 
-def mirror_a(x: int, inner: Cert | None = None) -> tuple[int, Cert]:
-    return coding.pair(0, x), Base(x, inner)
+def mirror_a(x: int) -> tuple[int, Cert]:
+    return coding.pair(0, x), Base(x)
 
 
 def mirror_b(g: MirrorFn, x: int, cert: Cert, policy: CheckPolicy) -> tuple[int, Cert]:
@@ -372,6 +372,9 @@ def cor_gh() -> ScanPair:
 # ---------------------------------------------------------------------------
 # disjointness probe
 
+# the largest lift threshold the probe's searches try
+PROBE_THRESHOLD = 2
+
 
 @dataclass(frozen=True, slots=True)
 class ProbeReport:
@@ -389,8 +392,6 @@ class ProbeReport:
 
 def _inclusion_chains(policy: CheckPolicy) -> list[tuple[int, Cert, int]]:
     """Certified members of the closure of {a}, lifted to varied depths."""
-    from .certs import lifted_constant
-
     out = []
     for a in (0, 1):
         x, cert = coding.pair(0, a), Base(a)
@@ -403,11 +404,7 @@ def _inclusion_chains(policy: CheckPolicy) -> list[tuple[int, Cert, int]]:
     return out
 
 
-def disjointness_probe(
-    budget: int,
-    policy: CheckPolicy,
-    max_threshold: int = 2,
-) -> ProbeReport:
+def disjointness_probe(budget: int, policy: CheckPolicy) -> ProbeReport:
     """Search for certificates that must not exist, at the given bounds.
 
     A double certification of membership above 0 and above 1, or any
@@ -416,9 +413,9 @@ def disjointness_probe(
     re-verifies generated certificates against supersets of their targets.
     """
     zero, one, nothing = Singleton(0), Singleton(1), Finite(frozenset())
-    s_zero = CertSearch(policy, max_threshold)
-    s_one = CertSearch(policy, max_threshold)
-    s_none = CertSearch(policy, max_threshold)
+    s_zero = CertSearch(policy, PROBE_THRESHOLD)
+    s_one = CertSearch(policy, PROBE_THRESHOLD)
+    s_none = CertSearch(policy, PROBE_THRESHOLD)
     doubles: list[int] = []
     empties: list[int] = []
     for x in range(budget):

@@ -32,8 +32,8 @@ from .terms import (
 _fresh = itertools.count()
 
 
-def gensym(base: str = "_z") -> str:
-    return f"{base}{next(_fresh)}"
+def gensym() -> str:
+    return f"_z{next(_fresh)}"
 
 
 def ite(cond: Term, then_t: Term, else_t: Term) -> Term:
@@ -132,15 +132,6 @@ SUFFIX = fixlam(
         Num(0)),
 )
 
-# snoc s v = s ++ <v>
-SNOC = fixlam(
-    "sn", "s", "v",
-    ite(_v("s"),
-        ap(CONS, _v("v"), Num(0)),
-        ap(CONS, ap(PROJ, _v("s"), Num(0)),
-           ap(_v("sn"), ap(SUFFIX, _v("s"), Num(1)), _v("v")))),
-)
-
 # horner evaluation of a coefficient sequence <c0, c1, ...> at n
 POLYEVAL = fixlam(
     "pe", "c", "n",
@@ -157,22 +148,11 @@ QPEVAL = lam(
        _v("n")),
 )
 
-# table = <<key, val>, ...>; first matching key wins, default 0
-LOOKUP = fixlam(
-    "lk", "t", "x",
-    ite(_v("t"), Num(0),
-        ite(ap(EQ01, ap(PROJ, ap(PROJ, _v("t"), Num(0)), Num(0)), _v("x")),
-            ap(PROJ, ap(PROJ, _v("t"), Num(0)), Num(1)),
-            ap(_v("lk"), ap(SUFFIX, _v("t"), Num(1)), _v("x")))),
-)
-
-
 def ite_table(scrut: Term, pairs, default: Term) -> Term:
     """Finite dispatch unrolled to nested equality tests at build time.
 
-    Linear in the table with small constants, unlike a LOOKUP spine; only
-    usable when the keys are small numerals, since numeral equality walks
-    the smaller operand.
+    Linear in the table with small constants; only usable when the keys are
+    small numerals, since numeral equality walks the smaller operand.
     """
     out = default
     for k, v in reversed(tuple(pairs)):

@@ -22,10 +22,12 @@ not be one, so the False stays Unknown.  Implication and universal realizers
 track maps, so both clauses run through the tracking loop
 ``assemblies.track_rows`` with this rule.
 
-Checks against an infinite carrier range over a declared window and are
-stamped as sampled in the evidence; they never silently claim certainty.
-On finite carriers with finite realizer shapes the checker commits to
-definite verdicts at its declared policy bounds.
+Checks against an infinite carrier range over a window of
+``QUANT_WINDOW`` points and are stamped as sampled in the evidence; they
+never silently claim certainty.  An implication tries the antecedent's
+realizers below ``CAND_BOUND``.  On finite carriers with finite realizer
+shapes the checker commits to definite verdicts at its declared policy
+bounds.
 """
 
 from __future__ import annotations
@@ -42,11 +44,15 @@ from .formulas import (
     eval_term, free_vars, is_delta0, bound_of, truth, show_formula,
 )
 from .jsets import ByPredicate, JSet, Singleton, member
-from .machine import DEFAULT_FUEL
 from .prog import LT01, ite, ite_table, seq2, tag0
-from .terms import App, K, Num, Var, ap, encode_term
+from .terms import App, CONS, K, Num, Var, ap, encode_term
 
 Point = object
+
+QUANT_WINDOW = 50
+CAND_BOUND = 64
+# witnesses tried by build_sigma1
+WITNESS_BOUND = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,12 +98,9 @@ def nat_env(**relations: Callable[[tuple], JSet]) -> Env:
 class Checker:
     """One checking session; memoizes subformula verdicts across the run."""
 
-    def __init__(self, env: Env, policy: CheckPolicy | None = None,
-                 quant_window: int = 50, cand_bound: int = 64):
+    def __init__(self, env: Env, policy: CheckPolicy):
         self.env = env
-        self.policy = policy or CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
-        self.quant_window = quant_window
-        self.cand_bound = cand_bound
+        self.policy = policy
         self.exact = env.assembly.finite
         self.relations = dict(env.relations)
         self.memo: dict = {}
@@ -228,11 +231,11 @@ class Checker:
                 target = self.realizer_jset(b, scope)
                 rows = ((m, Singleton(m),
                          (target, self.exact or not got.evidence.caveats))
-                        for m in range(self.cand_bound)
+                        for m in range(CAND_BOUND)
                         if isinstance(got := self.check(m, a, scope), Realized))
                 return self._check_map(
                     e, scope, "implication", rows,
-                    (f"antecedent realizers sampled below {self.cand_bound}",))
+                    (f"antecedent realizers sampled below {CAND_BOUND}",))
             case Ex(var, body):
                 return self._check_ex(e, var, body, scope)
             case All(var, body):
@@ -247,7 +250,7 @@ class Checker:
     def _points(self) -> tuple[tuple[Point, ...], str | None]:
         if self.env.assembly.finite:
             return self.env.assembly.sample_points(0), None
-        pts = self.env.assembly.sample_points(self.quant_window)
+        pts = self.env.assembly.sample_points(QUANT_WINDOW)
         return pts, f"carrier sampled on a {len(pts)}-point window"
 
     def _check_ex(self, e: int, var: str, body: Formula, scope: tuple) -> Verdict3:
@@ -309,14 +312,12 @@ def _merge(a: Evidence, b: Evidence) -> Evidence:
     return Evidence(a.notes + b.notes, a.caveats + b.caveats)
 
 
-def jrealizes(e: int, phi: Formula, env: Env,
-              policy: CheckPolicy | None = None, *,
-              quant_window: int = 50, cand_bound: int = 64) -> Verdict3:
+def jrealizes(e: int, phi: Formula, env: Env, policy: CheckPolicy) -> Verdict3:
     missing = free_vars(phi) - {name for name, _ in env.assignment}
     if missing:
         raise ValueError(f"unassigned free variables: {sorted(missing)}")
     scope = tuple((name, pt) for name, pt in env.assignment)
-    return Checker(env, policy, quant_window, cand_bound).check(e, phi, scope)
+    return Checker(env, policy).check(e, phi, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,6 @@ def _prefix_term(scope: tuple):
     head = seq2(Num(0), Var("y"))
     if len(scope) == 1:
         return head
-    from .terms import CONS, ap
     out: object = Num(0)
     for _, k in reversed(scope[1:]):
         out = ap(CONS, Num(coding.pair(0, k)), out)
@@ -412,11 +412,11 @@ def _build(phi: Formula, scope: tuple) -> int:
     raise ValueError(f"no builder for {show_formula(phi)}")
 
 
-def build_sigma1(phi: Formula, search_bound: int = 256) -> int | None:
+def build_sigma1(phi: Formula) -> int | None:
     """Dovetail witnesses for an unguarded existential over a true core."""
     match phi:
         case Ex(var, body) if is_delta0(body) and not (free_vars(body) - {var}):
-            for w in range(search_bound):
+            for w in range(WITNESS_BOUND):
                 if truth(body, {var: w}):
                     return coding.pair(coding.pair(0, w),
                                        _build(body, ((var, w),)))

@@ -60,7 +60,6 @@ from .quasipoly import (
     FULL_SET,
     DefinableSet,
     QuasiPoly,
-    canon,
     compare_on_class,
     const,
     enumerate_qp,
@@ -92,9 +91,6 @@ class ChainState:
 
 def initial_chain() -> ChainState:
     return ChainState(0, FULL_SET, (0,), ((0,),), (const(0),))
-
-
-_FLIP = {"<": ">", ">": "<", "=": "="}
 
 
 def _live_classes(live: DefinableSet,
@@ -211,9 +207,8 @@ class Model:
     """Mutable chain holder; every query extends the chain as needed and
     answers exactly."""
 
-    def __init__(self, state: ChainState | None = None):
-        self.state = state or initial_chain()
-        self._sign_memo: dict[tuple[QuasiPoly, QuasiPoly], str] = {}
+    def __init__(self):
+        self.state = initial_chain()
 
     def ensure(self, k: int) -> ChainState:
         while self.state.k < k:
@@ -222,31 +217,25 @@ class Model:
 
     # -- comparison of arbitrary representatives --------------------------
 
-    def sign_qp(self, f: QuasiPoly, g: QuasiPoly) -> str:
-        """Settled order of two representatives along the selector tail.
-
-        Refines the chain until every live residue class reports the same
-        eventual relation; confinement to a single class modulo any fixed
-        modulus happens after finitely many steps, so this terminates."""
-        key = (f, g)
-        hit = self._sign_memo.get(key)
-        if hit is not None:
-            return hit
+    def _settle(self, f: QuasiPoly, g: QuasiPoly) -> list[tuple[str, int]]:
+        """Refines the chain until every live residue class reports the same
+        eventual relation of f to g; confinement to a single class modulo
+        any fixed modulus happens after finitely many steps, so this
+        terminates.  Returns each class's relation and threshold."""
         while True:
             modulus, residues = _live_classes(self.state.live, f, g)
-            rels = {compare_on_class(f, g, modulus, r)[0] for r in residues}
-            if len(rels) == 1:
-                rel = rels.pop()
-                self._sign_memo[key] = rel
-                self._sign_memo[(g, f)] = _FLIP[rel]
-                return rel
+            cmps = [compare_on_class(f, g, modulus, r) for r in residues]
+            if len({rel for rel, _ in cmps}) == 1:
+                return cmps
             self.state = extend_chain(self.state)
+
+    def sign_qp(self, f: QuasiPoly, g: QuasiPoly) -> str:
+        """Settled order of two representatives along the selector tail."""
+        return self._settle(f, g)[0][0]
 
     def settle_threshold(self, f: QuasiPoly, g: QuasiPoly) -> int:
         """Past this value the settled relation holds at every live point."""
-        self.sign_qp(f, g)
-        modulus, residues = _live_classes(self.state.live, f, g)
-        return max(compare_on_class(f, g, modulus, r)[1] for r in residues)
+        return max(t for _, t in self._settle(f, g))
 
     def eq(self, a: ModelElem, b: ModelElem) -> bool:
         return self.sign_qp(a.rep, b.rep) == "="
@@ -631,6 +620,9 @@ STANDARD_SPLIT_FORMULA = All(
 # ---------------------------------------------------------------------------
 # the induced assembly over a finite element sample
 
+# selector values psi(0..23) every realizer of the sample carries
+ST_PREFIX_LEN = 24
+
 
 @dataclass(frozen=True, slots=True)
 class ModelAssembly:
@@ -641,7 +633,6 @@ class ModelAssembly:
     morphism_reports: tuple[tuple[str, TrackReport], ...]
     split_code: int
     split_verdict: Verdict3
-    prefix_len: int
 
 
 def default_elements() -> tuple[ModelElem, ...]:
@@ -667,17 +658,15 @@ def _canonicalize(model: Model, elems) -> tuple[ModelElem, ...]:
     return tuple(out)
 
 
-def st_assembly(model: Model, policy: CheckPolicy | None = None,
-                elements: tuple[ModelElem, ...] | None = None,
-                prefix_len: int = 24) -> ModelAssembly:
+def st_assembly(model: Model) -> ModelAssembly:
     """The element sample as an assembly: realizer sets carry the canonical
     description paired with a selector prefix, the arithmetic is tracked by
     structural code over descriptions, and the standardness split carries
     the branch realizer across the whole sample."""
-    policy = policy or CheckPolicy(depth=4, window=2, fuel=200_000)
-    elems = _canonicalize(model, elements or default_elements())
-    model.ensure(prefix_len - 1)
-    psi_code = coding.encode_seq(model.state.psi[:prefix_len])
+    policy = CheckPolicy(depth=4, window=2, fuel=200_000)
+    elems = _canonicalize(model, default_elements())
+    model.ensure(ST_PREFIX_LEN - 1)
+    psi_code = coding.encode_seq(model.state.psi[:ST_PREFIX_LEN])
 
     data = {e: qp_data(e.rep) for e in elems}
     variants: dict[ModelElem, set[int]] = {e: {elem_code(e.rep, psi_code)}
@@ -787,7 +776,7 @@ def st_assembly(model: Model, policy: CheckPolicy | None = None,
     verdict = jrealizes(split, STANDARD_SPLIT_FORMULA, env, policy)
 
     return ModelAssembly(asm, st_sub, tuple(st_points), st_report,
-                         tuple(reports), split, verdict, prefix_len)
+                         tuple(reports), split, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,13 @@ from jreal.assemblies import (
 )
 from jreal.bracket import lam
 from jreal.certs import CheckPolicy
-from jreal.jsets import Cofinite, Finite, JOf, Singleton, UpFrom
+from jreal.jsets import Finite, JOf, Singleton, UpFrom
+from jreal.machine import DEFAULT_FUEL
 from jreal.prog import tag0
 from jreal.terms import App, K, Num, SUCC, Var, encode_term
 
+POL = CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
+EXP_POL = CheckPolicy(depth=3, window=2, fuel=600)
 BIG = CheckPolicy(depth=5, window=2, fuel=120000)
 
 SUCC_TRACKER = encode_term(lam("r", tag0(App(SUCC, Var("r")))))
@@ -52,13 +55,13 @@ def tracked(asm, table):
 
 
 def test_identity_tracks_on_nat_sampled():
-    rep = check_tracking(identity_morphism(NatAssembly()), samples=16)
+    rep = check_tracking(identity_morphism(NatAssembly()), POL, samples=16)
     assert rep.status is TrackStatus.VERIFIED
     assert rep.sampled and rep.checked == 16
 
 
 def test_identity_tracks_on_finite_carrier_exactly():
-    rep = check_tracking(identity_morphism(four_point()))
+    rep = check_tracking(identity_morphism(four_point()), POL)
     assert rep.status is TrackStatus.VERIFIED
     assert not rep.sampled
     assert rep.note == "full carrier"
@@ -66,7 +69,7 @@ def test_identity_tracks_on_finite_carrier_exactly():
 
 def test_successor_tracks_sampled():
     succ = Morphism(NatAssembly(), NatAssembly(), lambda n: n + 1, SUCC_TRACKER)
-    rep = check_tracking(succ, samples=51)
+    rep = check_tracking(succ, POL, samples=51)
     assert rep.status is TrackStatus.VERIFIED
     assert rep.checked == 51
 
@@ -74,7 +77,7 @@ def test_successor_tracks_sampled():
 def test_constant_code_fails_with_pinpointed_witness():
     const0 = encode_term(App(K, Num(0)))
     bad = Morphism(NatAssembly(), NatAssembly(), lambda n: n + 1, const0)
-    rep = check_tracking(bad, samples=6)
+    rep = check_tracking(bad, POL, samples=6)
     assert rep.status is TrackStatus.FAILED
     assert rep.witness == (0, 0)
     assert "not a tagged pair" in rep.note
@@ -87,7 +90,7 @@ def test_base_output_into_closure_target_verifies():
     src = FiniteAssembly("s", ("x",), (Singleton(1),))
     dst = FiniteAssembly("t", ("y",), (JOf(Singleton(9)),))
     mor = morphism_from_table(src, dst, {"x": "y"}, encode_term(App(K, Num(out))))
-    rep = check_tracking(mor)
+    rep = check_tracking(mor, POL)
     assert rep.status is TrackStatus.VERIFIED, rep.note
     assert rep.checked == 1
 
@@ -95,7 +98,7 @@ def test_base_output_into_closure_target_verifies():
 def test_wrong_landing_point_fails():
     # tracks n+1 as a map but is checked against the identity
     succ = Morphism(NatAssembly(), NatAssembly(), lambda n: n, SUCC_TRACKER)
-    rep = check_tracking(succ, samples=4)
+    rep = check_tracking(succ, POL, samples=4)
     assert rep.status is TrackStatus.FAILED
     assert "outside the target" in rep.note
 
@@ -105,10 +108,10 @@ def test_compose_identity_and_successor():
     succ = Morphism(N, N, lambda n: n + 1, SUCC_TRACKER)
     both = compose(identity_morphism(N), succ)
     assert both.map(7) == 8
-    assert check_tracking(both, samples=10).status is TrackStatus.VERIFIED
+    assert check_tracking(both, POL, samples=10).status is TrackStatus.VERIFIED
     twice = compose(succ, succ)
     assert twice.map(7) == 9
-    assert check_tracking(twice, samples=10).status is TrackStatus.VERIFIED
+    assert check_tracking(twice, POL, samples=10).status is TrackStatus.VERIFIED
 
 
 def test_compose_rejects_mismatched_ends():
@@ -163,8 +166,8 @@ def test_projections_track():
     NN = product(NatAssembly(), NatAssembly())
     pl, pr = proj_left(NN), proj_right(NN)
     assert pl.map((3, 5)) == 3 and pr.map((3, 5)) == 5
-    assert check_tracking(pl, samples=12).status is TrackStatus.VERIFIED
-    assert check_tracking(pr, samples=12).status is TrackStatus.VERIFIED
+    assert check_tracking(pl, POL, samples=12).status is TrackStatus.VERIFIED
+    assert check_tracking(pr, POL, samples=12).status is TrackStatus.VERIFIED
 
 
 def test_pairing_of_tracked_maps_is_tracked():
@@ -172,7 +175,7 @@ def test_pairing_of_tracked_maps_is_tracked():
     succ = Morphism(N, N, lambda n: n + 1, SUCC_TRACKER)
     both = pairing(identity_morphism(N), succ)
     assert both.map(4) == (4, 5)
-    rep = check_tracking(both, samples=10)
+    rep = check_tracking(both, POL, samples=10)
     assert rep.status is TrackStatus.VERIFIED
 
 
@@ -201,7 +204,7 @@ def test_finite_product_point_count():
 
 def test_exponent_of_point_is_point():
     one = FiniteAssembly("one", ("p",), (Finite(frozenset({0})),))
-    res = exponent_finite(one, one, 2000)
+    res = exponent_finite(one, one, 2000, EXP_POL)
     assert res.assembly.points == (("p",),)
     assert res.unknown_maps == () and res.excluded_maps == ()
     assert len(res.morphisms) == 1
@@ -210,23 +213,23 @@ def test_exponent_of_point_is_point():
 
 def test_exponent_evaluation_tracks():
     one = FiniteAssembly("one", ("p",), (Finite(frozenset({0})),))
-    res = exponent_finite(one, one, 2000)
-    rep = check_tracking(res.ev)
+    res = exponent_finite(one, one, 2000, EXP_POL)
+    rep = check_tracking(res.ev, POL)
     assert rep.status is TrackStatus.VERIFIED
 
     two = FiniteAssembly("two", ("p", "q"),
                          (Finite(frozenset({0})), Finite(frozenset({1}))))
-    res2 = exponent_finite(two, two, 2000)
-    assert check_tracking(res2.ev).status is TrackStatus.VERIFIED
+    res2 = exponent_finite(two, two, 2000, EXP_POL)
+    assert check_tracking(res2.ev, POL).status is TrackStatus.VERIFIED
     for m in res2.morphisms:
-        assert check_tracking(m).status is TrackStatus.VERIFIED
+        assert check_tracking(m, POL).status is TrackStatus.VERIFIED
 
 
 def test_exponent_excludes_provably_untrackable_map():
     shared = FiniteAssembly("sh", ("p", "q"),
                             (Finite(frozenset({0})), Finite(frozenset({0}))))
     split = FiniteAssembly("tg", ("a", "b"), (Singleton(0), Singleton(1)))
-    res = exponent_finite(shared, split, 2000)
+    res = exponent_finite(shared, split, 2000, EXP_POL)
     got = {lbl for lbl, _ in res.excluded_maps}
     assert got == {("a", "b"), ("b", "a")}
     for _, reason in res.excluded_maps:
@@ -242,12 +245,12 @@ def test_exponent_does_not_exclude_on_sampled_image_sets():
     src = FiniteAssembly("src", ("a", "b"),
                          (Finite(frozenset({1})), Finite(frozenset({1}))))
     dst = FiniteAssembly("dst", ("p", "q"), (UpFrom(3), UpFrom(20)))
-    res = exponent_finite(src, dst, 8)
+    res = exponent_finite(src, dst, 8, EXP_POL)
     assert res.excluded_maps == ()
     assert ("p", "q") in res.unknown_maps
     tracker = encode_term(App(K, Num(coding.pair(0, 20))))
     m = morphism_from_table(src, dst, {"a": "p", "b": "q"}, tracker)
-    assert check_tracking(m).status is TrackStatus.VERIFIED
+    assert check_tracking(m, POL).status is TrackStatus.VERIFIED
     # table trackers intersect exact sets only
     with pytest.raises(ValueError, match="finite realizer shapes"):
         table_tracker(src, dst, {"a": "p", "b": "q"})
@@ -260,7 +263,7 @@ def test_exponent_excludes_maps_whose_images_share_no_realizer():
     dst = FiniteAssembly("dst", ("p", "q", "r"),
                          (Finite(frozenset({1, 2})), Finite(frozenset({2, 3})),
                           Finite(frozenset({1, 3}))))
-    res = exponent_finite(src, dst, 8)
+    res = exponent_finite(src, dst, 8, EXP_POL)
     reasons = dict(res.excluded_maps)
     assert "disjoint" in reasons[("p", "q", "r")]
     assert ("p", "q", "p") not in reasons
@@ -271,27 +274,27 @@ def test_exponent_excludes_maps_whose_images_share_no_realizer():
 def test_exponent_reports_unknown_below_small_bound():
     two = FiniteAssembly("two", ("p", "q"),
                          (Finite(frozenset({0})), Finite(frozenset({1}))))
-    res = exponent_finite(two, two, 40)
+    res = exponent_finite(two, two, 40, EXP_POL)
     assert ("p", "q") in res.unknown_maps  # identity needs a code above this bound
 
 
 def test_subobject_full_refinement_verifies():
     fin = four_point()
-    rep, live = subobject_check(Subobject(fin.realizer_set), fin)
+    rep, live = subobject_check(Subobject(fin.realizer_set), fin, POL)
     assert rep.status is TrackStatus.VERIFIED
     assert live == fin.points
 
 
 def test_subobject_empty_is_trivially_verified():
     fin = four_point()
-    rep, live = subobject_check(Subobject(lambda x: Finite(frozenset())), fin)
+    rep, live = subobject_check(Subobject(lambda x: Finite(frozenset())), fin, POL)
     assert rep.status is TrackStatus.VERIFIED
     assert live == () and rep.checked == 0
 
 
 def test_subobject_alien_realizer_fails():
     fin = four_point()
-    rep, live = subobject_check(Subobject(lambda x: Singleton(9)), fin)
+    rep, live = subobject_check(Subobject(lambda x: Singleton(9)), fin, POL)
     assert rep.status is TrackStatus.FAILED
     assert rep.witness == ("a", 9)
 
@@ -299,7 +302,7 @@ def test_subobject_alien_realizer_fails():
 def test_subobject_untagged_tracker_output_fails():
     fin = four_point()
     const0 = encode_term(App(K, Num(0)))
-    rep, live = subobject_check(Subobject(fin.realizer_set, const0), fin)
+    rep, live = subobject_check(Subobject(fin.realizer_set, const0), fin, POL)
     assert rep.status is TrackStatus.FAILED
     assert rep.witness == ("a", 0)
     assert "not a tagged pair" in rep.note
@@ -310,7 +313,7 @@ def test_subobject_partial_support_reported():
     fin = four_point()
     R = {"a": Finite(frozenset({0})), "b": Finite(frozenset()),
          "c": Finite(frozenset({2})), "d": Finite(frozenset())}
-    rep, live = subobject_check(Subobject(lambda x: R[x]), fin)
+    rep, live = subobject_check(Subobject(lambda x: R[x]), fin, POL)
     assert rep.status is TrackStatus.VERIFIED
     assert live == ("a", "c")
 
@@ -318,10 +321,9 @@ def test_subobject_partial_support_reported():
 def test_omega_uniformity_across_sampled_family():
     from jreal.kit import A_CODE
 
-    ev = omega_uniformity(sets=(Finite(frozenset({0})), Singleton(5),
-                                UpFrom(10), Cofinite(frozenset({1, 4}))))
+    ev = omega_uniformity()
     assert ev.verified
-    assert ev.checked > 20
+    assert ev.checked == 29
     assert ev.element == coding.pair(A_CODE, A_CODE)
 
 

@@ -112,4 +112,3 @@ def test_compiled_code_size_stays_additive():
         return n
 
     assert size(prog.QPEVAL) < 10_000
-    assert size(prog.LOOKUP) < 10_000

@@ -155,6 +155,8 @@ PARTIAL_DOCTRINE = b"doctrine 2\napp 0 0 = 0\npair 0 0 = 0\n"
 WIDE_ASM = b"point p realizers upfrom 3\npoint q realizers cofinite{1}\n"
 # one point, so the lift rule's tag 1 lies outside the carrier
 ONE_POINT_DOCTRINE = b"doctrine 1\napp 0 0 = 0\npair 0 0 = 0\n"
+# a carrier above doctrine.MAX_SIZE, where the laws would run for hours
+OVERSIZE_DOCTRINE = b"doctrine 11\napp 0 0 = 0\npair 0 0 = 0\n"
 
 # name -> (argv, files written under a temporary directory); "{tmp}" in an
 # argument stands for that directory
@@ -180,6 +182,8 @@ BAD_INPUTS = {
                               {"p.doc": PARTIAL_DOCTRINE}),
     "doctrine-uniformity-partial": (["doctrine", "uniformity", "{tmp}/p.doc"],
                                     {"p.doc": PARTIAL_DOCTRINE}),
+    "doctrine-laws-oversize": (["doctrine", "laws", "{tmp}/big.doc"],
+                               {"big.doc": OVERSIZE_DOCTRINE}),
     "build-false": (["realize", "build", "--formula", "0 = 1"], {}),
     "build-unbounded": (["realize", "build", "--formula", "forall x. x = x"],
                         {}),
@@ -206,6 +210,12 @@ def test_product_error_names_the_point(tmp_path, capsysbinary):
     argv, files = BAD_INPUTS["asm-product-wide"]
     err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
     assert "('p', 'p')" in err and "upfrom 3" in err
+
+
+def test_oversize_doctrine_names_its_size(tmp_path, capsysbinary):
+    argv, files = BAD_INPUTS["doctrine-laws-oversize"]
+    err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert "carrier size 11 out of range" in err
 
 
 WIDE = {"w.asm": WIDE_ASM}

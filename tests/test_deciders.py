@@ -1,5 +1,6 @@
 """Decision trees: compiled codes, verdict runs, and partial functions."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -52,7 +53,7 @@ def test_double_complement_restores_the_bit():
 
 def test_union_run_matches_truth_and_certs_verify():
     tree = Union((One(2), One(5)))
-    policy = run_policy(tree, fuel=60000)
+    policy = replace(run_policy(tree), fuel=60000)
     for x in range(8):
         got = run_decider(tree, x, policy)
         want = Verdict.IN if ground_truth(tree, x) else Verdict.OUT
@@ -63,7 +64,7 @@ def test_union_run_matches_truth_and_certs_verify():
 
 def test_union_of_complement_covers_everything():
     tree = Union((Not(One(3)), One(3)))
-    policy = run_policy(tree, fuel=60000)
+    policy = replace(run_policy(tree), fuel=60000)
     for x in range(6):
         assert run_decider(tree, x, policy).verdict == Verdict.IN
 
@@ -71,13 +72,13 @@ def test_union_of_complement_covers_everything():
 def test_empty_union_is_always_out():
     tree = Union(())
     for x in range(4):
-        assert run_decider(tree, x).verdict == Verdict.OUT
+        assert run_decider(tree, x, run_policy(tree)).verdict == Verdict.OUT
 
 
 def test_nested_union_and_complement_of_union():
     inner = Union((One(1), One(2)))
     tree = Union((inner, Not(Union((One(1), One(2), One(3))))))
-    policy = run_policy(tree, fuel=200000)
+    policy = replace(run_policy(tree), fuel=200000)
     for x in range(6):
         got = run_decider(tree, x, policy)
         want = Verdict.IN if ground_truth(tree, x) else Verdict.OUT
@@ -88,9 +89,9 @@ def test_random_trees_never_contradict_ground_truth():
     rng = Random(11)
     unknowns = 0
     for _ in range(12):
-        tree = random_tree(rng, 2, limit=8)
+        tree = random_tree(rng, 2)
         for x in range(0, 9, 2):
-            got = run_decider(tree, x)
+            got = run_decider(tree, x, run_policy(tree))
             if got.verdict == Verdict.UNKNOWN:
                 unknowns += 1
             elif ground_truth(tree, x):

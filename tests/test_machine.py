@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jreal import machine, prog, terms
-from jreal.coding import decode_seq, encode_seq, pair, phi_join
+from jreal.coding import decode_seq, encode_seq, phi_join
 from jreal.machine import (
     DEFAULT_FUEL,
     Machine,
@@ -124,15 +124,10 @@ def test_mod():
 
 def test_sequence_programs():
     s = encode_seq([4, 5, 6])
-    got = eval_to_nat(ap(prog.SNOC, Num(s), Num(9)), 10**6)
-    assert isinstance(got, Value) and decode_seq(got.value) == (4, 5, 6, 9)
     got = eval_to_nat(ap(prog.SUFFIX, Num(s), Num(1)), 10**6)
     assert isinstance(got, Value) and decode_seq(got.value) == (5, 6)
     got = eval_to_nat(ap(prog.POLYEVAL, Num(encode_seq([1, 2, 3])), Num(4)), 10**6)
     assert got == Value(1 + 2 * 4 + 3 * 16)
-    table = encode_seq([pair(3, 30), pair(4, 40)])
-    assert eval_to_nat(ap(prog.LOOKUP, Num(table), Num(4)), 10**6) == Value(40)
-    assert eval_to_nat(ap(prog.LOOKUP, Num(table), Num(8)), 10**6) == Value(0)
 
 
 def test_quasi_polynomial_evaluation():

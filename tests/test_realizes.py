@@ -17,8 +17,8 @@ from jreal.kit import A_CODE
 from jreal.machine import DEFAULT_FUEL, Value, apply_cached
 from jreal.prog import ite_table, seq2, tag0
 from jreal.realizes import (
-    Checker, Env, Realized, Refuted, Unknown, build_delta0, build_sigma1,
-    jrealizes, nat_env,
+    CAND_BOUND, QUANT_WINDOW, Checker, Env, Realized, Refuted, Unknown,
+    build_delta0, build_sigma1, jrealizes, nat_env,
 )
 from jreal.terms import App, K, Num, Var, encode_term
 
@@ -69,10 +69,10 @@ def test_disjunction_tag_beyond_one_is_refuted(e):
 def test_universal_via_double_unit_on_window():
     aa = encode_term(lam("k", App(Num(A_CODE), App(Num(A_CODE), Var("k")))))
     v = jrealizes(coding.pair(0, aa), parse_formula("forall x. x = x"),
-                  nat_env(), POL, quant_window=50)
+                  nat_env(), POL)
     assert isinstance(v, Realized)
     assert v.evidence.sampled
-    assert any("50-point window" in c for c in v.evidence.caveats)
+    assert any(f"{QUANT_WINDOW}-point window" in c for c in v.evidence.caveats)
 
 
 def test_universal_over_sampled_realizer_sets_carries_a_caveat():
@@ -90,7 +90,7 @@ def test_universal_escaping_instance_refuted_on_nat_and_on_finite():
     # payload is definitely outside, so the sampled carrier refutes too
     const = encode_term(lam("k", tag0(seq2(Num(0), Num(0)))))
     v = jrealizes(coding.pair(0, const), parse_formula("forall x. x = x"),
-                  nat_env(), POL, quant_window=10)
+                  nat_env(), POL)
     assert isinstance(v, Refuted)
     assert "leaves the closure" in v.reason
     stray = encode_term(lam("k", tag0(seq2(Num(0), Num(9)))))
@@ -223,6 +223,13 @@ def test_builder_refuses_false(text):
         build_delta0(parse_formula(text))
 
 
+def test_truth_raises_on_a_relation_only_when_evaluated():
+    env = {"x": 0}
+    assert truth(parse_formula("0 = 1 /\\ P(x)"), env) is False
+    with pytest.raises(ValueError, match="relation P has no interpretation"):
+        truth(parse_formula("0 = 0 /\\ P(x)"), env)
+
+
 def test_builder_rejects_open_or_unbounded():
     with pytest.raises(ValueError, match="closed"):
         build_delta0(parse_formula("x = x"))
@@ -235,12 +242,12 @@ def test_sigma1_witness_embedded():
     e = build_sigma1(phi)
     assert e is not None
     assert coding.decode_seq(coding.decode_seq(e)[0]) == (0, 7)
-    v = jrealizes(e, phi, nat_env(), POL, quant_window=10)
+    v = jrealizes(e, phi, nat_env(), POL)
     assert isinstance(v, Realized)
 
 
 def test_sigma1_gives_up_without_witness():
-    assert build_sigma1(parse_formula("exists x. x + x = 5"), 64) is None
+    assert build_sigma1(parse_formula("exists x. x + x = 5")) is None
 
 
 def test_correspondence_on_small_corpus():
@@ -252,7 +259,7 @@ def test_correspondence_on_small_corpus():
         ("exists x. x * x = 10", False),
     ]
     for text, expected in cases:
-        e = build_sigma1(parse_formula(text), 64)
+        e = build_sigma1(parse_formula(text))
         assert (e is not None) == expected, text
 
 
@@ -287,9 +294,9 @@ def closure_holds(v: int, pred, depth: int = POL.depth) -> bool:
 class Oracle:
     """The clause list transcribed flatly over a finite carrier."""
 
-    def __init__(self, asm, cand_bound=64):
+    def __init__(self, asm):
         self.asm = asm
-        self.cand = cand_bound
+        self.cand = CAND_BOUND
         self.memo = {}
 
     def holds(self, e, phi, scope=()) -> bool:

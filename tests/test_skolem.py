@@ -9,7 +9,7 @@ from jreal.assemblies import TrackStatus
 from jreal.formulas import parse_formula, truth
 from jreal.machine import Value, apply_cached
 from jreal.prog import QPEVAL
-from jreal.quasipoly import canon, const, ident, qp_add, qp_mul
+from jreal.quasipoly import canon, const, enumerate_qp, ident, qp_add, qp_mul
 from jreal.realizes import Realized
 from jreal.skolem import (
     Model,
@@ -29,6 +29,7 @@ from jreal.skolem import (
     qp_data,
     show_chain,
     sign,
+    ST_PREFIX_LEN,
     st_assembly,
     standard_split_code,
     standard_value,
@@ -137,6 +138,14 @@ def test_model_comparison_agrees_with_matrix():
     for i in range(0, 26, 3):
         for j in range(0, 26, 4):
             assert m.sign_qp(s.reps[i], s.reps[j]) == sign(s, i, j)
+
+
+def test_swapped_comparison_is_the_flip():
+    flip = {"<": ">", ">": "<", "=": "="}
+    reps = [enumerate_qp(i) for i in range(31)]
+    for f in reps:
+        for g in reps:
+            assert Model().sign_qp(g, f) == flip[Model().sign_qp(f, g)]
 
 
 def _equal_pairs(model: Model, rng: random.Random, k: int):
@@ -302,7 +311,7 @@ def test_realizer_descriptions_replay_on_the_prefix(built):
     qpeval = encode_term(QPEVAL)
     psi = model.state.psi
     for e in ma.assembly.points[:6] + ma.assembly.points[-2:]:
-        code = elem_code(e.rep, coding.encode_seq(psi[:ma.prefix_len]))
+        code = elem_code(e.rep, coding.encode_seq(psi[:ST_PREFIX_LEN]))
         data, _ = coding.unpair(code)
         staged = apply_cached(qpeval, data, 200_000)
         assert isinstance(staged, Value)
@@ -322,7 +331,7 @@ def test_variant_descriptions_denote_their_element(built):
             m_, rows, prefix = decode_elem_code(code)
             rebuilt = canon(m_, rows)
             assert model.eq(ModelElem(rebuilt), e)
-            assert len(prefix) == ma.prefix_len
+            assert len(prefix) == ST_PREFIX_LEN
 
 
 def test_split_code_branches_on_modulus():
