@@ -30,7 +30,7 @@ from . import coding, prog
 from .bracket import lam
 from .certs import (SCAN_THRESHOLD, TRACK_THRESHOLD, Accepted, Base,
                     CertSearch, CheckPolicy, check_cert, tagged)
-from .jsets import (Cofinite, Finite, JSet, Singleton, UpFrom, is_empty, sample,
+from .jsets import (Cofinite, Finite, JSet, Singleton, UpFrom, elements, is_empty, sample,
                     show_jset, parse_jset)
 from .kit import A_CODE, B_TERM, D_TERM, E_TERM, wedge_target
 from .machine import DEFAULT_FUEL, Value, apply_cached
@@ -150,13 +150,10 @@ class TrackReport:
 
 def realizer_elements(S: JSet, k: int) -> tuple[tuple[int, ...], bool]:
     """Concrete elements to check against, exact when the shape allows."""
-    match S:
-        case Finite(es):
-            return tuple(sorted(es)), False
-        case Singleton(v):
-            return (v,), False
-        case _:
-            return tuple(sample(S, k)), True
+    exact = elements(S)
+    if exact is not None:
+        return exact, False
+    return sample(S, k), True
 
 
 def track_rows(tracker: int, rows,
@@ -273,9 +270,9 @@ def _exact_meet(sets: Iterable[JSet]) -> set[int] | None:
     are left out: two can look disjoint when the sets meet."""
     common: set[int] | None = None
     for S in sets:
-        elems, approx = realizer_elements(S, 0)
-        if not approx:
-            common = set(elems) if common is None else common & set(elems)
+        elems = elements(S)
+        if elems is not None:
+            common = set(elems) if common is None else common.intersection(elems)
     return common
 
 
@@ -393,8 +390,8 @@ def table_tracker(src: Assembly, dst: Assembly, table: dict) -> int | None:
     """
     seen: dict[int, set] = {}
     for x in src.points:
-        elems, approx = realizer_elements(src.realizer_set(x), 0)
-        if approx or realizer_elements(dst.realizer_set(table[x]), 0)[1]:
+        elems = elements(src.realizer_set(x))
+        if elems is None or elements(dst.realizer_set(table[x])) is None:
             raise ValueError("table trackers need finite realizer shapes")
         for r in elems:
             seen.setdefault(r, set()).add(table[x])

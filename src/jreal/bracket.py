@@ -30,7 +30,7 @@ consequences bought by the restriction, both load-bearing:
 
 from __future__ import annotations
 
-from .terms import App, K, Num, Prim, S, Term, Var, ap, encode_term, is_value
+from .terms import App, K, Num, Prim, S, Term, Var, ap, is_value
 
 
 def compile_lambda(name: str, body: Term) -> Term:
@@ -53,8 +53,3 @@ def lam(*parts: str | Term) -> Term:
             raise TypeError("binders must be names")
         body = compile_lambda(n, body)
     return body
-
-
-def lambda_abstract(name: str, body: Term) -> int:
-    """Code of the one-variable abstraction of ``body``."""
-    return encode_term(compile_lambda(name, body))

@@ -235,6 +235,9 @@ def lifted_constant(x: int, cert: Cert, threshold: int, policy: CheckPolicy) -> 
 #
 #   (base 5)   (base 5 (base 9))   (lift 2 (2 (base 0)) (3 (base 0)) ...)
 
+# the deepest nesting parse_cert and parse_dec accept: consumers recurse per level
+MAX_DEPTH = 64
+
 
 class CertSyntaxError(ValueError):
     pass
@@ -253,13 +256,14 @@ def show_cert(cert: Cert) -> str:
             raise TypeError(cert)
 
 
-def _tokenize(text: str) -> list[str]:
+def tokenize(text: str) -> list[str]:
+    """Parentheses and space-separated words; decision trees share it."""
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def parse_cert(text: str) -> Cert:
-    tokens = _tokenize(text)
-    cert, rest = _parse_cert(tokens)
+    tokens = tokenize(text)
+    cert, rest = _parse_cert(tokens, 1)
     if rest:
         raise CertSyntaxError(f"trailing tokens {rest!r}")
     return cert
@@ -277,7 +281,9 @@ def _nat(tokens: list[str]) -> tuple[int, list[str]]:
     return int(tokens[0]), tokens[1:]
 
 
-def _parse_cert(tokens: list[str]) -> tuple[Cert, list[str]]:
+def _parse_cert(tokens: list[str], depth: int) -> tuple[Cert, list[str]]:
+    if depth > MAX_DEPTH:
+        raise CertSyntaxError(f"certificate nested deeper than {MAX_DEPTH}")
     tokens = _expect(tokens, "(")
     if not tokens:
         raise CertSyntaxError("unterminated certificate")
@@ -286,7 +292,7 @@ def _parse_cert(tokens: list[str]) -> tuple[Cert, list[str]]:
         a, tokens = _nat(tokens)
         inner: Cert | None = None
         if tokens and tokens[0] == "(":
-            inner, tokens = _parse_cert(tokens)
+            inner, tokens = _parse_cert(tokens, depth + 1)
         return Base(a, inner), _expect(tokens, ")")
     if head == "lift":
         threshold, tokens = _nat(tokens)
@@ -294,7 +300,7 @@ def _parse_cert(tokens: list[str]) -> tuple[Cert, list[str]]:
         while tokens and tokens[0] == "(":
             tokens = tokens[1:]
             m, tokens = _nat(tokens)
-            sub, tokens = _parse_cert(tokens)
+            sub, tokens = _parse_cert(tokens, depth + 1)
             tokens = _expect(tokens, ")")
             tails.append((m, sub))
         return Lift(threshold, tuple(tails)), _expect(tokens, ")")

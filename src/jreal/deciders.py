@@ -25,11 +25,11 @@ from __future__ import annotations
 from enum import Enum
 from dataclasses import dataclass
 from functools import cache
-from random import Random
 
 from . import coding
 from .bracket import lam
-from .certs import Accepted, Base, Cert, CheckPolicy, _tokenize, check_cert
+from .certs import (MAX_DEPTH, Accepted, Base, Cert, CheckPolicy, check_cert,
+                    tokenize)
 from .jsets import Singleton
 from .kit import (
     A_TERM,
@@ -80,35 +80,6 @@ def ground_truth(tree: DecTree, x: int) -> bool:
         case Union(parts):
             return any(ground_truth(p, x) for p in parts)
     raise TypeError(f"not a decision tree: {tree!r}")
-
-
-def height(tree: DecTree) -> int:
-    match tree:
-        case One():
-            return 0
-        case Not(inner):
-            return 1 + height(inner)
-        case Union(parts):
-            return 1 + max((height(p) for p in parts), default=0)
-
-
-def leaves(tree: DecTree) -> int:
-    match tree:
-        case One():
-            return 1
-        case Not(inner):
-            return leaves(inner)
-        case Union(parts):
-            return sum(leaves(p) for p in parts)
-
-
-def random_tree(rng: Random, depth: int) -> DecTree:
-    if depth <= 0 or rng.random() < 0.3:
-        return One(rng.randrange(10))
-    if rng.random() < 0.4:
-        return Not(random_tree(rng, depth - 1))
-    width = rng.randrange(2, 4)
-    return Union(tuple(random_tree(rng, depth - 1) for _ in range(width)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +323,9 @@ def show_dec(tree: DecTree) -> str:
     raise TypeError(f"not a decision tree: {tree!r}")
 
 
-def _parse(tokens: list[str], pos: int) -> tuple[DecTree, int]:
+def _parse(tokens: list[str], pos: int, depth: int) -> tuple[DecTree, int]:
+    if depth > MAX_DEPTH:
+        raise DecSyntaxError(f"tree nested deeper than {MAX_DEPTH}")
     if pos >= len(tokens):
         raise DecSyntaxError("unexpected end of input")
     head = tokens[pos]
@@ -361,13 +334,13 @@ def _parse(tokens: list[str], pos: int) -> tuple[DecTree, int]:
             raise DecSyntaxError("one needs a numeral")
         return One(int(tokens[pos + 1])), pos + 2
     if head == "not":
-        inner, nxt = _parse(tokens, pos + 1)
+        inner, nxt = _parse(tokens, pos + 1, depth + 1)
         return Not(inner), nxt
     if head == "union":
         parts = []
         nxt = pos + 1
         while nxt < len(tokens) and tokens[nxt] == "(":
-            part, after = _parse(tokens, nxt + 1)
+            part, after = _parse(tokens, nxt + 1, depth + 1)
             if after >= len(tokens) or tokens[after] != ")":
                 raise DecSyntaxError("unclosed group")
             parts.append(part)
@@ -377,8 +350,8 @@ def _parse(tokens: list[str], pos: int) -> tuple[DecTree, int]:
 
 
 def parse_dec(text: str) -> DecTree:
-    tokens = _tokenize(text)
-    tree, pos = _parse(tokens, 0)
+    tokens = tokenize(text)
+    tree, pos = _parse(tokens, 0, 1)
     if pos != len(tokens):
         raise DecSyntaxError(f"trailing tokens from {tokens[pos]!r}")
     return tree

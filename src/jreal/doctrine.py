@@ -1,11 +1,12 @@
 """Finite application doctrines: a desk-sized laboratory for the closure laws.
 
 A doctrine is a carrier {0..N-1} with partial application and pairing tables.
-Subsets are bitmasks, operators on subsets are full tables checked monotone
-at construction, and every law is witnessed by a concrete element or reported
-absent.  The least closed operator above a monotone map is computed per set
-by iterating the two generating rules and cross-checked against the big
-intersection it is supposed to equal.
+Subsets are bitmasks, and an operator on subsets is a plain tuple indexed by
+subset mask, checked monotone at construction (``mono_op``).  Every law is
+witnessed by a concrete element or reported absent.  The least closed
+operator above a monotone map is computed per set by iterating the two
+generating rules and cross-checked against the big intersection it is
+supposed to equal.
 
 A doctrine carries two tables fixed when it is built, both filled subset by
 subset from ``A ^ lowbit(A)``: ``images[e][A]``, the image of the set A under
@@ -102,17 +103,12 @@ def bits(mask: int):
 # monotone operators
 
 
-@dataclass(frozen=True, slots=True)
-class MonoOp:
-    size: int
-    table: tuple[int, ...]  # indexed by subset mask
-
-    def __getitem__(self, mask: int) -> int:
-        return self.table[mask]
+MonoOp = tuple[int, ...]  # an operator's value at every subset mask
 
 
 def mono_op(size: int, table: tuple[int, ...]) -> MonoOp:
-    """Wrap a table, rejecting non-monotone ones via the covers of the lattice."""
+    """The table as an operator, rejecting non-monotone ones via the covers
+    of the lattice."""
     if len(table) != 1 << size:
         raise ValueError("table must cover every subset")
     for mask in range(1 << size):
@@ -121,11 +117,7 @@ def mono_op(size: int, table: tuple[int, ...]) -> MonoOp:
                 bigger = mask | 1 << x
                 if table[mask] & ~table[bigger]:
                     raise ValueError(f"not monotone between {mask} and {bigger}")
-    return MonoOp(size, tuple(table))
-
-
-def identity_op(size: int) -> MonoOp:
-    return MonoOp(size, tuple(range(1 << size)))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +154,8 @@ class Witness:
 
 def preorder_witness(d: Doctrine, F: MonoOp, G: MonoOp) -> Witness | None:
     """An element sending every F-stage into the matching G-stage, if any."""
-    mask = d.full
-    for A in range(1 << d.size):
-        mask &= arrow(d, F[A], G[A])
-        if not mask:
-            break
-    return _least(mask, "preorder")
+    return _least(_uniform(d, ((F[A], G[A]) for A in range(1 << d.size))),
+                  "preorder")
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,43 +178,32 @@ def _least(mask: int, law: str) -> Witness | None:
     return Witness((mask & -mask).bit_length() - 1, law)
 
 
+def _uniform(d: Doctrine, pairs) -> int:
+    """The rows sending A into B for every (A, B) of ``pairs``; the pairs
+    are drawn lazily, and none after the mask runs empty."""
+    mask = d.full
+    for A, B in pairs:
+        mask &= arrow(d, A, B)
+        if not mask:
+            break
+    return mask
+
+
 def _e2_mask(d: Doctrine, J: MonoOp) -> int:
     """The rows sending every set into its closure."""
-    e2 = d.full
-    for A in range(1 << d.size):
-        e2 &= arrow(d, A, J[A])
-        if not e2:
-            break
-    return e2
-
-
-def _law_masks(d: Doctrine, J: MonoOp) -> tuple[int, int, int, int]:
-    n = 1 << d.size
-    e1 = e4 = d.full
-    for A in range(n):
-        ja = J[A]
-        for B in range(n):
-            if e1:
-                e1 &= arrow(d, arrow(d, A, B), arrow(d, ja, J[B]))
-            if e4:
-                e4 &= arrow(d, wedge(d, ja, J[B]), J[wedge(d, A, B)])
-            if not e1 and not e4:
-                break
-        if not e1 and not e4:
-            break
-    e3 = d.full
-    for A in range(n):
-        e3 &= arrow(d, J[J[A]], J[A])
-        if not e3:
-            break
-    return e1, _e2_mask(d, J), e3, e4
+    return _uniform(d, ((A, J[A]) for A in range(1 << d.size)))
 
 
 def local_laws(d: Doctrine, J: MonoOp) -> LawReport:
-    m1, m2, m3, m4 = _law_masks(d, J)
-    w1, w3 = _least(m1, "E1"), _least(m3, "E3")
+    n = range(1 << d.size)
+    w1 = _least(_uniform(d, ((arrow(d, A, B), arrow(d, J[A], J[B]))
+                             for A in n for B in n)), "E1")
+    w3 = _least(_uniform(d, ((J[J[A]], J[A]) for A in n)), "E3")
+    m4 = _uniform(d, ((wedge(d, J[A], J[B]), J[wedge(d, A, B)])
+                      for A in n for B in n))
     derived, note = derive_e4(d, w1, w3, m4)
-    return LawReport(w1, _least(m2, "E2"), w3, _least(m4, "E4"), derived, note)
+    return LawReport(w1, _least(_e2_mask(d, J), "E2"), w3, _least(m4, "E4"),
+                     derived, note)
 
 
 def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
@@ -249,15 +226,11 @@ def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
 
     sections: dict[int, int] = {}
     for u in firsts:
-        for e in range(size):
-            if all(
-                d.pair_at(u, y) is None or d.app_at(e, y) == d.pair_at(u, y)
-                for y in range(size)
-            ):
-                sections[u] = e
-                break
-        else:
+        e = _row(d, {y: p for y in range(size)
+                     if (p := d.pair_at(u, y)) is not None})
+        if e is None:
             return None, f"underivable: no section row for first component {u}"
+        sections[u] = e
 
     pushed: dict[int, int] = {}
     for u, p_u in sections.items():
@@ -274,12 +247,10 @@ def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
             if r is None:
                 return None, f"underivable: pushed section {pushed[u]} undefined at {v}"
             want[u] = r
-        for e in range(size):
-            if all(d.app_at(e, u) == r for u, r in want.items()):
-                stitched[v] = e
-                break
-        else:
+        e = _row(d, want)
+        if e is None:
             return None, f"underivable: no row stitching component {v}"
+        stitched[v] = e
 
     combined: dict[int, int] = {}
     for u in firsts:
@@ -297,12 +268,18 @@ def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
             if s3 is None:
                 return None, "underivable: flatten witness undefined on the composite"
             combined[w] = s3
-    for e in range(size):
-        if all(d.app_at(e, w) == out for w, out in combined.items()):
-            if e4_mask >> e & 1:
-                return Witness(e, "E4"), "derived and verified"
-            return None, f"underivable: candidate {e} fails the law set"
-    return None, "underivable: no row realizes the composite"
+    e = _row(d, combined)
+    if e is None:
+        return None, "underivable: no row realizes the composite"
+    if e4_mask >> e & 1:
+        return Witness(e, "E4"), "derived and verified"
+    return None, f"underivable: candidate {e} fails the law set"
+
+
+def _row(d: Doctrine, want: dict[int, int]) -> int | None:
+    """The first row agreeing with the partial table ``want``, if any."""
+    return next((e for e in range(d.size)
+                 if all(d.app_at(e, x) == v for x, v in want.items())), None)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +423,14 @@ def candidate_ops(d: Doctrine) -> list[tuple[str, MonoOp]]:
     """The shipped enumeration of operator tables law searches range over."""
     n = 1 << d.size
     out: list[tuple[str, MonoOp]] = [
-        ("identity", identity_op(d.size)),
-        ("top", MonoOp(d.size, tuple(d.full for _ in range(n)))),
-        ("chi", MonoOp(d.size, tuple(0 if A == 0 else d.full for A in range(n)))),
+        ("identity", tuple(range(n))),
+        ("top", (d.full,) * n),
+        ("chi", tuple(0 if A == 0 else d.full for A in range(n))),
     ]
     for C in range(n):
-        out.append((f"join_{C}", MonoOp(d.size, tuple(A | C for A in range(n)))))
+        out.append((f"join_{C}", tuple(A | C for A in range(n))))
     for C in range(min(n, 16)):
-        out.append((f"arrow_{C}", MonoOp(d.size, tuple(arrow(d, C, A) for A in range(n)))))
+        out.append((f"arrow_{C}", tuple(arrow(d, C, A) for A in range(n))))
     return out
 
 

@@ -255,6 +255,10 @@ def _wrap(phi: Formula, looser: tuple) -> str:
 # parsing
 
 
+# the deepest nesting parse_formula accepts: formula consumers recurse per level
+MAX_DEPTH = 64
+
+
 class FormulaSyntaxError(ValueError):
     def __init__(self, msg: str, pos: int):
         super().__init__(f"{msg} at position {pos}")
@@ -300,6 +304,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokens(text)
         self.i = 0
+        self.depth = 0  # parts open around the current token
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
@@ -314,9 +319,40 @@ class _Parser:
         if got != value:
             raise FormulaSyntaxError(f"expected {value!r}, found {got or 'end'!r}", pos)
 
+    def nested(self, parse):
+        """Run a parse method one level deeper, refusing past MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(f"nested deeper than {MAX_DEPTH}", self.peek()[2])
+        out = parse()
+        self.depth -= 1
+        return out
+
     def formula(self) -> Formula:
+        left = self.disj()
+        if self.peek()[1] == "->":
+            self.take()
+            return Imp(left, self.nested(self.formula))
+        return left
+
+    def disj(self) -> Formula:
+        out = self.conj()
+        while self.peek()[1] == "\\/":
+            self.take()
+            out = Or(out, self.conj())
+        return out
+
+    def conj(self) -> Formula:
+        out = self.atom()
+        while self.peek()[1] == "/\\":
+            self.take()
+            out = And(out, self.atom())
+        return out
+
+    def atom(self) -> Formula:
         kind, val, pos = self.peek()
         if val in ("forall", "exists"):
+            # the body runs as far right as it can
             self.take()
             k2, var, p2 = self.take()
             if k2 != "name" or var in ("forall", "exists", "S"):
@@ -326,54 +362,24 @@ class _Parser:
                 self.take()
                 bound = self.term()
             self.expect(".")
-            body = self.formula()
+            body = self.nested(self.formula)
             if val == "forall":
                 return (All(var, body) if bound is None
                         else All(var, Imp(Less(NVar(var), bound), body)))
             return (Ex(var, body) if bound is None
                     else Ex(var, And(Less(NVar(var), bound), body)))
-        return self.imp()
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[1] == "->":
-            self.take()
-            return Imp(left, self.formula() if self.peek()[1] in ("forall", "exists")
-                       else self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek()[1] == "\\/":
-            self.take()
-            if self.peek()[1] in ("forall", "exists"):
-                return Or(out, self.formula())
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.atom()
-        while self.peek()[1] == "/\\":
-            self.take()
-            if self.peek()[1] in ("forall", "exists"):
-                return And(out, self.formula())
-            out = And(out, self.atom())
-        return out
-
-    def atom(self) -> Formula:
-        kind, val, pos = self.peek()
         if val == "(":
             # a parenthesized formula, unless the suffix continues a term
-            mark = self.i
+            mark = self.i, self.depth
             self.take()
             try:
-                inner = self.formula()
+                inner = self.nested(self.formula)
                 self.expect(")")
                 if self.peek()[1] not in ("=", "<", "+", "*"):
                     return inner
             except FormulaSyntaxError:
                 pass
-            self.i = mark
+            self.i, self.depth = mark
             return self._relational()
         if kind == "name" and val[0].isupper() and val != "S":
             self.take()
@@ -412,22 +418,39 @@ class _Parser:
     def prim(self) -> TermAst:
         kind, val, pos = self.take()
         if val == "S":
-            return Succ(self.prim())
+            return Succ(self.nested(self.prim))
         if kind == "num":
             return Lit(int(val))
         if kind == "name" and val not in ("forall", "exists"):
             return NVar(val)
         if val == "(":
-            t = self.term()
+            t = self.nested(self.term)
             self.expect(")")
             return t
         raise FormulaSyntaxError(f"expected a term, found {val or 'end'!r}", pos)
 
 
+def _levels(phi: Formula) -> int:
+    """Levels of formula and term nodes, counted a level at a time: a
+    left-nested chain is deeper than the parser ever recursed."""
+    count, level = 0, [phi]
+    while level:
+        count += 1
+        # a field holds a node, a name, a number, or (in Rel) a tuple of nodes
+        fields = [getattr(node, f) for node in level for f in node.__match_args__]
+        level = [v for field in fields
+                 for v in (field if isinstance(field, tuple) else (field,))
+                 if not isinstance(v, str | int)]
+    return count
+
+
 def parse_formula(text: str) -> Formula:
+    """Parse ``text``; nesting past MAX_DEPTH levels is a syntax error."""
     p = _Parser(text)
     out = p.formula()
     kind, val, pos = p.peek()
     if kind != "end":
         raise FormulaSyntaxError(f"unexpected {val!r}", pos)
+    if _levels(out) > MAX_DEPTH:
+        raise FormulaSyntaxError(f"nested deeper than {MAX_DEPTH}", 0)
     return out

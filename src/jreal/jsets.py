@@ -76,9 +76,7 @@ def is_empty(A: JSet) -> bool | None:
     match A:
         case Finite(elems):
             return not elems
-        case Cofinite(_) | UpFrom(_):
-            return False
-        case Singleton(_):
+        case Cofinite(_) | UpFrom(_) | Singleton(_):
             return False
         case ByPredicate(_, _):
             return None
@@ -88,15 +86,24 @@ def is_empty(A: JSet) -> bool | None:
             raise TypeError(A)
 
 
+def elements(A: JSet) -> tuple[int, ...] | None:
+    """The sorted members of a finite or singleton set, None for other shapes."""
+    match A:
+        case Finite(elems):
+            return tuple(sorted(elems))
+        case Singleton(k):
+            return (k,)
+    return None
+
+
 def sample(A: JSet, count: int) -> tuple[int, ...]:
     """Deterministic members of A, smallest first; short when A runs out.
     A predicate set is only tried below 512."""
+    exact = elements(A)
+    if exact is not None:
+        return exact[:count]
     out: list[int] = []
     match A:
-        case Finite(elems):
-            out = sorted(elems)[:count]
-        case Singleton(k):
-            out = [k][:count]
         case Cofinite(excluded):
             x = 0
             while len(out) < count:
@@ -154,9 +161,12 @@ def _parse_brace_list(body: str, what: str) -> frozenset[int]:
     if not inner:
         return frozenset()
     try:
-        return frozenset(int(part) for part in inner.split(","))
+        members = frozenset(int(part) for part in inner.split(","))
     except ValueError as exc:
         raise JSetSyntaxError(f"{what}: {exc}") from None
+    if any(x < 0 for x in members):
+        raise JSetSyntaxError(f"{what}: negative member {min(members)}")
+    return members
 
 
 def parse_jset(text: str) -> JSet:

@@ -28,9 +28,9 @@ from . import coding, prog
 from .bracket import lam
 from .certs import (Accepted, Base, Cert, CertSearch, CheckPolicy, Lift,
                     check_cert, lifted_constant, tagged)
-from .jsets import Finite, JSet, Singleton, UpFrom, Cofinite, show_jset
+from .jsets import Finite, JSet, Singleton, UpFrom, Cofinite, elements, show_jset
 from .machine import OutOfFuel, apply_cached
-from .prog import EQ01, LT01, SUFFIX, _v, ite, p0, p1, tag0, tag1
+from .prog import EQ01, LT01, SUFFIX, ite, p0, p1, tag0, tag1
 from .terms import (
     App,
     CONS,
@@ -94,23 +94,6 @@ D_CODE = encode_term(D_TERM)
 E_CODE = encode_term(E_TERM)
 
 
-def b_closure_term(g_term: Term) -> Term:
-    """The value the machine holds after applying fmap to a function."""
-    return App(FIX, subst(_B_STEP, {"g": g_term}))
-
-
-def _b_tail_term(g_term: Term, x: int) -> Term:
-    return subst(_B_TAIL_TMPL, {"bg": b_closure_term(g_term), "x": Num(x)})
-
-
-def _d_tail_term(x: int) -> Term:
-    return subst(_D_TAIL_TMPL, {"dj": D_TERM, "x": Num(x)})
-
-
-def _c_tail_term(f_term: Term) -> Term:
-    return subst(_C_TAIL_TMPL, {"f": f_term})
-
-
 # ---------------------------------------------------------------------------
 # mirrors
 
@@ -164,9 +147,11 @@ def mirror_b(g: MirrorFn, x: int, cert: Cert, policy: CheckPolicy) -> tuple[int,
             out, out_inner = g.on_value(y)
             return coding.pair(0, out), Base(out, out_inner)
         case Lift():
+            # the closure the machine holds after applying fmap to g
+            bg = App(FIX, subst(_B_STEP, {"g": g.term}))
             return _lift(x, cert, policy,
                          lambda v, c: mirror_b(g, v, c, policy)[1],
-                         _b_tail_term(g.term, x))
+                         subst(_B_TAIL_TMPL, {"bg": bg, "x": Num(x)}))
         case _:
             raise TypeError(cert)
 
@@ -176,7 +161,7 @@ def mirror_c(f: MirrorFn, threshold: int, policy: CheckPolicy) -> tuple[int, Cer
     for m in policy.window_points(threshold):
         v_m, inner = f.on_value(m)
         tails.append((m, Base(v_m, inner)))
-    out = coding.pair(1, encode_term(_c_tail_term(f.term)))
+    out = coding.pair(1, encode_term(subst(_C_TAIL_TMPL, {"f": f.term})))
     return out, Lift(threshold, tuple(tails))
 
 
@@ -189,7 +174,7 @@ def mirror_d(x: int, cert: Cert, policy: CheckPolicy) -> tuple[int, Cert]:
         case Lift():
             return _lift(x, cert, policy,
                          lambda v, c: mirror_d(v, c, policy)[1],
-                         _d_tail_term(x))
+                         subst(_D_TAIL_TMPL, {"dj": D_TERM, "x": Num(x)}))
         case _:
             raise TypeError(cert)
 
@@ -219,13 +204,10 @@ def wedge_target(A: JSet, B: JSet) -> Finite:
     """The set of pair codes with components from two finite-shaped sets."""
 
     def elems(S: JSet) -> tuple[int, ...]:
-        match S:
-            case Finite(es):
-                return tuple(sorted(es))
-            case Singleton(k):
-                return (k,)
-            case _:
-                raise ValueError(f"wedge targets need finite shapes, not {show_jset(S)}")
+        exact = elements(S)
+        if exact is None:
+            raise ValueError(f"wedge targets need finite shapes, not {show_jset(S)}")
+        return exact
 
     return Finite(frozenset(coding.pair(a, b) for a in elems(A) for b in elems(B)))
 
@@ -236,27 +218,27 @@ def wedge_target(A: JSet, B: JSet) -> Finite:
 # least index holding a 1-tagged entry, else the length
 FIND1 = prog.fixlam(
     "f1", "s", "j",
-    ite(ap(LT01, _v("j"), App(LEN, _v("s"))),
-        ite(p0(ap(PROJ, _v("s"), _v("j"))),
-            ap(_v("f1"), _v("s"), App(SUCC, _v("j"))),
-            _v("j")),
-        _v("j")),
+    ite(ap(LT01, Var("j"), App(LEN, Var("s"))),
+        ite(p0(ap(PROJ, Var("s"), Var("j"))),
+            ap(Var("f1"), Var("s"), App(SUCC, Var("j"))),
+            Var("j")),
+        Var("j")),
 )
 
 # second components of every entry
 PAYLOADS = prog.fixlam(
     "pl", "s",
-    ite(_v("s"), Num(0),
-        ap(CONS, p1(ap(PROJ, _v("s"), Num(0))),
-           App(_v("pl"), ap(SUFFIX, _v("s"), Num(1))))),
+    ite(Var("s"), Num(0),
+        ap(CONS, p1(ap(PROJ, Var("s"), Num(0))),
+           App(Var("pl"), ap(SUFFIX, Var("s"), Num(1))))),
 )
 
 REPLACEAT = prog.fixlam(
     "rp", "s", "i", "v",
-    ite(_v("i"),
-        ap(CONS, _v("v"), ap(SUFFIX, _v("s"), Num(1))),
-        ap(CONS, ap(PROJ, _v("s"), Num(0)),
-           ap(_v("rp"), ap(SUFFIX, _v("s"), Num(1)), App(PRED, _v("i")), _v("v")))),
+    ite(Var("i"),
+        ap(CONS, Var("v"), ap(SUFFIX, Var("s"), Num(1))),
+        ap(CONS, ap(PROJ, Var("s"), Num(0)),
+           ap(Var("rp"), ap(SUFFIX, Var("s"), Num(1)), App(PRED, Var("i")), Var("v")))),
 )
 
 _G_TAIL_TMPL = lam(
@@ -327,17 +309,17 @@ def mirror_lifted(
 # 0 when some entry is 0, else 1
 ANYZERO = prog.fixlam(
     "az", "s",
-    ite(_v("s"), Num(1),
-        ite(ap(PROJ, _v("s"), Num(0)), Num(0),
-            App(_v("az"), ap(SUFFIX, _v("s"), Num(1))))),
+    ite(Var("s"), Num(1),
+        ite(ap(PROJ, Var("s"), Num(0)), Num(0),
+            App(Var("az"), ap(SUFFIX, Var("s"), Num(1))))),
 )
 
 # least index holding 0, else the length
 LEASTZERO = prog.fixlam(
     "lz", "s",
-    ite(_v("s"), Num(0),
-        ite(ap(PROJ, _v("s"), Num(0)), Num(0),
-            App(SUCC, App(_v("lz"), ap(SUFFIX, _v("s"), Num(1)))))),
+    ite(Var("s"), Num(0),
+        ite(ap(PROJ, Var("s"), Num(0)), Num(0),
+            App(SUCC, App(Var("lz"), ap(SUFFIX, Var("s"), Num(1)))))),
 )
 
 ANYZERO_CODE = encode_term(ANYZERO)

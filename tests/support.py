@@ -1,5 +1,5 @@
-"""Builders for random certified closure members, shared across test modules,
-and the reference machine loop.
+"""Builders for random certified closure members and decision trees, shared
+across test modules, and the reference machine loop.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -11,6 +11,7 @@ import random
 from jreal import coding, prog
 from jreal.bracket import lam
 from jreal.certs import Base, Cert, CheckPolicy, Lift
+from jreal.deciders import DecTree, Not, One, Union
 from jreal.machine import NotClosedAtRuntime, _as_nat
 from jreal.terms import (App, K, Num, Prim, Term, Var, ap, decode_term_cached,
                          encode_term, spine)
@@ -55,6 +56,16 @@ def nested_chain(rng: random.Random, a: int, inner_depth: int, outer_depth: int,
     for _ in range(outer_depth):
         pool.append(lift_step(rng, pool, policy))
     return pool[-1]
+
+
+def random_tree(rng: random.Random, depth: int) -> DecTree:
+    """A decision tree at most ``depth`` levels deep over points below 10."""
+    if depth <= 0 or rng.random() < 0.3:
+        return One(rng.randrange(10))
+    if rng.random() < 0.4:
+        return Not(random_tree(rng, depth - 1))
+    width = rng.randrange(2, 4)
+    return Union(tuple(random_tree(rng, depth - 1) for _ in range(width)))
 
 
 class ReferenceMachine:

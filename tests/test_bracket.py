@@ -3,7 +3,7 @@
 import random
 
 from jreal import prog
-from jreal.bracket import compile_lambda, lam, lambda_abstract
+from jreal.bracket import compile_lambda, lam
 from jreal.machine import OutOfFuel, Value, apply, apply_many, eval_to_nat
 from jreal.terms import (
     App,
@@ -93,12 +93,6 @@ def test_thunks_delay_their_branch():
 def test_embedded_closed_programs_compute():
     add3 = lam("x", ap(prog.ADD, Var("x"), Num(3)))
     assert apply(encode_term(add3), 4, fuel=10**5) == Value(7)
-
-
-def test_lambda_abstract_returns_code():
-    c = lambda_abstract("x", Var("x"))
-    assert c == encode_term(ap(S, K, K))
-    assert apply(c, 12) == Value(12)
 
 
 def test_compiled_code_size_stays_additive():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from jreal import prog
 from jreal.bracket import lam
 from jreal.certs import (
+    MAX_DEPTH,
+    CertSyntaxError,
     Accepted,
     Base,
     CertSearch,
@@ -110,6 +112,9 @@ def test_jset_text_roundtrip():
         assert show_jset(parse_jset(spec)) == spec
     with pytest.raises(JSetSyntaxError):
         parse_jset("upfrom x")
+    for spec in ("{-1}", "{3,-2}", "cofinite{-4}"):
+        with pytest.raises(JSetSyntaxError, match="negative member"):
+            parse_jset(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +273,16 @@ def cert_trees(draw, depth=3):
 @given(cert_trees())
 def test_cert_text_roundtrip(cert):
     assert parse_cert(show_cert(cert)) == cert
+
+
+def test_cert_nesting_is_bounded():
+    def lifts(n):
+        return "(lift 0 (0 " * n + "(base 0)" + "))" * n
+
+    assert show_cert(parse_cert(lifts(MAX_DEPTH - 1))) == lifts(MAX_DEPTH - 1)
+    for n in (MAX_DEPTH, 2000):
+        with pytest.raises(CertSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+            parse_cert(lifts(n))
 
 
 def test_cert_parse_examples():

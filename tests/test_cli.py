@@ -191,6 +191,19 @@ BAD_INPUTS = {
                            {"a.case": b"formula: forall x. x = x\n"}),
     "asm-product-wide": (["asm", "product", TWO, "{tmp}/w.asm"],
                          {"w.asm": WIDE_ASM}),
+    # nesting past each parser's MAX_DEPTH, which used to end in RecursionError
+    "deep-parens": (["realize", "check", "--formula",
+                     "(" * 400 + "0 = 0" + ")" * 400, "--e", "0"], {}),
+    "deep-conjunction": (["realize", "build", "--formula",
+                          " /\\ ".join(["0 = 0"] * 3000)], {}),
+    "deep-tree": (["jdec", "run", "{tmp}/t.dec", "--n", "1"],
+                  {"t.dec": b"not " * 2000 + b"one 1\n"}),
+    "deep-cert": (["jcert", "check", "--x", "0", "--set", "{0}",
+                   "--cert", "{tmp}/c.cert"],
+                  {"c.cert": b"(lift 0 (0 " * 2000 + b"(base 0)"
+                   + b"))" * 2000 + b"\n"}),
+    "negative-member": (["asm", "sub", "{tmp}/n.asm", "--points", "a"],
+                        {"n.asm": b"point a realizers {-1}\n"}),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jreal import coding
-from jreal.certs import Accepted, CheckPolicy, check_cert
+from jreal.certs import MAX_DEPTH, Accepted, CheckPolicy, check_cert
 from jreal.deciders import (
     DecSyntaxError,
     Not,
@@ -18,11 +18,8 @@ from jreal.deciders import (
     Verdict,
     decider_code,
     ground_truth,
-    height,
-    leaves,
     parse_dec,
     partial_apply,
-    random_tree,
     represent_from_graph,
     run_decider,
     run_policy,
@@ -30,6 +27,7 @@ from jreal.deciders import (
 )
 from jreal.jsets import Singleton
 from jreal.machine import Value, apply
+from support import random_tree
 
 
 def test_singleton_decider_values():
@@ -108,12 +106,6 @@ def test_out_of_fuel_is_unknown():
     assert "fuel" in got.note
 
 
-def test_tree_measures():
-    tree = Union((One(1), Not(Union((One(2), One(3))))))
-    assert height(tree) == 3
-    assert leaves(tree) == 3
-
-
 def test_partial_function_representation():
     rep = represent_from_graph({1: 5, 3: 7, 4: 0})
     for x, want in ((1, 5), (3, 7), (4, 0)):
@@ -153,6 +145,20 @@ def test_format_errors():
     for bad in ("one", "one x", "frob 3", "union (one 1", "one 1 one 2"):
         with pytest.raises(DecSyntaxError):
             parse_dec(bad)
+
+
+def test_tree_nesting_is_bounded():
+    def nots(n):
+        return "not " * n + "one 1"
+
+    def unions(n):
+        return "union (" * n + "one 1" + ")" * n
+
+    for make in (nots, unions):
+        assert show_dec(parse_dec(make(MAX_DEPTH - 1))) == make(MAX_DEPTH - 1)
+        for n in (MAX_DEPTH, 2000):
+            with pytest.raises(DecSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+                parse_dec(make(n))
 
 
 @st.composite

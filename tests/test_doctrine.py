@@ -13,7 +13,6 @@ from jreal.doctrine import (
     arrow,
     candidate_ops,
     derive_e4,
-    identity_op,
     lfp_by_intersection,
     lfp_local,
     lift_caveats,
@@ -131,7 +130,7 @@ def test_lfp_is_idempotent_and_above_seed():
 def test_lfp_requires_bottom_pairing():
     d = make_doctrine(2, {(0, 0): 0, (0, 1): 1}, {(0, 0): 0})
     with pytest.raises(UnsuitableDoctrine, match="pair\\(0,1\\)"):
-        lfp_local(d, identity_op(2))
+        lfp_local(d, tuple(range(4)))  # the identity operator
 
 
 def test_lift_rule_reach_is_reported():
