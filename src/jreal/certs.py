@@ -24,6 +24,7 @@ from . import coding
 from .jsets import JOf, JSet, member, show_jset
 from .machine import DEFAULT_FUEL, OutOfFuel, apply_cached
 from .terms import App, K, Num, encode_term
+from .text import Cursor, lexer
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,10 +236,6 @@ def lifted_constant(x: int, cert: Cert, threshold: int, policy: CheckPolicy) -> 
 #
 #   (base 5)   (base 5 (base 9))   (lift 2 (2 (base 0)) (3 (base 0)) ...)
 
-# the deepest nesting parse_cert and parse_dec accept: consumers recurse per level
-MAX_DEPTH = 64
-
-
 class CertSyntaxError(ValueError):
     pass
 
@@ -256,52 +253,34 @@ def show_cert(cert: Cert) -> str:
             raise TypeError(cert)
 
 
-def tokenize(text: str) -> list[str]:
-    """Parentheses and space-separated words; decision trees share it."""
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+_TOKENS = lexer("(", ")")
 
 
 def parse_cert(text: str) -> Cert:
-    tokens = tokenize(text)
-    cert, rest = _parse_cert(tokens, 1)
-    if rest:
-        raise CertSyntaxError(f"trailing tokens {rest!r}")
+    c = Cursor(_TOKENS, text, CertSyntaxError)
+    cert = c.nested(_cert, c)
+    c.done()
     return cert
 
 
-def _expect(tokens: list[str], what: str) -> list[str]:
-    if not tokens or tokens[0] != what:
-        raise CertSyntaxError(f"expected {what!r} at {tokens[:3]!r}")
-    return tokens[1:]
-
-
-def _nat(tokens: list[str]) -> tuple[int, list[str]]:
-    if not tokens or not tokens[0].isdigit():
-        raise CertSyntaxError(f"expected a number at {tokens[:3]!r}")
-    return int(tokens[0]), tokens[1:]
-
-
-def _parse_cert(tokens: list[str], depth: int) -> tuple[Cert, list[str]]:
-    if depth > MAX_DEPTH:
-        raise CertSyntaxError(f"certificate nested deeper than {MAX_DEPTH}")
-    tokens = _expect(tokens, "(")
-    if not tokens:
-        raise CertSyntaxError("unterminated certificate")
-    head, tokens = tokens[0], tokens[1:]
+def _cert(c: Cursor) -> Cert:
+    c.expect("(")
+    head = c.peek()
     if head == "base":
-        a, tokens = _nat(tokens)
-        inner: Cert | None = None
-        if tokens and tokens[0] == "(":
-            inner, tokens = _parse_cert(tokens, depth + 1)
-        return Base(a, inner), _expect(tokens, ")")
+        c.take()
+        a = c.nat()
+        inner = c.nested(_cert, c) if c.peek() == "(" else None
+        c.expect(")")
+        return Base(a, inner)
     if head == "lift":
-        threshold, tokens = _nat(tokens)
+        c.take()
+        threshold = c.nat()
         tails: list[tuple[int, Cert]] = []
-        while tokens and tokens[0] == "(":
-            tokens = tokens[1:]
-            m, tokens = _nat(tokens)
-            sub, tokens = _parse_cert(tokens, depth + 1)
-            tokens = _expect(tokens, ")")
-            tails.append((m, sub))
-        return Lift(threshold, tuple(tails)), _expect(tokens, ")")
-    raise CertSyntaxError(f"unknown certificate head {head!r}")
+        while c.peek() == "(":
+            c.take()
+            m = c.nat()
+            tails.append((m, c.nested(_cert, c)))
+            c.expect(")")
+        c.expect(")")
+        return Lift(threshold, tuple(tails))
+    c.wanted("'base' or 'lift'")

@@ -28,8 +28,7 @@ from functools import cache
 
 from . import coding
 from .bracket import lam
-from .certs import (MAX_DEPTH, Accepted, Base, Cert, CheckPolicy, check_cert,
-                    tokenize)
+from .certs import Accepted, Base, Cert, CheckPolicy, check_cert
 from .jsets import Singleton
 from .kit import (
     A_TERM,
@@ -47,6 +46,7 @@ from .kit import (
 from .machine import DEFAULT_FUEL, Value, apply, apply_cached
 from .prog import EQ01, MONUS, fixlam, ite, p1, tag0
 from .terms import App, CONS, FIX, Num, PRED, PROJ, Term, Var, ap, encode_term, subst
+from .text import Cursor, lexer
 
 
 # ---------------------------------------------------------------------------
@@ -323,35 +323,30 @@ def show_dec(tree: DecTree) -> str:
     raise TypeError(f"not a decision tree: {tree!r}")
 
 
-def _parse(tokens: list[str], pos: int, depth: int) -> tuple[DecTree, int]:
-    if depth > MAX_DEPTH:
-        raise DecSyntaxError(f"tree nested deeper than {MAX_DEPTH}")
-    if pos >= len(tokens):
-        raise DecSyntaxError("unexpected end of input")
-    head = tokens[pos]
-    if head == "one":
-        if pos + 1 >= len(tokens) or not tokens[pos + 1].isdigit():
-            raise DecSyntaxError("one needs a numeral")
-        return One(int(tokens[pos + 1])), pos + 2
-    if head == "not":
-        inner, nxt = _parse(tokens, pos + 1, depth + 1)
-        return Not(inner), nxt
-    if head == "union":
-        parts = []
-        nxt = pos + 1
-        while nxt < len(tokens) and tokens[nxt] == "(":
-            part, after = _parse(tokens, nxt + 1, depth + 1)
-            if after >= len(tokens) or tokens[after] != ")":
-                raise DecSyntaxError("unclosed group")
-            parts.append(part)
-            nxt = after + 1
-        return Union(tuple(parts)), nxt
-    raise DecSyntaxError(f"unexpected token {head!r}")
+_TOKENS = lexer("(", ")")
 
 
 def parse_dec(text: str) -> DecTree:
-    tokens = tokenize(text)
-    tree, pos = _parse(tokens, 0, 1)
-    if pos != len(tokens):
-        raise DecSyntaxError(f"trailing tokens from {tokens[pos]!r}")
+    c = Cursor(_TOKENS, text, DecSyntaxError)
+    tree = c.nested(_tree, c)
+    c.done()
     return tree
+
+
+def _tree(c: Cursor) -> DecTree:
+    head = c.peek()
+    if head == "one":
+        c.take()
+        return One(c.nat())
+    if head == "not":
+        c.take()
+        return Not(c.nested(_tree, c))
+    if head == "union":
+        c.take()
+        parts = []
+        while c.peek() == "(":
+            c.take()
+            parts.append(c.nested(_tree, c))
+            c.expect(")")
+        return Union(tuple(parts))
+    c.wanted("'one', 'not' or 'union'")

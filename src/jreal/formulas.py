@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .text import MAX_DEPTH, Cursor, is_name, lexer
+
 
 # ---------------------------------------------------------------------------
 # terms
@@ -215,14 +217,17 @@ def show_term(t: TermAst) -> str:
         case Lit(k):
             return str(k)
         case Succ(a):
-            return f"S {show_term(a)}"
+            return f"S {_wrap_term(a, (Plus, Times))}"
         case Plus(a, b):
-            return f"{show_term(a)} + {show_term(b)}"
+            return f"{show_term(a)} + {_wrap_term(b, Plus)}"
         case Times(a, b):
-            la = show_term(a) if not isinstance(a, Plus) else f"({show_term(a)})"
-            rb = show_term(b) if not isinstance(b, (Plus, Times)) else f"({show_term(b)})"
-            return f"{la} * {rb}"
+            return f"{_wrap_term(a, Plus)} * {_wrap_term(b, (Plus, Times))}"
     raise TypeError(t)
+
+
+def _wrap_term(t: TermAst, looser) -> str:
+    s = show_term(t)
+    return f"({s})" if isinstance(t, looser) else s
 
 
 def show_formula(phi: Formula) -> str:
@@ -255,179 +260,119 @@ def _wrap(phi: Formula, looser: tuple) -> str:
 # parsing
 
 
-# the deepest nesting parse_formula accepts: formula consumers recurse per level
-MAX_DEPTH = 64
-
-
 class FormulaSyntaxError(ValueError):
-    def __init__(self, msg: str, pos: int):
-        super().__init__(f"{msg} at position {pos}")
-        self.pos = pos
+    pass
 
 
-_SYMBOLS = ("->", "\\/", "/\\", "(", ")", ".", ",", "=", "<", "+", "*")
+_TOKENS = lexer("->", "\\/", "/\\", "(", ")", ".", ",", "=", "<", "+", "*")
 
 
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                out.append(("sym", sym, i))
-                i += len(sym)
-                break
-        else:
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                out.append(("num", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(("name", text[i:j], i))
-                i = j
-            else:
-                raise FormulaSyntaxError(f"stray character {ch!r}", i)
-    out.append(("end", "", len(text)))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokens(text)
-        self.i = 0
-        self.depth = 0  # parts open around the current token
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, value: str) -> None:
-        kind, got, pos = self.take()
-        if got != value:
-            raise FormulaSyntaxError(f"expected {value!r}, found {got or 'end'!r}", pos)
-
-    def nested(self, parse):
-        """Run a parse method one level deeper, refusing past MAX_DEPTH."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise FormulaSyntaxError(f"nested deeper than {MAX_DEPTH}", self.peek()[2])
-        out = parse()
-        self.depth -= 1
-        return out
+class _Parser(Cursor):
+    __slots__ = ()
 
     def formula(self) -> Formula:
         left = self.disj()
-        if self.peek()[1] == "->":
+        if self.peek() == "->":
             self.take()
             return Imp(left, self.nested(self.formula))
         return left
 
     def disj(self) -> Formula:
         out = self.conj()
-        while self.peek()[1] == "\\/":
+        while self.peek() == "\\/":
             self.take()
             out = Or(out, self.conj())
         return out
 
     def conj(self) -> Formula:
         out = self.atom()
-        while self.peek()[1] == "/\\":
+        while self.peek() == "/\\":
             self.take()
             out = And(out, self.atom())
         return out
 
     def atom(self) -> Formula:
-        kind, val, pos = self.peek()
-        if val in ("forall", "exists"):
+        tok = self.peek()
+        if tok in ("forall", "exists"):
             # the body runs as far right as it can
             self.take()
-            k2, var, p2 = self.take()
-            if k2 != "name" or var in ("forall", "exists", "S"):
-                raise FormulaSyntaxError("expected a variable", p2)
+            var = self.peek()
+            if not is_name(var) or var in ("forall", "exists", "S"):
+                self.wanted("a variable")
+            self.take()
             bound: TermAst | None = None
-            if self.peek()[1] == "<":
+            if self.peek() == "<":
                 self.take()
                 bound = self.term()
             self.expect(".")
             body = self.nested(self.formula)
-            if val == "forall":
+            if tok == "forall":
                 return (All(var, body) if bound is None
                         else All(var, Imp(Less(NVar(var), bound), body)))
             return (Ex(var, body) if bound is None
                     else Ex(var, And(Less(NVar(var), bound), body)))
-        if val == "(":
+        if tok == "(":
             # a parenthesized formula, unless the suffix continues a term
             mark = self.i, self.depth
             self.take()
             try:
                 inner = self.nested(self.formula)
                 self.expect(")")
-                if self.peek()[1] not in ("=", "<", "+", "*"):
+                if self.peek() not in ("=", "<", "+", "*"):
                     return inner
             except FormulaSyntaxError:
                 pass
             self.i, self.depth = mark
             return self._relational()
-        if kind == "name" and val[0].isupper() and val != "S":
+        if tok[:1].isupper() and tok != "S":
             self.take()
             self.expect("(")
             args = [self.term()]
-            while self.peek()[1] == ",":
+            while self.peek() == ",":
                 self.take()
                 args.append(self.term())
             self.expect(")")
-            return Rel(val, tuple(args))
+            return Rel(tok, tuple(args))
         return self._relational()
 
     def _relational(self) -> Formula:
         left = self.term()
-        kind, op, pos = self.take()
-        if op == "=":
-            return Eq(left, self.term())
-        if op == "<":
-            return Less(left, self.term())
-        raise FormulaSyntaxError(f"expected '=' or '<', found {op or 'end'!r}", pos)
+        op = self.peek()
+        if op not in ("=", "<"):
+            self.wanted("'=' or '<'")
+        self.take()
+        return (Eq if op == "=" else Less)(left, self.term())
 
     def term(self) -> TermAst:
         out = self.factor()
-        while self.peek()[1] == "+":
+        while self.peek() == "+":
             self.take()
             out = Plus(out, self.factor())
         return out
 
     def factor(self) -> TermAst:
         out = self.prim()
-        while self.peek()[1] == "*":
+        while self.peek() == "*":
             self.take()
             out = Times(out, self.prim())
         return out
 
     def prim(self) -> TermAst:
-        kind, val, pos = self.take()
-        if val == "S":
+        tok = self.peek()
+        if tok == "S":
+            self.take()
             return Succ(self.nested(self.prim))
-        if kind == "num":
-            return Lit(int(val))
-        if kind == "name" and val not in ("forall", "exists"):
-            return NVar(val)
-        if val == "(":
+        if tok[:1].isdigit():
+            return Lit(self.nat())
+        if is_name(tok) and tok not in ("forall", "exists"):
+            self.take()
+            return NVar(tok)
+        if tok == "(":
+            self.take()
             t = self.nested(self.term)
             self.expect(")")
             return t
-        raise FormulaSyntaxError(f"expected a term, found {val or 'end'!r}", pos)
+        self.wanted("a term")
 
 
 def _levels(phi: Formula) -> int:
@@ -446,11 +391,9 @@ def _levels(phi: Formula) -> int:
 
 def parse_formula(text: str) -> Formula:
     """Parse ``text``; nesting past MAX_DEPTH levels is a syntax error."""
-    p = _Parser(text)
+    p = _Parser(_TOKENS, text, FormulaSyntaxError)
     out = p.formula()
-    kind, val, pos = p.peek()
-    if kind != "end":
-        raise FormulaSyntaxError(f"unexpected {val!r}", pos)
+    p.done()
     if _levels(out) > MAX_DEPTH:
-        raise FormulaSyntaxError(f"nested deeper than {MAX_DEPTH}", 0)
+        p.fail(f"nested deeper than {MAX_DEPTH}", 0)
     return out

@@ -132,22 +132,6 @@ SUFFIX = fixlam(
         Num(0)),
 )
 
-# horner evaluation of a coefficient sequence <c0, c1, ...> at n
-POLYEVAL = fixlam(
-    "pe", "c", "n",
-    ite(_v("c"), Num(0),
-        ap(ADD, ap(PROJ, _v("c"), Num(0)),
-           ap(MUL, _v("n"), ap(_v("pe"), ap(SUFFIX, _v("c"), Num(1)), _v("n"))))),
-)
-
-# quasi-polynomial evaluation: data = <m, <coeffs per residue>>
-QPEVAL = lam(
-    "d", "n",
-    ap(POLYEVAL,
-       ap(PROJ, ap(PROJ, _v("d"), Num(1)), ap(MOD, _v("n"), ap(PROJ, _v("d"), Num(0)))),
-       _v("n")),
-)
-
 def ite_table(scrut: Term, pairs, default: Term) -> Term:
     """Finite dispatch unrolled to nested equality tests at build time.
 

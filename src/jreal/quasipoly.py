@@ -20,6 +20,8 @@ from functools import cache
 from itertools import count
 from math import lcm
 
+from .text import Cursor, lexer
+
 # ---------------------------------------------------------------------------
 # integer polynomials (private helpers; signed coefficients allowed)
 
@@ -323,6 +325,9 @@ def index_of(qp: QuasiPoly) -> int:
 # ---------------------------------------------------------------------------
 # text format:  mod 2: 0 -> 1 + 2 n; 1 -> n^2
 
+# the highest power of n parse_qp reads
+MAX_POWER = 64
+
 
 class QpSyntaxError(ValueError):
     pass
@@ -350,65 +355,53 @@ def _show_poly(cs: tuple[int, ...]) -> str:
     return " + ".join(bits) if bits else "0"
 
 
+_TOKENS = lexer(":", ";", "->", "+", "^")
+
+
 def parse_qp(text: str) -> QuasiPoly:
-    head, _, body = text.partition(":")
-    head = head.strip()
-    if not head.startswith("mod "):
-        raise QpSyntaxError("expected 'mod <m>:'")
-    try:
-        m = int(head[4:])
-    except ValueError:
-        raise QpSyntaxError(f"bad modulus {head[4:]!r}") from None
+    """The quasi-polynomial a text names.  A modulus above the number of
+    rows the text gives, and a power of n above MAX_POWER, are refused
+    before anything of their size is built."""
+    c = Cursor(_TOKENS, text, QpSyntaxError)
+    c.expect("mod")
+    m = c.nat()
     if m < 1:
-        raise QpSyntaxError(f"modulus {m} below 1")
+        c.fail(f"modulus {m} below 1", c.i - 1)
+    c.expect(":")
     rows: dict[int, tuple[int, ...]] = {}
-    for chunk in body.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
+    while c.peek():
+        if c.peek() == ";":  # an empty row
+            c.take()
             continue
-        r_txt, arrow, poly_txt = chunk.partition("->")
-        if not arrow:
-            raise QpSyntaxError(f"missing '->' in {chunk!r}")
-        try:
-            r = int(r_txt)
-        except ValueError:
-            raise QpSyntaxError(f"bad residue {r_txt.strip()!r}") from None
-        if not 0 <= r < m:
-            raise QpSyntaxError(f"residue {r} outside modulus {m}")
-        rows[r] = _parse_poly(poly_txt.strip())
-    missing = [r for r in range(m) if r not in rows]
-    if missing:
-        raise QpSyntaxError(f"no polynomial for residues {missing}")
+        r = c.nat()
+        if r >= m:
+            c.fail(f"residue {r} outside modulus {m}", c.i - 1)
+        c.expect("->")
+        rows[r] = _poly(c)
+        if c.peek():
+            c.expect(";")
+    if len(rows) < m:
+        first = next(r for r in range(m) if r not in rows)
+        c.fail(f"no polynomial for {m - len(rows)} of {m} residues, "
+               f"the first {first}")
     return canon(m, [rows[r] for r in range(m)])
 
 
-def _parse_poly(text: str) -> tuple[int, ...]:
+def _poly(c: Cursor) -> tuple[int, ...]:
+    """Terms k, n, k n and k n^p, joined by '+'."""
     coeffs: dict[int, int] = {}
-    for part in text.split("+"):
-        part = part.strip()
-        if not part:
-            raise QpSyntaxError("empty term")
-        if "n" not in part:
-            coeffs[0] = coeffs.get(0, 0) + _nat_or_die(part)
-            continue
-        c_txt, _, pow_txt = part.partition("n")
-        c = 1 if not c_txt.strip() else _nat_or_die(c_txt.strip())
-        p = 1
-        if pow_txt.strip():
-            if not pow_txt.strip().startswith("^"):
-                raise QpSyntaxError(f"bad power in {part!r}")
-            p = _nat_or_die(pow_txt.strip()[1:])
-        coeffs[p] = coeffs.get(p, 0) + c
-    width = max(coeffs) + 1 if coeffs else 0
-    return _trim(tuple(coeffs.get(i, 0) for i in range(width)))
-
-
-def _nat_or_die(s: str) -> int:
-    """Coefficients and powers are natural numbers."""
-    try:
-        n = int(s)
-    except ValueError:
-        raise QpSyntaxError(f"bad number {s!r}") from None
-    if n < 0:
-        raise QpSyntaxError(f"negative number {s!r}")
-    return n
+    while True:
+        k = 1 if c.peek() == "n" else c.nat()
+        p = 0
+        if c.peek() == "n":
+            c.take()
+            p = 1
+            if c.peek() == "^":
+                c.take()
+                p = c.nat()
+                if p > MAX_POWER:
+                    c.fail(f"power {p} above {MAX_POWER}", c.i - 1)
+        coeffs[p] = coeffs.get(p, 0) + k
+        if c.peek() != "+":
+            return _trim(tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1)))
+        c.take()

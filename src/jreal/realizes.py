@@ -87,12 +87,11 @@ Verdict3 = Realized | Refuted | Unknown
 @dataclass(frozen=True)
 class Env:
     assembly: Assembly
-    assignment: tuple[tuple[str, Point], ...] = ()
     relations: tuple[tuple[str, Callable[[tuple], JSet]], ...] = ()
 
 
-def nat_env(**relations: Callable[[tuple], JSet]) -> Env:
-    return Env(NatAssembly(), relations=tuple(sorted(relations.items())))
+def nat_env() -> Env:
+    return Env(NatAssembly())
 
 
 class Checker:
@@ -313,11 +312,10 @@ def _merge(a: Evidence, b: Evidence) -> Evidence:
 
 
 def jrealizes(e: int, phi: Formula, env: Env, policy: CheckPolicy) -> Verdict3:
-    missing = free_vars(phi) - {name for name, _ in env.assignment}
+    missing = free_vars(phi)
     if missing:
         raise ValueError(f"unassigned free variables: {sorted(missing)}")
-    scope = tuple((name, pt) for name, pt in env.assignment)
-    return Checker(env, policy).check(e, phi, scope)
+    return Checker(env, policy).check(e, phi)
 
 
 # ---------------------------------------------------------------------------

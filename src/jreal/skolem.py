@@ -411,9 +411,9 @@ def _transfer_sampled(model: Model, phi: Formula, asn, window: int) -> TransferR
 # ---------------------------------------------------------------------------
 # realizer data for elements: <description, selector prefix>
 
-# description = <modulus, <coefficient rows>>, directly evaluable by the
-# shared quasi-polynomial interpreter; the prefix pins the selector values
-# the description is read along
+# description = <modulus, <coefficient rows>>, the residue's row read at n
+# gives the value at n; the prefix pins the selector values the description
+# is read along
 
 
 def qp_data(qp: QuasiPoly) -> int:

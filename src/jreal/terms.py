@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .coding import phi_join, phi_split
+from .text import Cursor, is_name, lexer
 
 PRIM_NAMES = ("K", "S", "succ", "pred", "ifz", "fix", "nil", "cons", "len", "proj")
 PRIM_ARITY = (2, 3, 1, 1, 3, 2, 0, 2, 1, 2)
@@ -290,90 +291,53 @@ class TermSyntaxError(ValueError):
     pass
 
 
-def _tokenize(src: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()\\.":
-            out.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            out.append(src[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            out.append(src[i:j])
-            i = j
-        else:
-            raise TermSyntaxError(f"bad character {ch!r} at {i}")
-    return out
+_TOKENS = lexer("(", ")", "\\", ".")
 
 
 def parse_term(src: str) -> Term:
-    tokens = _tokenize(src)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise TermSyntaxError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr() -> Term:
-        if peek() == "\\":
-            take()
-            names: list[str] = []
-            while peek() not in (".", None):
-                tok = take()
-                if not (tok[0].isalpha() or tok[0] == "_") or tok in _KEYWORDS:
-                    raise TermSyntaxError(f"bad binder {tok!r}")
-                names.append(tok)
-            if take() != "." or not names:
-                raise TermSyntaxError("malformed lambda")
-            body = parse_expr()
-            # late import: the abstractor lives one module up
-            from .bracket import compile_lambda
-
-            for name in reversed(names):
-                body = compile_lambda(name, body)
-            return body
-        t = parse_atom()
-        while peek() not in (None, ")", "."):
-            t = App(t, parse_atom())
-        return t
-
-    def parse_atom() -> Term:
-        tok = take()
-        if tok == "(":
-            t = parse_expr()
-            if take() != ")":
-                raise TermSyntaxError("missing )")
-            return t
-        if tok.isdigit():
-            return Num(int(tok))
-        if tok in _KEYWORDS:
-            return Prim(_KEYWORDS[tok])
-        if tok[0].isalpha() or tok[0] == "_":
-            return Var(tok)
-        raise TermSyntaxError(f"unexpected token {tok!r}")
-
-    t = parse_expr()
-    if pos != len(tokens):
-        raise TermSyntaxError(f"trailing input at token {pos}")
+    c = Cursor(_TOKENS, src, TermSyntaxError)
+    t = _read_expr(c)
+    c.done()
     return t
+
+
+def _read_expr(c: Cursor) -> Term:
+    if c.peek() == "\\":
+        c.take()
+        names: list[str] = []
+        while c.peek() not in (".", ""):
+            if not is_name(c.peek()) or c.peek() in _KEYWORDS:
+                c.fail(f"bad binder {c.peek()!r}")
+            names.append(c.take())
+        if not names:
+            c.wanted("a binder")
+        c.expect(".")
+        body = c.nested(_read_expr, c)
+        # late import: the abstractor lives one module up
+        from .bracket import compile_lambda
+
+        for name in reversed(names):
+            body = compile_lambda(name, body)
+        return body
+    t = _read_atom(c)
+    while c.peek() not in ("", ")", "."):
+        t = App(t, _read_atom(c))
+    return t
+
+
+def _read_atom(c: Cursor) -> Term:
+    tok = c.peek()
+    if tok == "(":
+        c.take()
+        t = c.nested(_read_expr, c)
+        c.expect(")")
+        return t
+    if tok[:1].isdigit():
+        return Num(c.nat())
+    if not is_name(tok):
+        c.wanted("a term")
+    c.take()
+    return Prim(_KEYWORDS[tok]) if tok in _KEYWORDS else Var(tok)
 
 
 def show_term(t: Term) -> str:

@@ -1,5 +1,6 @@
 """Builders for random certified closure members and decision trees, shared
-across test modules, and the reference machine loop.
+across test modules, the quasi-polynomial evaluators, and the reference
+machine loop.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -13,7 +14,7 @@ from jreal.bracket import lam
 from jreal.certs import Base, Cert, CheckPolicy, Lift
 from jreal.deciders import DecTree, Not, One, Union
 from jreal.machine import NotClosedAtRuntime, _as_nat
-from jreal.terms import (App, K, Num, Prim, Term, Var, ap, decode_term_cached,
+from jreal.terms import (App, K, Num, PROJ, Prim, Term, Var, ap, decode_term_cached,
                          encode_term, spine)
 
 
@@ -67,6 +68,25 @@ def random_tree(rng: random.Random, depth: int) -> DecTree:
     width = rng.randrange(2, 4)
     return Union(tuple(random_tree(rng, depth - 1) for _ in range(width)))
 
+
+
+# Horner evaluation of a coefficient sequence <c0, c1, ...> at n
+POLYEVAL = prog.fixlam(
+    "pe", "c", "n",
+    prog.ite(Var("c"), Num(0),
+             ap(prog.ADD, ap(PROJ, Var("c"), Num(0)),
+                ap(prog.MUL, Var("n"),
+                   ap(Var("pe"), ap(prog.SUFFIX, Var("c"), Num(1)), Var("n"))))),
+)
+
+# quasi-polynomial evaluation of data <m, <coefficients per residue>>, the
+# description half of a skolem element code
+QPEVAL = lam(
+    "d", "n",
+    ap(POLYEVAL,
+       ap(PROJ, ap(PROJ, Var("d"), Num(1)), ap(prog.MOD, Var("n"), ap(PROJ, Var("d"), Num(0)))),
+       Var("n")),
+)
 
 class ReferenceMachine:
     """The machine's contraction rules written out plainly: tagged stack

@@ -23,6 +23,8 @@ from jreal.terms import (
     subst,
 )
 
+from support import QPEVAL
+
 # fix-free atoms only: every random body below terminates
 _ATOMS = [K, S, SUCC, PRED, CONS, LEN, PROJ, Num(0), Num(1), Num(7)]
 
@@ -105,4 +107,4 @@ def test_compiled_code_size_stays_additive():
                 stack.extend((u.fn, u.arg))
         return n
 
-    assert size(prog.QPEVAL) < 10_000
+    assert size(QPEVAL) < 10_000

@@ -1,5 +1,7 @@
 """Certificate checking and bounded search for closure membership."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from jreal import prog
 from jreal.bracket import lam
 from jreal.certs import (
-    MAX_DEPTH,
     CertSyntaxError,
     Accepted,
     Base,
@@ -39,6 +40,7 @@ from jreal.jsets import (
     show_jset,
 )
 from jreal.terms import FIX, Num, Var, ap, encode_term
+from jreal.text import MAX_DEPTH
 
 P = CheckPolicy(depth=4, window=4, fuel=2000)
 
@@ -283,6 +285,14 @@ def test_cert_nesting_is_bounded():
     for n in (MAX_DEPTH, 2000):
         with pytest.raises(CertSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
             parse_cert(lifts(n))
+
+
+def test_wide_lift_parses_in_linear_time():
+    tails = tuple((m, Base(0)) for m in range(8000))
+    text = show_cert(Lift(0, tails))
+    start = time.perf_counter()
+    assert parse_cert(text) == Lift(0, tails)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cert_parse_examples():

@@ -170,6 +170,10 @@ BAD_INPUTS = {
     "jcert-x": (["jcert", "check", "--x", "-5", "--set", "{2}",
                  "--cert", "tests/data/base.cert"], {}),
     "skolem-modulus": (["skolem", "standard", "mod 0:"], {}),
+    # refused before anything the size of the modulus or the power is built
+    "skolem-modulus-above-rows": (["skolem", "standard", "mod 1000000: 0 -> 1"],
+                                  {}),
+    "skolem-power": (["skolem", "standard", "mod 1: 0 -> n^4000000"], {}),
     "corpus-e-text": (["realize", "corpus", "{tmp}"],
                       {"a.case": b"formula: 0 = 0\ne: zz\n"}),
     "corpus-e-negative": (["realize", "corpus", "{tmp}"],
@@ -229,6 +233,12 @@ def test_oversize_doctrine_names_its_size(tmp_path, capsysbinary):
     argv, files = BAD_INPUTS["doctrine-laws-oversize"]
     err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
     assert "carrier size 11 out of range" in err
+
+
+def test_oversize_element_error_is_short(capsysbinary):
+    err = _usage_error(BAD_INPUTS["skolem-modulus-above-rows"][0], capsysbinary)
+    assert "999999 of 1000000 residues, the first 1" in err
+    assert len(err) < 120
 
 
 WIDE = {"w.asm": WIDE_ASM}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jreal import coding
-from jreal.certs import MAX_DEPTH, Accepted, CheckPolicy, check_cert
+from jreal.certs import Accepted, CheckPolicy, check_cert
 from jreal.deciders import (
     DecSyntaxError,
     Not,
@@ -27,6 +27,7 @@ from jreal.deciders import (
 )
 from jreal.jsets import Singleton
 from jreal.machine import Value, apply
+from jreal.text import MAX_DEPTH
 from support import random_tree
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jreal.formulas import (
-    MAX_DEPTH,
     All,
     And,
     Eq,
@@ -22,16 +21,15 @@ from jreal.formulas import (
     parse_formula,
     show_formula,
 )
+from jreal.text import MAX_DEPTH
 
 NAMES = st.sampled_from(["x", "y", "n_1"])
 
 
 def _terms(inner):
-    # the shapes show_term prints unambiguously: a successor of an atom or
-    # successor, and a sum whose right operand is no sum
     return st.one_of(
-        inner.filter(lambda a: not isinstance(a, Plus | Times)).map(Succ),
-        st.builds(Plus, inner, inner.filter(lambda b: not isinstance(b, Plus))),
+        st.builds(Succ, inner),
+        st.builds(Plus, inner, inner),
         st.builds(Times, inner, inner),
     )
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from jreal.quasipoly import (
     FULL_SET,
     DefinableSet,
+    MAX_POWER,
     QpSyntaxError,
     QuasiPoly,
     canon,
@@ -197,6 +198,7 @@ def test_parse_normalizes():
     assert parse_qp("mod 2: 0 -> 3; 1 -> 3") == const(3)
     assert parse_qp("mod 1: 0 -> n + n") == canon(1, [(0, 2)])
     assert parse_qp("mod 1: 0 -> 2 n^2 + 1") == canon(1, [(1, 0, 2)])
+    assert parse_qp(f"mod 1: 0 -> n^{MAX_POWER}").degree == MAX_POWER
 
 
 @pytest.mark.parametrize("bad", [
@@ -210,6 +212,8 @@ def test_parse_normalizes():
     "mod 1: 0 -> -3",
     "mod 1: 0 -> 1 + -2 n",
     "mod 1: 0 -> n^-1",
+    "mod 1: 0 -> n^65",
+    "mod 3: 0 -> 1; 2 -> 1",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(QpSyntaxError):

@@ -121,19 +121,23 @@ def test_map_leaving_on_a_sampled_antecedent_realizer_not_refuted_on_nat():
     assert "sampled antecedent realizer" in v.diagnostics
 
 
+# the checker scope of an open formula: x names the point 2
+X_IS_2 = (("x", 2),)
+
+
 def test_implication_map_leaving_on_one_antecedent_refuted_on_finite():
     # under x = 2 the antecedent realizers include 8 = <0,2> and 25 = <0,3>;
     # the map keeps 8 but sends every other input to <0,0>, whose payload 0
     # realizes nothing; the identity-like map into the closure is the twin
-    env = Env(tri_assembly(), assignment=(("x", 2),))
+    ck = Checker(Env(tri_assembly()), POL)
     phi = parse_formula("x = x -> x = x")
     keeps_8 = encode_term(lam("m", tag0(ite_table(Var("m"), [(8, 8)], Num(0)))))
-    bad = jrealizes(coding.pair(8, keeps_8), phi, env, POL)
+    bad = ck.check(coding.pair(8, keeps_8), phi, X_IS_2)
     assert isinstance(bad, Refuted)
     assert "leaves the closure" in bad.reason
     assert bad.reason.endswith(" 25")
     wraps = encode_term(lam("m", tag0(Var("m"))))
-    assert isinstance(jrealizes(coding.pair(8, wraps), phi, env, POL), Realized)
+    assert isinstance(ck.check(coding.pair(8, wraps), phi, X_IS_2), Realized)
 
 
 def test_non_pair_realizers_refuted_structurally():
@@ -154,10 +158,10 @@ def test_untagged_witness_evidence_refuted_on_nat(e):
 
 
 def test_open_formula_prefix_is_raw_membership():
-    env = Env(tri_assembly(), assignment=(("x", 2),))
-    assert isinstance(jrealizes(coding.pair(0, 3), parse_formula("x = x"), env, POL),
+    ck = Checker(Env(tri_assembly()), POL)
+    assert isinstance(ck.check(coding.pair(0, 3), parse_formula("x = x"), X_IS_2),
                       Realized)
-    assert isinstance(jrealizes(7, parse_formula("x = x"), env, POL), Refuted)
+    assert isinstance(ck.check(7, parse_formula("x = x"), X_IS_2), Refuted)
 
 
 def test_missing_assignment_rejected():

@@ -8,7 +8,6 @@ from jreal import coding
 from jreal.assemblies import TrackStatus
 from jreal.formulas import parse_formula, truth
 from jreal.machine import Value, apply_cached
-from jreal.prog import QPEVAL
 from jreal.quasipoly import canon, const, enumerate_qp, ident, qp_add, qp_mul
 from jreal.realizes import Realized
 from jreal.skolem import (
@@ -37,6 +36,7 @@ from jreal.skolem import (
     truth_qf,
 )
 from jreal.terms import encode_term
+from support import QPEVAL
 
 
 # ---------------------------------------------------------------------------

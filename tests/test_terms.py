@@ -33,6 +33,7 @@ from jreal.terms import (
     spine,
     subst,
 )
+from jreal.text import MAX_DEPTH
 
 closed_terms = st.recursive(
     st.one_of(
@@ -274,6 +275,16 @@ def test_parse_rejects_garbage():
     for src in ["", "(", "K)", r"\. x", r"\x", "K %"]:
         with pytest.raises(TermSyntaxError):
             parse_term(src)
+
+
+@pytest.mark.parametrize("make", [lambda n: "(" * n + "K" + ")" * n,
+                                  lambda n: "\\x. " * n + "x"],
+                         ids=["parens", "lambdas"])
+def test_term_nesting_is_bounded(make):
+    parse_term(make(MAX_DEPTH))
+    for n in (MAX_DEPTH + 1, 2000):
+        with pytest.raises(TermSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+            parse_term(make(n))
 
 
 def test_prim_names_are_the_parser_keywords():
