@@ -1,4 +1,4 @@
-"""The one tokenizer and token cursor of the five nested text formats.
+"""The one lexer and token cursor of the five nested text formats.
 
 Terms, formulas, certificates, decision trees and quasi-polynomials are all
 read as tokens: numerals (ASCII digits), names (an ASCII letter or
