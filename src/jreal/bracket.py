@@ -33,14 +33,26 @@ from __future__ import annotations
 from .terms import App, K, Num, Prim, S, Term, Var, ap, is_value
 
 
+# marks where the two compiled halves of an application join under S
+_JOIN = object()
+
+
 def compile_lambda(name: str, body: Term) -> Term:
-    match body:
-        case Var(n):
-            return ap(S, K, K) if n == name else App(K, body)
-        case App(fn, arg) if not is_value(body):
-            return ap(S, compile_lambda(name, fn), compile_lambda(name, arg))
-        case _:
-            return App(K, body)
+    # post-order with an explicit stack, so a long application compiles
+    done: list[Term] = []
+    todo: list[Term | object] = [body]
+    while todo:
+        t = todo.pop()
+        if t is _JOIN:
+            arg = done.pop()
+            done.append(ap(S, done.pop(), arg))
+        elif isinstance(t, App) and not is_value(t):
+            todo += (_JOIN, t.arg, t.fn)
+        elif isinstance(t, Var) and t.name == name:
+            done.append(ap(S, K, K))
+        else:
+            done.append(App(K, t))
+    return done[0]
 
 
 def lam(*parts: str | Term) -> Term:

@@ -1,15 +1,23 @@
-"""First-order arithmetic formulas: AST, parser, classical evaluation.
+"""First-order arithmetic formulas: AST, parser, evaluation in a structure.
 
 Terms are built from variables, numerals, successor, sum, and product.
 Atoms are equations, strict inequalities, and named relation symbols.
 Bounded quantifiers are surface sugar only: the parser rewrites
 `forall x < t. p` into a guarded unbounded quantifier, and the guarded
 shape is what the classifier and the realizer builder recognize.
+
+One evaluator, ``compile_formula``, turns a formula once into closures over
+a ``Structure``: ``NATURALS`` here, the limit model in ``skolem``.  Compiling
+never raises; what a structure cannot read (a relation, a quantifier, an
+unassigned variable) raises when evaluation reaches it, so ``0 = 1 /\\ P(x)``
+is false.  ``nodes`` is the one walk over a formula's tree.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .text import MAX_DEPTH, Cursor, is_name, lexer
 
@@ -48,34 +56,9 @@ class Times:
 TermAst = NVar | Lit | Succ | Plus | Times
 
 
-def eval_term(t: TermAst, env: dict) -> int:
-    match t:
-        case NVar(name):
-            # carriers may bind non-numeric points; arithmetic on one fails
-            # downstream, but a bare variable (relation argument) passes through
-            return env[name]
-        case Lit(k):
-            return k
-        case Succ(a):
-            return eval_term(a, env) + 1
-        case Plus(a, b):
-            return eval_term(a, env) + eval_term(b, env)
-        case Times(a, b):
-            return eval_term(a, env) * eval_term(b, env)
-    raise TypeError(t)
-
-
-def term_vars(t: TermAst) -> frozenset[str]:
-    match t:
-        case NVar(name):
-            return frozenset({name})
-        case Lit(_):
-            return frozenset()
-        case Succ(a):
-            return term_vars(a)
-        case Plus(a, b) | Times(a, b):
-            return term_vars(a) | term_vars(b)
-    raise TypeError(t)
+def term_vars(t: TermAst | Formula) -> frozenset[str]:
+    """The variables named anywhere under t, a term or an atom."""
+    return frozenset(n.name for n, _ in nodes(t) if isinstance(n, NVar))
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +118,11 @@ Formula = Eq | Less | Rel | And | Or | Imp | All | Ex
 
 def free_vars(phi: Formula) -> frozenset[str]:
     match phi:
-        case Eq(l, r) | Less(l, r):
-            return term_vars(l) | term_vars(r)
-        case Rel(_, args):
-            out: frozenset[str] = frozenset()
-            for a in args:
-                out |= term_vars(a)
-            return out
         case And(a, b) | Or(a, b) | Imp(a, b):
             return free_vars(a) | free_vars(b)
         case All(v, body) | Ex(v, body):
             return free_vars(body) - {v}
-    raise TypeError(phi)
+    return term_vars(phi)
 
 
 def bound_of(phi: Formula) -> tuple[str, TermAst, Formula] | None:
@@ -159,51 +135,110 @@ def bound_of(phi: Formula) -> tuple[str, TermAst, Formula] | None:
     return None
 
 
+# each node type's children, right to left
+_KIDS = {Succ: lambda n: (n.arg,), All: lambda n: (n.body,),
+         Ex: lambda n: (n.body,), Rel: lambda n: n.args[::-1],
+         **dict.fromkeys((Plus, Times, Eq, Less, And, Or, Imp),
+                         lambda n: (n.right, n.left))}
+
+
+def nodes(phi: Formula | TermAst):
+    """Every formula and term node under phi with its depth, phi at depth 1,
+    pre-order and left to right.  Iterative, so any nesting walks."""
+    stack = [(phi, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        kids = _KIDS.get(type(node))
+        if kids:
+            stack += ((kid, depth + 1) for kid in kids(node))
+
+
 def is_delta0(phi: Formula) -> bool:
     """Every quantifier guarded by a bound not mentioning its own variable."""
+    return all(bound_of(n) is not None for n, _ in nodes(phi)
+               if isinstance(n, All | Ex))
+
+
+# ---------------------------------------------------------------------------
+# evaluation: a term or formula compiled once into closures over a structure
+
+
+@dataclass(frozen=True, slots=True)
+class Structure:
+    """Numerals, sum, product, equality and order on a carrier, and the
+    carrier values below a guard's bound (None: no quantifiers)."""
+
+    lit: Callable
+    add: Callable
+    mul: Callable
+    eq: Callable
+    lt: Callable
+    ranges: Callable | None
+
+
+NATURALS = Structure(int, operator.add, operator.mul, operator.eq,
+                     operator.lt, range)
+
+
+def compile_term(t: TermAst, s: Structure) -> Callable[[dict], object]:
+    """t as a map from an environment to its value in s."""
+    match t:
+        case NVar(name):
+            return lambda env: (env[name] if name in env
+                                else _raise(f"unassigned variable {name}"))
+        case Lit(k):
+            v = s.lit(k)
+            return lambda env: v
+        case Succ(a):
+            f, one, add = compile_term(a, s), s.lit(1), s.add
+            return lambda env: add(f(env), one)
+        case Plus(a, b) | Times(a, b):
+            f, g = compile_term(a, s), compile_term(b, s)
+            op = s.add if isinstance(t, Plus) else s.mul
+            return lambda env: op(f(env), g(env))
+    raise TypeError(t)
+
+
+def compile_formula(phi: Formula, s: Structure,
+                    points: tuple | None) -> Callable[[dict], bool]:
+    """phi as a map from an environment to its truth in s.  A quantifier
+    ranges over ``points`` when given, else below its guard's bound.  What
+    cannot be read (a relation, a quantifier in a structure without them,
+    an unguarded one without points, an unassigned variable) raises
+    ValueError when evaluation reaches it, never here."""
     match phi:
-        case Eq(_, _) | Less(_, _) | Rel(_, _):
-            return True
+        case Eq(l, r) | Less(l, r):
+            f, g = compile_term(l, s), compile_term(r, s)
+            rel = s.eq if isinstance(phi, Eq) else s.lt
+            return lambda env: rel(f(env), g(env))
         case And(a, b) | Or(a, b) | Imp(a, b):
-            return is_delta0(a) and is_delta0(b)
-        case All(_, _) | Ex(_, _):
-            got = bound_of(phi)
-            return got is not None and is_delta0(got[2])
-    raise TypeError(phi)
-
-
-def truth(phi: Formula, env: dict | None = None,
-          points: tuple[int, ...] | None = None) -> bool:
-    """Classical truth over the naturals; quantifiers must be guarded, unless
-    ``points`` is given, when every quantifier ranges over those points.
-    A relation has no interpretation here: evaluating one raises."""
-    env = env or {}
-    match phi:
-        case Eq(l, r):
-            return eval_term(l, env) == eval_term(r, env)
-        case Less(l, r):
-            return eval_term(l, env) < eval_term(r, env)
-        case Rel(name, _):
-            raise ValueError(f"relation {name} has no interpretation")
-        case And(a, b):
-            return truth(a, env, points) and truth(b, env, points)
-        case Or(a, b):
-            return truth(a, env, points) or truth(b, env, points)
-        case Imp(a, b):
-            return (not truth(a, env, points)) or truth(b, env, points)
+            f, g = compile_formula(a, s, points), compile_formula(b, s, points)
+            if isinstance(phi, And):
+                return lambda env: f(env) and g(env)
+            if isinstance(phi, Or):
+                return lambda env: f(env) or g(env)
+            return lambda env: (not f(env)) or g(env)
         case All(v, body) | Ex(v, body):
-            if points is None:
-                got = bound_of(phi)
-                if got is None:
-                    raise ValueError("unbounded quantifier has no classical "
-                                     "evaluation here")
-                ks = range(eval_term(got[1], env))
-            else:
-                ks = points
+            guarded, pick = bound_of(phi), all if isinstance(phi, All) else any
+            if s.ranges is None:
+                return lambda env: _raise("quantifier-free formulas only")
+            if points is None and guarded is None:
+                return lambda env: _raise("unbounded quantifier has no "
+                                          "classical evaluation here")
             # the guard is part of the body, so evaluate the full body
-            picks = (truth(body, {**env, v: k}, points) for k in ks)
-            return all(picks) if isinstance(phi, All) else any(picks)
+            f = compile_formula(body, s, points)
+            if points is not None:
+                return lambda env: pick(f({**env, v: k}) for k in points)
+            bound, ranges = compile_term(guarded[1], s), s.ranges
+            return lambda env: pick(f({**env, v: k}) for k in ranges(bound(env)))
+        case Rel(name, _):
+            return lambda env: _raise(f"relation {name} has no interpretation")
     raise TypeError(phi)
+
+
+def _raise(msg: str):
+    raise ValueError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +410,11 @@ class _Parser(Cursor):
         self.wanted("a term")
 
 
-def _levels(phi: Formula) -> int:
-    """Levels of formula and term nodes, counted a level at a time: a
-    left-nested chain is deeper than the parser ever recursed."""
-    count, level = 0, [phi]
-    while level:
-        count += 1
-        # a field holds a node, a name, a number, or (in Rel) a tuple of nodes
-        fields = [getattr(node, f) for node in level for f in node.__match_args__]
-        level = [v for field in fields
-                 for v in (field if isinstance(field, tuple) else (field,))
-                 if not isinstance(v, str | int)]
-    return count
-
-
 def parse_formula(text: str) -> Formula:
     """Parse ``text``; nesting past MAX_DEPTH levels is a syntax error."""
     p = _Parser(_TOKENS, text, FormulaSyntaxError)
     out = p.formula()
     p.done()
-    if _levels(out) > MAX_DEPTH:
+    if max(depth for _, depth in nodes(out)) > MAX_DEPTH:
         p.fail(f"nested deeper than {MAX_DEPTH}", 0)
     return out

@@ -176,8 +176,7 @@ def parse_jset(text: str) -> JSet:
     if src.startswith("{"):
         return Finite(_parse_brace_list(src, "finite"))
     fields = src.split()
-    if len(fields) == 2 and fields[0] == "single" and fields[1].isdigit():
-        return Singleton(int(fields[1]))
-    if len(fields) == 2 and fields[0] == "upfrom" and fields[1].isdigit():
-        return UpFrom(int(fields[1]))
+    if (len(fields) == 2 and fields[1].isascii() and fields[1].isdigit()
+            and fields[0] in ("single", "upfrom")):
+        return (Singleton if fields[0] == "single" else UpFrom)(int(fields[1]))
     raise JSetSyntaxError(f"unrecognized set spec {text!r}")

@@ -40,8 +40,8 @@ from .assemblies import Assembly, NatAssembly, TrackStatus, track_rows
 from .bracket import lam
 from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy, tagged
 from .formulas import (
-    All, And, Eq, Ex, Formula, Imp, Less, Or, Rel,
-    eval_term, free_vars, is_delta0, bound_of, truth, show_formula,
+    NATURALS, All, And, Eq, Ex, Formula, Imp, Less, Or, Rel,
+    bound_of, compile_formula, compile_term, free_vars, is_delta0, show_formula,
 )
 from .jsets import ByPredicate, JSet, Singleton, member
 from .prog import LT01, ite, ite_table, seq2, tag0
@@ -105,6 +105,7 @@ class Checker:
         self.memo: dict = {}
         self.searcher = CertSearch(self.policy, TRACK_THRESHOLD)
         self._jsets: dict = {}
+        self._atoms: dict = {}  # an atom's two terms, compiled
 
     # -- membership -------------------------------------------------------
 
@@ -172,7 +173,11 @@ class Checker:
             case Eq(l, r) | Less(l, r):
                 # the interpretation decides refutation outright; only an
                 # accepted atom needs its prefix certified
-                lv, rv = eval_term(l, asn), eval_term(r, asn)
+                terms = self._atoms.get(phi)
+                if terms is None:
+                    terms = self._atoms[phi] = (compile_term(l, NATURALS),
+                                                compile_term(r, NATURALS))
+                lv, rv = terms[0](asn), terms[1](asn)
                 holds = lv == rv if isinstance(phi, Eq) else lv < rv
                 if not holds:
                     op = "=" if isinstance(phi, Eq) else "<"
@@ -186,7 +191,7 @@ class Checker:
             case Rel(name, args):
                 if name not in self.relations:
                     return Unknown(f"relation {name} not interpreted")
-                pts = tuple(eval_term(a, asn) for a in args)
+                pts = tuple(compile_term(a, NATURALS)(asn) for a in args)
                 S = self.relations[name](pts)
                 got = member(S, e)
                 if got is True:
@@ -362,7 +367,7 @@ def build_delta0(phi: Formula) -> int:
         raise ValueError("builder needs a closed sentence")
     if not is_delta0(phi):
         raise ValueError("builder covers bounded-quantifier sentences only")
-    if not truth(phi):
+    if not compile_formula(phi, NATURALS, None)({}):
         raise ValueError(f"classically false: {show_formula(phi)}")
     return _build(phi, ())
 
@@ -375,17 +380,17 @@ def _build(phi: Formula, scope: tuple) -> int:
         case And(a, b):
             return coding.pair(_build(a, scope), _build(b, scope))
         case Or(a, b):
-            if truth(a, asn):
+            if compile_formula(a, NATURALS, None)(asn):
                 return coding.pair(0, _build(a, scope))
             return coding.pair(1, _build(b, scope))
         case Imp(a, b):
-            if not truth(a, asn):
+            if not compile_formula(a, NATURALS, None)(asn):
                 return coding.pair(_prefix_int(scope), _K0_CODE)
             return coding.pair(_prefix_int(scope),
                                _const_realizer_code(_build(b, scope)))
         case All(_, guarded):
             var, bound_t, _ = bound_of(phi)
-            n = eval_term(bound_t, asn)
+            n = compile_term(bound_t, NATURALS)(asn)
             rows = []
             for k in range(n):
                 rows.append((k, _build(guarded, ((var, k),) + scope)))
@@ -401,9 +406,10 @@ def _build(phi: Formula, scope: tuple) -> int:
             return coding.pair(_prefix_int(scope), encode_term(dispatch))
         case Ex(_, guarded):
             var, bound_t, body = bound_of(phi)
-            n = eval_term(bound_t, asn)
+            n = compile_term(bound_t, NATURALS)(asn)
+            holds = compile_formula(body, NATURALS, None)
             for w in range(n):
-                if truth(body, {**asn, var: w}):
+                if holds({**asn, var: w}):
                     return coding.pair(coding.pair(0, w),
                                        _build(guarded, ((var, w),) + scope))
             raise AssertionError("true bounded existential lost its witness")
@@ -414,8 +420,9 @@ def build_sigma1(phi: Formula) -> int | None:
     """Dovetail witnesses for an unguarded existential over a true core."""
     match phi:
         case Ex(var, body) if is_delta0(body) and not (free_vars(body) - {var}):
+            holds = compile_formula(body, NATURALS, None)
             for w in range(WITNESS_BOUND):
-                if truth(body, {var: w}):
+                if holds({var: w}):
                     return coding.pair(coding.pair(0, w),
                                        _build(body, ((var, w),)))
             return None

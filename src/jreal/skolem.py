@@ -16,6 +16,12 @@ decided by finite polynomial comparisons, embedded copies of the naturals
 sit below every unbounded element, and "is this element a natural number"
 is itself decidable, so the standardness split carries an honest realizer
 over the induced assembly.
+
+Formulas are read here by ``formulas.compile_formula`` in
+``limit_structure(model)``, the second structure beside ``NATURALS``:
+quasi-polynomial arithmetic, ordered along the selector tail, and no
+quantifiers, which raise only when evaluation reaches one.
+``transfer_check`` compiles a formula once in each structure.
 """
 
 from __future__ import annotations
@@ -36,23 +42,24 @@ from .assemblies import (
 from .bracket import lam
 from .certs import CheckPolicy
 from .formulas import (
+    NATURALS,
     All,
-    And,
     Eq,
+    Ex,
     Formula,
     Imp,
     Less,
     Lit,
     NVar,
     Or,
-    Plus,
     Rel,
+    Structure,
     Succ,
-    TermAst,
-    Times,
+    compile_formula,
+    compile_term,
     free_vars,
+    nodes,
     show_formula,
-    truth,
 )
 from .jsets import Finite
 from .prog import ADD, EQ01, LT01, MOD, MUL, SUFFIX, fixlam, ite, p0, p1, seq2, tag0
@@ -276,48 +283,18 @@ def is_standard(model: Model, e: ModelElem) -> bool:
 # quantifier-free truth in the model
 
 
-def term_rep(t: TermAst, asn: dict[str, ModelElem]) -> QuasiPoly:
-    match t:
-        case NVar(name):
-            if name not in asn:
-                raise ValueError(f"unassigned variable {name}")
-            return asn[name].rep
-        case Lit(k):
-            return const(k)
-        case Succ(a):
-            return qp_add(term_rep(a, asn), const(1))
-        case Plus(a, b):
-            return qp_add(term_rep(a, asn), term_rep(b, asn))
-        case Times(a, b):
-            return qp_mul(term_rep(a, asn), term_rep(b, asn))
-    raise TypeError(t)
-
-
-def _is_qf(phi: Formula) -> bool:
-    match phi:
-        case Eq(_, _) | Less(_, _):
-            return True
-        case And(a, b) | Or(a, b) | Imp(a, b):
-            return _is_qf(a) and _is_qf(b)
-    return False
+def limit_structure(model: Model) -> Structure:
+    """The model as a structure on representatives: sums and products of
+    quasi-polynomials, compared along the selector tail; no quantifiers."""
+    return Structure(const, qp_add, qp_mul,
+                     lambda f, g: model.sign_qp(f, g) == "=",
+                     lambda f, g: model.sign_qp(f, g) == "<", None)
 
 
 def truth_qf(model: Model, phi: Formula, asn: dict[str, ModelElem]) -> bool:
     """Exact truth of a quantifier-free formula at model elements."""
-    match phi:
-        case Eq(l, r):
-            return model.sign_qp(term_rep(l, asn), term_rep(r, asn)) == "="
-        case Less(l, r):
-            return model.sign_qp(term_rep(l, asn), term_rep(r, asn)) == "<"
-        case And(a, b):
-            return truth_qf(model, a, asn) and truth_qf(model, b, asn)
-        case Or(a, b):
-            return truth_qf(model, a, asn) or truth_qf(model, b, asn)
-        case Imp(a, b):
-            return (not truth_qf(model, a, asn)) or truth_qf(model, b, asn)
-        case Rel(name, _):
-            raise ValueError(f"relation {name} has no limit interpretation")
-    raise ValueError("quantifier-free formulas only")
+    reps = {v: e.rep for v, e in asn.items()}
+    return compile_formula(phi, limit_structure(model), None)(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +316,6 @@ class TransferReport:
         return not self.disagreements
 
 
-def _atoms(phi: Formula):
-    match phi:
-        case Eq(l, r) | Less(l, r):
-            yield l, r
-        case And(a, b) | Or(a, b) | Imp(a, b):
-            yield from _atoms(a)
-            yield from _atoms(b)
-
-
 def transfer_check(model: Model, phi: Formula, asn: dict[str, ModelElem],
                    window: int = 24) -> TransferReport:
     """Compare limit truth, truth at selector points, and truth at the
@@ -356,47 +324,49 @@ def transfer_check(model: Model, phi: Formula, asn: dict[str, ModelElem],
     missing = free_vars(phi) - set(asn)
     if missing:
         raise ValueError(f"unassigned free variables: {sorted(missing)}")
-    if _is_qf(phi):
+    if not any(isinstance(n, Rel | All | Ex) for n, _ in nodes(phi)):
         return _transfer_qf(model, phi, asn, window)
     return _transfer_sampled(model, phi, asn, window)
 
 
 def _transfer_qf(model: Model, phi: Formula, asn, window: int) -> TransferReport:
     lt = truth_qf(model, phi, asn)
-    t_max = max((model.settle_threshold(term_rep(l, asn), term_rep(r, asn))
-                 for l, r in _atoms(phi)), default=0)
+    # settling every atom, left to right, extends the chain in a fixed order
+    limit, reps = limit_structure(model), {v: e.rep for v, e in asn.items()}
+    t_max = max((model.settle_threshold(compile_term(n.left, limit)(reps),
+                                        compile_term(n.right, limit)(reps))
+                 for n, _ in nodes(phi) if isinstance(n, Eq | Less)), default=0)
     while model.state.psi[-1] < t_max:
         model.state = extend_chain(model.state)
-    n0 = model.state.k
-    model.ensure(n0 + window)
-    psi = model.state.psi
-    disagreements = []
-    for n in range(n0, n0 + window):
-        env = {v: e.rep.value(psi[n]) for v, e in asn.items()}
-        if truth(phi, env) != lt:
-            disagreements.append(f"selector point psi({n})={psi[n]} disagrees")
+    holds = compile_formula(phi, NATURALS, None)
+    n0, psi, verdicts = _at_selector(model, holds, asn, window)
+    disagreements = [f"selector point psi({n})={psi[n]} disagrees"
+                     for n, got in enumerate(verdicts, n0) if got != lt]
     st = None
     values = {v: standard_value(model, e) for v, e in asn.items()}
     if all(val is not None for val in values.values()):
-        st = truth(phi, values)
+        st = holds(values)
         if st != lt:
             disagreements.append("embedded-argument truth differs")
     return TransferReport(show_formula(phi), "exact", lt, st,
                           (n0, n0 + window), tuple(disagreements), ())
 
 
+def _at_selector(model: Model, holds, asn, window: int):
+    """The window's first selector index, the selector, and the standard
+    verdict at each selector point of the window."""
+    n0 = model.state.k
+    psi = model.ensure(n0 + window).psi
+    return n0, psi, [holds({v: e.rep.value(psi[n]) for v, e in asn.items()})
+                     for n in range(n0, n0 + window)]
+
+
 _QUANT_SAMPLE = 48
 
 
 def _transfer_sampled(model: Model, phi: Formula, asn, window: int) -> TransferReport:
-    n0 = model.state.k
-    model.ensure(n0 + window)
-    psi = model.state.psi
-    sample = tuple(range(_QUANT_SAMPLE))
-    verdicts = []
-    for n in range(n0, n0 + window):
-        env = {v: e.rep.value(psi[n]) for v, e in asn.items()}
-        verdicts.append(truth(phi, env, points=sample))
+    holds = compile_formula(phi, NATURALS, tuple(range(_QUANT_SAMPLE)))
+    n0, _, verdicts = _at_selector(model, holds, asn, window)
     disagreements = ()
     if len(set(verdicts)) > 1:
         flips = [n0 + i for i in range(1, window) if verdicts[i] != verdicts[i - 1]]
@@ -786,7 +756,7 @@ def st_assembly(model: Model) -> ModelAssembly:
 
 def parse_elem(text: str) -> ModelElem:
     text = text.strip()
-    if text.lstrip("-").isdigit():
+    if text.isascii() and text.removeprefix("-").isdigit():
         n = int(text)
         if n < 0:
             raise ValueError("elements embed naturals only")

@@ -1,6 +1,6 @@
 """Builders for random certified closure members and decision trees, shared
-across test modules, the quasi-polynomial evaluators, and the reference
-machine loop.
+across test modules, the quasi-polynomial evaluators, the reference machine
+loop, and the reference formula interpreters.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -13,7 +13,10 @@ from jreal import coding, prog
 from jreal.bracket import lam
 from jreal.certs import Base, Cert, CheckPolicy, Lift
 from jreal.deciders import DecTree, Not, One, Union
+from jreal.formulas import (All, And, Eq, Ex, Formula, Imp, Less, Lit, NVar, Or,
+                            Plus, Rel, Succ, TermAst, Times, bound_of)
 from jreal.machine import NotClosedAtRuntime, _as_nat
+from jreal.quasipoly import const, qp_add, qp_mul
 from jreal.terms import (App, K, Num, PROJ, Prim, Term, Var, ap, decode_term_cached,
                          encode_term, spine)
 
@@ -174,3 +177,128 @@ class ReferenceMachine:
             (s,) = args
             return Num(coding.seq_proj(_as_nat(s), _as_nat(v))), False
         raise AssertionError(head)
+
+
+# ---------------------------------------------------------------------------
+# the formula interpreters that ``formulas.compile_formula`` must match: a
+# tree walk per evaluation over the naturals, and one over the limit model
+
+
+def eval_term(t: TermAst, env: dict) -> int:
+    match t:
+        case NVar(name):
+            if name not in env:
+                raise ValueError(f"unassigned variable {name}")
+            return env[name]
+        case Lit(k):
+            return k
+        case Succ(a):
+            return eval_term(a, env) + 1
+        case Plus(a, b):
+            return eval_term(a, env) + eval_term(b, env)
+        case Times(a, b):
+            return eval_term(a, env) * eval_term(b, env)
+    raise TypeError(t)
+
+
+def truth(phi: Formula, env: dict | None = None,
+          points: tuple[int, ...] | None = None) -> bool:
+    """Classical truth over the naturals; quantifiers must be guarded, unless
+    ``points`` is given, when every quantifier ranges over those points."""
+    env = env or {}
+    match phi:
+        case Eq(l, r):
+            return eval_term(l, env) == eval_term(r, env)
+        case Less(l, r):
+            return eval_term(l, env) < eval_term(r, env)
+        case Rel(name, _):
+            raise ValueError(f"relation {name} has no interpretation")
+        case And(a, b):
+            return truth(a, env, points) and truth(b, env, points)
+        case Or(a, b):
+            return truth(a, env, points) or truth(b, env, points)
+        case Imp(a, b):
+            return (not truth(a, env, points)) or truth(b, env, points)
+        case All(v, body) | Ex(v, body):
+            if points is None:
+                got = bound_of(phi)
+                if got is None:
+                    raise ValueError("unbounded quantifier has no classical "
+                                     "evaluation here")
+                ks = range(eval_term(got[1], env))
+            else:
+                ks = points
+            picks = (truth(body, {**env, v: k}, points) for k in ks)
+            return all(picks) if isinstance(phi, All) else any(picks)
+    raise TypeError(phi)
+
+
+def term_rep(t: TermAst, asn: dict):
+    match t:
+        case NVar(name):
+            if name not in asn:
+                raise ValueError(f"unassigned variable {name}")
+            return asn[name].rep
+        case Lit(k):
+            return const(k)
+        case Succ(a):
+            return qp_add(term_rep(a, asn), const(1))
+        case Plus(a, b):
+            return qp_add(term_rep(a, asn), term_rep(b, asn))
+        case Times(a, b):
+            return qp_mul(term_rep(a, asn), term_rep(b, asn))
+    raise TypeError(t)
+
+
+def truth_qf(model, phi: Formula, asn: dict) -> bool:
+    """Exact truth of a quantifier-free formula at elements of the model."""
+    match phi:
+        case Eq(l, r):
+            return model.sign_qp(term_rep(l, asn), term_rep(r, asn)) == "="
+        case Less(l, r):
+            return model.sign_qp(term_rep(l, asn), term_rep(r, asn)) == "<"
+        case And(a, b):
+            return truth_qf(model, a, asn) and truth_qf(model, b, asn)
+        case Or(a, b):
+            return truth_qf(model, a, asn) or truth_qf(model, b, asn)
+        case Imp(a, b):
+            return (not truth_qf(model, a, asn)) or truth_qf(model, b, asn)
+        case Rel(name, _):
+            raise ValueError(f"relation {name} has no interpretation")
+    raise ValueError("quantifier-free formulas only")
+
+
+def is_delta0(phi: Formula) -> bool:
+    """Every quantifier guarded, by recursion on the formula."""
+    match phi:
+        case Eq(_, _) | Less(_, _) | Rel(_, _):
+            return True
+        case And(a, b) | Or(a, b) | Imp(a, b):
+            return is_delta0(a) and is_delta0(b)
+        case All(_, _) | Ex(_, _):
+            got = bound_of(phi)
+            return got is not None and is_delta0(got[2])
+    raise TypeError(phi)
+
+
+def atoms(phi: Formula):
+    """The (left, right) terms of each atom of a quantifier-free formula,
+    left to right, the order in which transfer settles them."""
+    match phi:
+        case Eq(l, r) | Less(l, r):
+            yield l, r
+        case And(a, b) | Or(a, b) | Imp(a, b):
+            yield from atoms(a)
+            yield from atoms(b)
+
+
+def levels(phi) -> int:
+    """Levels of formula and term nodes, counted a level at a time."""
+    count, level = 0, [phi]
+    while level:
+        count += 1
+        fields = [getattr(node, f) for node in level for f in node.__match_args__]
+        level = [v for field in fields
+                 for v in (field if isinstance(field, tuple) else (field,))
+                 if not isinstance(v, str | int)]
+    return count

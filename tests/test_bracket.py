@@ -20,6 +20,7 @@ from jreal.terms import (
     ap,
     encode_term,
     free_vars,
+    parse_term,
     subst,
 )
 
@@ -52,6 +53,15 @@ def test_abstraction_is_sound_on_random_bodies():
         assert got == want, (body, v)
         checked += 1
     assert checked >= 100
+
+
+def test_long_application_under_a_lambda_compiles():
+    # one level of text nesting, 2,000 application nodes: [x](f x) = S [x]f SKK
+    t = parse_term("\\x. " + "x " * 2000)
+    for _ in range(1999):
+        assert t.fn.fn == S and t.arg == ap(S, K, K)
+        t = t.fn.arg
+    assert t == ap(S, K, K)
 
 
 def test_two_level_abstraction():

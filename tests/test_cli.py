@@ -208,6 +208,10 @@ BAD_INPUTS = {
                    + b"))" * 2000 + b"\n"}),
     "negative-member": (["asm", "sub", "{tmp}/n.asm", "--points", "a"],
                         {"n.asm": b"point a realizers {-1}\n"}),
+    # a digit outside ASCII, which str.isdigit takes and int() refuses
+    "skolem-superscript": (["skolem", "standard", "\u00b2"], {}),
+    "jcert-superscript": (["jcert", "check", "--x", "0", "--set", "single \u00b2",
+                           "--cert", "tests/data/base.cert"], {}),
 }
 
 
@@ -233,6 +237,33 @@ def test_oversize_doctrine_names_its_size(tmp_path, capsysbinary):
     argv, files = BAD_INPUTS["doctrine-laws-oversize"]
     err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
     assert "carrier size 11 out of range" in err
+
+
+@pytest.mark.parametrize("name", ["skolem-superscript", "jcert-superscript"])
+def test_non_ascii_digit_gets_the_readers_message(name, capsysbinary):
+    err = _usage_error(BAD_INPUTS[name][0], capsysbinary)
+    assert "\u00b2" in err and "int()" not in err
+
+
+# a branch that evaluation never reaches raises nothing, whatever it holds
+LAZY_EVAL = {
+    "0 = 1 /\\ forall z. z = z": "case eval False closed",
+    "0 = 0 /\\ forall z. z = z": "quantifier-free formulas only",
+    "0 = 1 /\\ P(x)": "case eval False closed",
+    "0 = 0 /\\ P(x)": "relation P has no interpretation",
+    "0 = 1 /\\ x = 0": "case eval False closed",
+    "x = 0": "unassigned variable x",
+}
+
+
+@pytest.mark.parametrize("formula", sorted(LAZY_EVAL))
+def test_skolem_eval_raises_only_where_it_reads(formula, capsysbinary):
+    argv, want = ["skolem", "eval", "--formula", formula], LAZY_EVAL[formula]
+    if want.startswith("case"):
+        code, out, err = run(argv, capsysbinary)
+        assert (code, err) == (0, "") and want in out.splitlines()
+    else:
+        assert want in _usage_error(argv, capsysbinary)
 
 
 def test_oversize_element_error_is_short(capsysbinary):

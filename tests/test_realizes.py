@@ -9,8 +9,8 @@ from jreal.assemblies import FiniteAssembly, NatAssembly
 from jreal.bracket import lam
 from jreal.certs import CheckPolicy
 from jreal.formulas import (
-    All, And, Eq, Ex, Imp, Less, Lit, NVar, Or,
-    parse_formula, truth,
+    NATURALS, All, And, Eq, Ex, Imp, Less, Lit, NVar, Or,
+    compile_formula, parse_formula,
 )
 from jreal.jsets import Cofinite, Finite, UpFrom
 from jreal.kit import A_CODE
@@ -21,6 +21,7 @@ from jreal.realizes import (
     build_delta0, build_sigma1, jrealizes, nat_env,
 )
 from jreal.terms import App, K, Num, Var, encode_term
+from support import eval_term
 
 POL = CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
 
@@ -229,9 +230,11 @@ def test_builder_refuses_false(text):
 
 def test_truth_raises_on_a_relation_only_when_evaluated():
     env = {"x": 0}
-    assert truth(parse_formula("0 = 1 /\\ P(x)"), env) is False
+    false = compile_formula(parse_formula("0 = 1 /\\ P(x)"), NATURALS, None)
+    assert false(env) is False
+    raises = compile_formula(parse_formula("0 = 0 /\\ P(x)"), NATURALS, None)
     with pytest.raises(ValueError, match="relation P has no interpretation"):
-        truth(parse_formula("0 = 0 /\\ P(x)"), env)
+        raises(env)
 
 
 def test_builder_rejects_open_or_unbounded():
@@ -324,11 +327,9 @@ class Oracle:
         asn = dict(scope)
         match phi:
             case Eq(l, r):
-                from jreal.formulas import eval_term
                 return (eval_term(l, asn) == eval_term(r, asn)
                         and self._prefix(e, scope))
             case Less(l, r):
-                from jreal.formulas import eval_term
                 return (eval_term(l, asn) < eval_term(r, asn)
                         and self._prefix(e, scope))
             case And(a, b):

@@ -1,12 +1,14 @@
 """Limit model: chain refinement, order, standardness, transfer, assembly."""
 
+import dataclasses
+import pathlib
 import random
 
 import pytest
 
-from jreal import coding
+from jreal import cli, coding, skolem
 from jreal.assemblies import TrackStatus
-from jreal.formulas import parse_formula, truth
+from jreal.formulas import parse_formula
 from jreal.machine import Value, apply_cached
 from jreal.quasipoly import canon, const, enumerate_qp, ident, qp_add, qp_mul
 from jreal.realizes import Realized
@@ -267,6 +269,42 @@ def test_transfer_quantified_is_sampled_only():
     assert rep.limit_truth is None
     assert any("sampled" in c for c in rep.caveats)
     assert rep.consistent
+
+
+TRANSFER = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "transfer"
+
+
+def _shipped_case(name: str):
+    fields = dict(line.split(": ", 1)
+                  for line in (TRANSFER / f"{name}.case").read_text().splitlines())
+    asn = {v.strip(): parse_elem(text) for v, text in
+           (piece.split("=", 1) for piece in fields["args"].split("|"))}
+    return parse_formula(fields["formula"]), asn
+
+
+def _flip_limit_order(monkeypatch):
+    """A mutant limit structure that reads x < y as y < x."""
+    real = skolem.limit_structure
+
+    def flipped(model):
+        s = real(model)
+        return dataclasses.replace(s, lt=lambda f, g: s.lt(g, f))
+    monkeypatch.setattr(skolem, "limit_structure", flipped)
+
+
+@pytest.mark.parametrize("name", ["qf_square", "qf_mixed"])
+def test_transfer_catches_a_flipped_limit_order(name, monkeypatch):
+    phi, asn = _shipped_case(name)
+    assert transfer_check(Model(), phi, asn).consistent
+    _flip_limit_order(monkeypatch)
+    rep = transfer_check(Model(), phi, asn)
+    assert rep.mode == "exact" and not rep.consistent
+
+
+def test_transfer_command_fails_on_a_flipped_limit_order(monkeypatch, capsys):
+    _flip_limit_order(monkeypatch)
+    assert cli.main(["skolem", "transfer", "--corpus", str(TRANSFER)]) == 1
+    assert "Disagrees" in capsys.readouterr().out
 
 
 def test_transfer_requires_assignment():
