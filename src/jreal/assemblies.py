@@ -16,6 +16,10 @@ runs its implication and universal clauses through it too, with its own
 landing rule: a realizer of an implication or of a universal tracks a map
 from the antecedent's realizers, or from the carrier's points, into the
 closure of the consequent's or the instance's realizers.
+
+A finite assembly's file format, read through ``text.Cursor`` ('#' lines are
+comments): ``file := ('point' label 'realizers' set)*``, ``label := name |
+nat`` (kept as its text) and ``set`` as in ``jsets``.
 """
 
 from __future__ import annotations
@@ -30,12 +34,13 @@ from . import coding, prog
 from .bracket import lam
 from .certs import (SCAN_THRESHOLD, TRACK_THRESHOLD, Accepted, Base,
                     CertSearch, CheckPolicy, check_cert, tagged)
-from .jsets import (Cofinite, Finite, JSet, Singleton, UpFrom, elements, is_empty, sample,
-                    show_jset, parse_jset)
+from .jsets import (SET_TOKENS, Cofinite, Finite, JSet, Singleton, UpFrom, elements,
+                    is_empty, read_jset, sample, show_jset)
 from .kit import A_CODE, B_TERM, D_TERM, E_TERM, wedge_target
 from .machine import DEFAULT_FUEL, Value, apply_cached
 from .prog import p0, p1, tag0
 from .terms import App, Num, Var, ap, encode_term
+from .text import Cursor, blank_comments, is_name
 
 Point = object  # hashable labels: str, int, tuple
 
@@ -310,9 +315,7 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
         row: dict[int, int] = {}
         for r in all_rs:
             res = apply_cached(e, r, policy.fuel)
-            if not isinstance(res, Value):
-                break
-            if tagged(res.value) is None:
+            if not isinstance(res, Value) or tagged(res.value) is None:
                 break
             row[r] = res.value
         else:
@@ -441,7 +444,7 @@ def omega_uniformity() -> UniformityEvidence:
 
 
 # ---------------------------------------------------------------------------
-# text format: one `point <name> realizers <jset-spec>` line per point
+# text format (see the module docstring)
 
 
 class AsmSyntaxError(ValueError):
@@ -449,28 +452,23 @@ class AsmSyntaxError(ValueError):
 
 
 def show_assembly(A: FiniteAssembly) -> str:
-    lines = []
-    for p, r in zip(A.points, A.realizers):
-        lines.append(f"point {p} realizers {show_jset(r)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"point {p} realizers {show_jset(r)}"
+                     for p, r in zip(A.points, A.realizers)) + "\n"
 
 
 def parse_assembly(text: str, name: str = "asm") -> FiniteAssembly:
+    c = Cursor(SET_TOKENS, blank_comments(text), AsmSyntaxError)
     points: list[Point] = []
     realizers: list[JSet] = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        fields = ln.split(None, 3)
-        if len(fields) != 4 or fields[0] != "point" or fields[2] != "realizers":
-            raise AsmSyntaxError(f"bad line {ln!r}")
-        try:
-            realizers.append(parse_jset(fields[3]))
-        except ValueError as exc:
-            raise AsmSyntaxError(f"bad realizer set in {ln!r}: {exc}") from None
-        points.append(fields[1])
+    while c.peek():
+        c.expect("point")
+        label = c.peek()
+        if not (is_name(label) or label[:1].isdigit()):
+            c.wanted("a point label")
+        points.append(c.take())
+        c.expect("realizers")
+        realizers.append(read_jset(c))
     try:
         return FiniteAssembly(name, tuple(points), tuple(realizers))
     except ValueError as exc:
-        raise AsmSyntaxError(str(exc)) from None
+        c.fail(str(exc))

@@ -23,16 +23,17 @@ from .assemblies import (AsmSyntaxError, Subobject, check_tracking,
 from .certs import Accepted, CheckPolicy, check_cert, parse_cert
 from .deciders import (Verdict, ground_truth, parse_dec, run_decider,
                        show_dec)
-from .doctrine import (Doctrine, MonoOp, lfp_by_intersection, lfp_local,
+from .doctrine import (Doctrine, MonoOp, bits, lfp_by_intersection, lfp_local,
                        lift_caveats, local_laws, parse_doctrine,
                        pitts_f_finite, uniformity_finite)
 from .formulas import parse_formula
-from .jsets import Finite, parse_jset
+from .jsets import SET_TOKENS, Finite, parse_jset, read_members, show_jset
 from .quasipoly import enumerate_qp, show_qp
 from .realizes import (Env, Realized, Refuted, Unknown, build_delta0,
                        build_sigma1, jrealizes, nat_env)
 from .report import (Case, Report, case_fail, case_pass, case_unknown,
                      emit_report, exit_code)
+from .text import Cursor
 
 LIFT_CAVEAT = "lift obligations checked on a finite window only"
 
@@ -51,14 +52,17 @@ def _read(path: str) -> str:
 
 
 def _nat(what: str, value: int | str) -> int:
-    """A natural number from a flag or a case field."""
-    try:
-        n = int(value, 0) if isinstance(value, str) else value
-    except ValueError:
-        raise UsageError(f"{what}: bad number {value!r}") from None
-    if n < 0:
-        raise UsageError(f"{what} must be a natural number, got {n}")
-    return n
+    """A natural number from an int flag, or from a text that is one numeral."""
+    if isinstance(value, str):
+        try:
+            c = Cursor(SET_TOKENS, value, UsageError)
+            value = c.nat()
+            c.done()
+        except UsageError as exc:
+            raise UsageError(f"{what}: {exc}") from None
+    if value < 0:
+        raise UsageError(f"{what} must be a natural number, got {value}")
+    return value
 
 
 def _read_closure(path: str) -> tuple[Doctrine, MonoOp, MonoOp]:
@@ -73,25 +77,23 @@ def _read_closure(path: str) -> tuple[Doctrine, MonoOp, MonoOp]:
 
 
 def _parse_mask(text: str, d: Doctrine) -> int:
-    """Either an element list {0,2} or a plain integer bitmask."""
-    text = text.strip()
-    if text.startswith("{"):
-        if not text.endswith("}"):
-            raise UsageError(f"unclosed set literal {text!r}")
-        inner = text[1:-1].strip()
-        mask = 0
-        for tok in filter(None, (t.strip() for t in inner.split(","))):
-            mask |= 1 << int(tok)
+    """Either an element list {0,2} or a numeral bitmask."""
+    c = Cursor(SET_TOKENS, text, UsageError)
+    if c.peek() == "{":
+        members = read_members(c)
+        # a member past the carrier is refused before it is shifted
+        fits = all(x < d.size for x in members)
+        mask = sum(1 << x for x in members) if fits else d.full + 1
     else:
-        mask = int(text, 0)
-    if not 0 <= mask <= d.full:
-        raise UsageError(f"set {text!r} out of range for size {d.size}")
+        mask = c.nat()
+    c.done()
+    if mask > d.full:
+        raise UsageError(f"set {text.strip()!r} out of range for size {d.size}")
     return mask
 
 
 def _show_mask(mask: int) -> str:
-    return "{" + ",".join(str(i) for i in range(mask.bit_length())
-                          if mask >> i & 1) + "}"
+    return show_jset(Finite(frozenset(bits(mask))))
 
 
 def _big(n: int) -> str:
@@ -575,14 +577,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(doc, "lfp", _cmd_doctrine_lfp)
     p.add_argument("file")
     p.add_argument("--set", required=True,
-                   help="start set, as {0,2} or an integer bitmask")
+                   help="start set: {0,2} or a bitmask numeral such as 5")
     p = leaf(doc, "uniformity", _cmd_doctrine_uniformity)
     p.add_argument("file")
 
     jc = sub.add_parser("jcert").add_subparsers(dest="cmd", required=True)
     p = leaf(jc, "check", _cmd_jcert_check)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--set", required=True, help="target set expression")
+    p.add_argument("--set", required=True,
+                   help="target set: {1,2}, cofinite{0}, single 4 or upfrom 7")
     p.add_argument("--cert", required=True, help="certificate file")
 
     jd = sub.add_parser("jdec").add_subparsers(dest="cmd", required=True)

@@ -14,12 +14,18 @@ row e (-1 where e is undefined somewhere on A), and ``pair_images[a][B]``,
 the defined pair codes ``pair(a, b)`` for b in B.  ``arrow(d, A, B)`` is the
 rows whose image of A is defined and inside B; ``wedge(d, A, B)`` is the OR
 of ``pair_images[a][B]`` over the members a of A.  Neither builds anything.
+
+File format, read through ``text.Cursor`` ('#' lines are comments):
+``file := 'doctrine' nat (('app' | 'pair') nat nat '=' nat)*``, as in
+``doctrine 2  app 0 0 = 0  pair 0 1 = 1``; a cell given twice keeps its last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+
+from .text import Cursor, blank_comments, lexer
 
 MAX_SIZE = 10
 
@@ -435,11 +441,9 @@ def candidate_ops(d: Doctrine) -> list[tuple[str, MonoOp]]:
 
 
 # ---------------------------------------------------------------------------
-# file format
-#
-#   doctrine 8
-#   app 0 0 = 0
-#   pair 0 3 = 3
+# file format (see the module docstring)
+
+_TOKENS = lexer("=")
 
 
 class DoctrineSyntaxError(ValueError):
@@ -447,48 +451,27 @@ class DoctrineSyntaxError(ValueError):
 
 
 def show_doctrine(d: Doctrine) -> str:
-    lines = [f"doctrine {d.size}"]
-    for e in range(d.size):
-        for x in range(d.size):
-            v = d.app_at(e, x)
-            if v is not None:
-                lines.append(f"app {e} {x} = {v}")
-    for x in range(d.size):
-        for y in range(d.size):
-            v = d.pair_at(x, y)
-            if v is not None:
-                lines.append(f"pair {x} {y} = {v}")
+    n = d.size
+    lines = [f"doctrine {n}"]
+    for kind, table in (("app", d.app), ("pair", d.pair)):  # both row-major
+        lines += (f"{kind} {i // n} {i % n} = {v}"
+                  for i, v in enumerate(table) if v >= 0)
     return "\n".join(lines) + "\n"
 
 
 def parse_doctrine(text: str) -> Doctrine:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("doctrine"):
-        raise DoctrineSyntaxError("missing doctrine header")
+    c = Cursor(_TOKENS, blank_comments(text), DoctrineSyntaxError)
+    c.expect("doctrine")
+    size = c.nat()
+    cells: dict[str, dict[tuple[int, int], int]] = {"app": {}, "pair": {}}
+    while c.peek():
+        kind = c.take()
+        if kind not in cells:
+            c.fail(f"unknown table {kind!r}", c.i - 1)
+        cell = (c.nat(), c.nat())
+        c.expect("=")
+        cells[kind][cell] = c.nat()
     try:
-        size = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DoctrineSyntaxError("bad doctrine header") from None
-    app: dict[tuple[int, int], int] = {}
-    pair: dict[tuple[int, int], int] = {}
-    for ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != 5 or fields[3] != "=":
-            raise DoctrineSyntaxError(f"bad line {ln!r}")
-        kind, a, b, _, v = fields
-        try:
-            cell = (int(a), int(b))
-            value = int(v)
-        except ValueError:
-            raise DoctrineSyntaxError(f"bad numbers in {ln!r}") from None
-        if kind == "app":
-            app[cell] = value
-        elif kind == "pair":
-            pair[cell] = value
-        else:
-            raise DoctrineSyntaxError(f"unknown table {kind!r}")
-    try:
-        return make_doctrine(size, app, pair)
+        return make_doctrine(size, cells["app"], cells["pair"])
     except ValueError as exc:
-        raise DoctrineSyntaxError(str(exc)) from None
+        c.fail(str(exc))

@@ -3,12 +3,19 @@
 Four directly decidable shapes, a fueled predicate wrapper whose test may
 come back undecided, and ``JOf`` marking a target that is itself a closure:
 membership there is certificate-mediated, never answered directly.
+
+Text form, read through ``text.Cursor``: ``set := '{' nats '}' | 'cofinite'
+'{' nats '}' | 'single' nat | 'upfrom' nat`` with ``nats := [nat (',' nat)*]``.
+``read_jset`` reads a set at any cursor whose lexer knows '{', '}' and ','.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import Callable
+
+from .text import Cursor, lexer
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,33 +109,24 @@ def sample(A: JSet, count: int) -> tuple[int, ...]:
     exact = elements(A)
     if exact is not None:
         return exact[:count]
-    out: list[int] = []
     match A:
         case Cofinite(excluded):
-            x = 0
-            while len(out) < count:
-                if x not in excluded:
-                    out.append(x)
-                x += 1
+            members = (x for x in itertools.count() if x not in excluded)
         case UpFrom(n):
-            out = list(range(n, n + count))
+            members = itertools.count(n)
         case ByPredicate(test, _):
-            for x in range(512):
-                if len(out) >= count:
-                    break
-                if test(x):
-                    out.append(x)
+            members = filter(test, range(512))
         case JOf(_):
             raise ValueError("closure sets have no direct sampling")
         case _:
             raise TypeError(A)
-    return tuple(out)
+    return tuple(itertools.islice(members, count))
 
 
 # ---------------------------------------------------------------------------
-# text format
-#
-#   {1,2,3}   {}   cofinite{0,5}   upfrom 7   single 4
+# text format (see the module docstring)
+
+SET_TOKENS = lexer("{", "}", ",")
 
 
 class JSetSyntaxError(ValueError):
@@ -153,30 +151,33 @@ def show_jset(A: JSet) -> str:
             raise TypeError(A)
 
 
-def _parse_brace_list(body: str, what: str) -> frozenset[int]:
-    body = body.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise JSetSyntaxError(f"{what}: expected braces, got {body!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return frozenset()
-    try:
-        members = frozenset(int(part) for part in inner.split(","))
-    except ValueError as exc:
-        raise JSetSyntaxError(f"{what}: {exc}") from None
-    if any(x < 0 for x in members):
-        raise JSetSyntaxError(f"{what}: negative member {min(members)}")
-    return members
+def read_members(c: Cursor) -> frozenset[int]:
+    """A brace list of numerals at the cursor: {}, {3} or {1,2,3}."""
+    c.expect("{")
+    members: set[int] = set()
+    while c.peek() != "}":
+        if members:
+            c.expect(",")
+        members.add(c.nat())
+    c.take()
+    return frozenset(members)
+
+
+def read_jset(c: Cursor) -> JSet:
+    """One set at the cursor, whose lexer must know '{', '}' and ','."""
+    head = c.peek()
+    if head == "{":
+        return Finite(read_members(c))
+    if head not in ("cofinite", "single", "upfrom"):
+        c.wanted("a set")
+    c.take()
+    if head == "cofinite":
+        return Cofinite(read_members(c))
+    return (Singleton if head == "single" else UpFrom)(c.nat())
 
 
 def parse_jset(text: str) -> JSet:
-    src = text.strip()
-    if src.startswith("cofinite"):
-        return Cofinite(_parse_brace_list(src[len("cofinite"):], "cofinite"))
-    if src.startswith("{"):
-        return Finite(_parse_brace_list(src, "finite"))
-    fields = src.split()
-    if (len(fields) == 2 and fields[1].isascii() and fields[1].isdigit()
-            and fields[0] in ("single", "upfrom")):
-        return (Singleton if fields[0] == "single" else UpFrom)(int(fields[1]))
-    raise JSetSyntaxError(f"unrecognized set spec {text!r}")
+    c = Cursor(SET_TOKENS, text, JSetSyntaxError)
+    A = read_jset(c)
+    c.done()
+    return A

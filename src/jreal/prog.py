@@ -76,49 +76,45 @@ def p1(t: Term) -> Term:
     return ap(PROJ, t, Num(1))
 
 
-def _v(n: str) -> Var:
-    return Var(n)
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
 # add x y = if y = 0 then x else succ (add x (pred y))
 ADD = fixlam(
     "add", "x", "y",
-    ite(_v("y"), _v("x"), App(SUCC, ap(_v("add"), _v("x"), App(PRED, _v("y"))))),
+    ite(Var("y"), Var("x"), App(SUCC, ap(Var("add"), Var("x"), App(PRED, Var("y"))))),
 )
 
 # mul x y = if y = 0 then 0 else x + mul x (pred y)
 MUL = fixlam(
     "mul", "x", "y",
-    ite(_v("y"), Num(0), ap(ADD, _v("x"), ap(_v("mul"), _v("x"), App(PRED, _v("y"))))),
+    ite(Var("y"), Num(0), ap(ADD, Var("x"), ap(Var("mul"), Var("x"), App(PRED, Var("y"))))),
 )
 
 # monus x y = if y = 0 then x else monus (pred x) (pred y)
 MONUS = fixlam(
     "mns", "x", "y",
-    ite(_v("y"), _v("x"), ap(_v("mns"), App(PRED, _v("x")), App(PRED, _v("y")))),
+    ite(Var("y"), Var("x"), ap(Var("mns"), App(PRED, Var("x")), App(PRED, Var("y")))),
 )
 
 # eq01 x y: 0 iff x = y
 EQ01 = lam(
     "x", "y",
-    ifz_raw(ap(ADD, ap(MONUS, _v("x"), _v("y")), ap(MONUS, _v("y"), _v("x"))),
+    ifz_raw(ap(ADD, ap(MONUS, Var("x"), Var("y")), ap(MONUS, Var("y"), Var("x"))),
             Num(0), Num(1)),
 )
 
 # lt01 x y: 0 iff x < y
 LT01 = lam(
     "x", "y",
-    ifz_raw(ap(MONUS, App(SUCC, _v("x")), _v("y")), Num(0), Num(1)),
+    ifz_raw(ap(MONUS, App(SUCC, Var("x")), Var("y")), Num(0), Num(1)),
 )
 
 # mod x k, diverges for k = 0 (callers guard)
 MOD = fixlam(
     "md", "x", "k",
-    ite(ap(LT01, _v("x"), _v("k")), _v("x"),
-        ap(_v("md"), ap(MONUS, _v("x"), _v("k")), _v("k"))),
+    ite(ap(LT01, Var("x"), Var("k")), Var("x"),
+        ap(Var("md"), ap(MONUS, Var("x"), Var("k")), Var("k"))),
 )
 
 # ---------------------------------------------------------------------------
@@ -127,8 +123,8 @@ MOD = fixlam(
 # suffix s i = <s_i, ..., s_{len-1}>
 SUFFIX = fixlam(
     "suf", "s", "i",
-    ite(ap(LT01, _v("i"), App(LEN, _v("s"))),
-        ap(CONS, ap(PROJ, _v("s"), _v("i")), ap(_v("suf"), _v("s"), App(SUCC, _v("i")))),
+    ite(ap(LT01, Var("i"), App(LEN, Var("s"))),
+        ap(CONS, ap(PROJ, Var("s"), Var("i")), ap(Var("suf"), Var("s"), App(SUCC, Var("i")))),
         Num(0)),
 )
 

@@ -459,58 +459,54 @@ def _mirror_pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 # object-level tracker programs
 
 
-def _r(n: str) -> Var:
-    return Var(n)
-
-
 # lcm by stepping: least multiple of the start that the second divides
 _LCM_T = fixlam(
     "lc", "t", "step", "m",
-    ite(ap(EQ01, ap(MOD, _r("t"), _r("m")), Num(0)), _r("t"),
-        ap(_r("lc"), ap(ADD, _r("t"), _r("step")), _r("step"), _r("m"))))
+    ite(ap(EQ01, ap(MOD, Var("t"), Var("m")), Num(0)), Var("t"),
+        ap(Var("lc"), ap(ADD, Var("t"), Var("step")), Var("step"), Var("m"))))
 
 _PADD_T = fixlam(
     "pa", "a", "b",
-    ite(_r("a"), _r("b"),
-        ite(_r("b"), _r("a"),
-            ap(CONS, ap(ADD, ap(PROJ, _r("a"), Num(0)), ap(PROJ, _r("b"), Num(0))),
-               ap(_r("pa"), ap(SUFFIX, _r("a"), Num(1)), ap(SUFFIX, _r("b"), Num(1)))))))
+    ite(Var("a"), Var("b"),
+        ite(Var("b"), Var("a"),
+            ap(CONS, ap(ADD, ap(PROJ, Var("a"), Num(0)), ap(PROJ, Var("b"), Num(0))),
+               ap(Var("pa"), ap(SUFFIX, Var("a"), Num(1)), ap(SUFFIX, Var("b"), Num(1)))))))
 
 _SCALE_T = fixlam(
     "sc", "c", "s",
-    ite(_r("s"), Num(0),
-        ap(CONS, ap(MUL, _r("c"), ap(PROJ, _r("s"), Num(0))),
-           ap(_r("sc"), _r("c"), ap(SUFFIX, _r("s"), Num(1))))))
+    ite(Var("s"), Num(0),
+        ap(CONS, ap(MUL, Var("c"), ap(PROJ, Var("s"), Num(0))),
+           ap(Var("sc"), Var("c"), ap(SUFFIX, Var("s"), Num(1))))))
 
-_SHIFT_T = lam("s", ite(_r("s"), Num(0), ap(CONS, Num(0), _r("s"))))
+_SHIFT_T = lam("s", ite(Var("s"), Num(0), ap(CONS, Num(0), Var("s"))))
 
 _PMUL_T = fixlam(
     "pm", "a", "b",
-    ite(_r("a"), Num(0),
-        ap(_PADD_T, ap(_SCALE_T, ap(PROJ, _r("a"), Num(0)), _r("b")),
-           App(_SHIFT_T, ap(_r("pm"), ap(SUFFIX, _r("a"), Num(1)), _r("b"))))))
+    ite(Var("a"), Num(0),
+        ap(_PADD_T, ap(_SCALE_T, ap(PROJ, Var("a"), Num(0)), Var("b")),
+           App(_SHIFT_T, ap(Var("pm"), ap(SUFFIX, Var("a"), Num(1)), Var("b"))))))
 
 
 def _rows_loop(body_row, bound):
     """Builds <row(0), ..., row(bound-1)> left to right."""
     return ap(fixlam(
         "go", "r",
-        ite(ap(EQ01, _r("r"), bound), Num(0),
-            ap(CONS, body_row(_r("r")), ap(_r("go"), App(SUCC, _r("r")))))),
+        ite(ap(EQ01, Var("r"), bound), Num(0),
+            ap(CONS, body_row(Var("r")), ap(Var("go"), App(SUCC, Var("r")))))),
         Num(0))
 
 
 def _binop_data_term(row_op) -> object:
     """Shared skeleton: lift both descriptions to the joint modulus and
     combine coefficient rows pointwise."""
-    d1, d2 = _r("d1"), _r("d2")
+    d1, d2 = Var("d1"), Var("d2")
     m1, m2 = p0(d1), p0(d2)
     rows1, rows2 = p1(d1), p1(d2)
     def row(r):
         return ap(row_op,
                   ap(PROJ, rows1, ap(MOD, r, m1)),
                   ap(PROJ, rows2, ap(MOD, r, m2)))
-    body = ap(lam("L", seq2(_r("L"), _rows_loop(row, _r("L")))),
+    body = ap(lam("L", seq2(Var("L"), _rows_loop(row, Var("L")))),
               ap(_LCM_T, m1, m1, m2))
     return lam("d1", "d2", body)
 
@@ -520,24 +516,24 @@ MUL_DATA_T = _binop_data_term(_PMUL_T)
 
 SUCC_DATA_T = lam(
     "d",
-    seq2(p0(_r("d")),
+    seq2(p0(Var("d")),
          ap(fixlam(
              "go", "rows",
-             ite(_r("rows"), Num(0),
+             ite(Var("rows"), Num(0),
                  ap(CONS,
                     ap(lam("row",
-                           ite(_r("row"), ap(CONS, Num(1), Num(0)),
-                               ap(CONS, App(SUCC, ap(PROJ, _r("row"), Num(0))),
-                                  ap(SUFFIX, _r("row"), Num(1))))),
-                       ap(PROJ, _r("rows"), Num(0))),
-                    ap(_r("go"), ap(SUFFIX, _r("rows"), Num(1)))))),
-            p1(_r("d")))))
+                           ite(Var("row"), ap(CONS, Num(1), Num(0)),
+                               ap(CONS, App(SUCC, ap(PROJ, Var("row"), Num(0))),
+                                  ap(SUFFIX, Var("row"), Num(1))))),
+                       ap(PROJ, Var("rows"), Num(0))),
+                    ap(Var("go"), ap(SUFFIX, Var("rows"), Num(1)))))),
+            p1(Var("d")))))
 
 
 def _tracker_code(data_term_on_qp) -> int:
     """Unary tracker: rebuild <description', prefix> from <description, prefix>."""
     return encode_term(lam(
-        "r", tag0(seq2(App(data_term_on_qp, p0(_r("r"))), p1(_r("r"))))))
+        "r", tag0(seq2(App(data_term_on_qp, p0(Var("r"))), p1(Var("r"))))))
 
 
 def succ_tracker_code() -> int:
@@ -547,7 +543,7 @@ def succ_tracker_code() -> int:
 def binop_tracker_code(data_term) -> int:
     """Tracker on a paired realizer <r1, r2>; the prefix rides along from
     the left component."""
-    w = _r("w")
+    w = Var("w")
     return encode_term(lam(
         "w", tag0(seq2(
             ap(data_term, p0(p0(w)), p0(p1(w))),
@@ -557,7 +553,7 @@ def binop_tracker_code(data_term) -> int:
 def iota_tracker_code(psi_code: int) -> int:
     return encode_term(lam(
         "n", tag0(seq2(
-            seq2(Num(1), ap(CONS, ap(CONS, _r("n"), Num(0)), Num(0))),
+            seq2(Num(1), ap(CONS, ap(CONS, Var("n"), Num(0)), Num(0))),
             Num(psi_code)))))
 
 
@@ -568,7 +564,7 @@ def standard_split_code(k0_code: int) -> int:
     """Code whose value at any element realizer is closure evidence for
     "embedded, witnessed by the realizer itself" or "not embedded, with the
     refutation map vacuous"."""
-    k = _r("k")
+    k = Var("k")
     desc = p0(k)
     row0 = ap(PROJ, p1(desc), Num(0))
     left = seq2(Num(0), k)

@@ -1,17 +1,20 @@
-"""The one lexer and token cursor of the five nested text formats.
+"""The one lexer and token cursor of every text format.
 
-Terms, formulas, certificates, decision trees and quasi-polynomials are all
+Terms, formulas, certificates, decision trees, quasi-polynomials, realizer
+sets, doctrine and assembly files and the command line's numerals are all
 read as tokens: numerals (ASCII digits), names (an ASCII letter or
 underscore, then letters, digits and underscores) and the symbols of the
-format, with white space between them.  ``lexer`` compiles one regular
-expression per symbol set; splitting a text on it leaves the tokens at the
-odd places and the gaps between them at the even ones, so lexing runs in C
-and a position is worked out only for an error message.  Any character in a
-gap that is not white space is an error.
+format, with white space, newlines included, between them.  ``lexer``
+compiles one regular expression per symbol set; splitting a text on it
+leaves the tokens at the odd places and the gaps between them at the even
+ones, so lexing runs in C and a position is worked out only for an error
+message.  Any character in a gap that is not white space is an error.
+``blank_comments`` blanks a file's '#' lines and keeps every position.
 
 A ``Cursor`` walks the tokens and raises the format's own error (a
 ``ValueError``), every message ending "at position N", the offset of the
-offending character (the text's length at its end).
+offending character (the text's length at its end).  ``Cursor.nat`` is the
+one place where text becomes a number.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from typing import NoReturn
 
 # the deepest nesting any reader accepts: consumers recurse per level
 MAX_DEPTH = 64
+# the longest numeral any reader accepts: int()'s default limit on digits
+MAX_DIGITS = 4300
 
 
 def lexer(*symbols: str) -> re.Pattern:
@@ -28,6 +33,12 @@ def lexer(*symbols: str) -> re.Pattern:
     given, so a symbol must come before any of its prefixes."""
     syms = "|".join(map(re.escape, symbols))
     return re.compile(f"([0-9]+|[A-Za-z_][A-Za-z0-9_]*|{syms})")
+
+
+def blank_comments(text: str) -> str:
+    """text with each line whose first non-blank character is '#' blanked."""
+    return "".join(" " * len(ln) if ln.lstrip().startswith("#") else ln
+                   for ln in text.splitlines(keepends=True))
 
 
 def is_name(tok: str) -> bool:
@@ -62,8 +73,8 @@ class Cursor:
 
     def fail(self, msg: str, i: int | None = None) -> NoReturn:
         """Raise the format's error at token i, the next one by default."""
-        raise self._error(
-            f"{msg} at position {self._position(self.i if i is None else i)}")
+        at = self._position(self.i if i is None else i)
+        raise self._error(f"{msg} at position {at}") from None
 
     def wanted(self, what: str) -> NoReturn:
         self.fail(f"expected {what}, found {self.toks[self.i] or 'end'!r}")
@@ -88,6 +99,8 @@ class Cursor:
         tok = self.toks[self.i]
         if not tok[:1].isdigit():
             self.wanted("a numeral")
+        if len(tok) > MAX_DIGITS:
+            self.fail(f"numeral of {len(tok)} digits is too long")
         self.i += 1
         return int(tok)
 

@@ -345,9 +345,9 @@ def test_format_roundtrip():
 
 
 def test_format_errors():
-    with pytest.raises(AsmSyntaxError, match="bad line"):
+    with pytest.raises(AsmSyntaxError, match="expected 'realizers'"):
         parse_assembly("point a {0}")
-    with pytest.raises(AsmSyntaxError, match="bad realizer"):
+    with pytest.raises(AsmSyntaxError, match="expected a set"):
         parse_assembly("point a realizers wat")
     with pytest.raises(AsmSyntaxError, match="duplicate"):
         parse_assembly("point a realizers {0}\npoint a realizers {1}")

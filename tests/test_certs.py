@@ -115,7 +115,7 @@ def test_jset_text_roundtrip():
     with pytest.raises(JSetSyntaxError):
         parse_jset("upfrom x")
     for spec in ("{-1}", "{3,-2}", "cofinite{-4}"):
-        with pytest.raises(JSetSyntaxError, match="negative member"):
+        with pytest.raises(JSetSyntaxError, match="unexpected character '-'"):
             parse_jset(spec)
 
 
@@ -251,6 +251,62 @@ def test_inclusion_reverification():
         for big in (finite(0, 1), Cofinite(frozenset({7})), UpFrom(0)):
             assert isinstance(check_cert(x, big, cert, P), Accepted)
         x, cert = lifted_constant(x, cert, depth, P)
+
+
+# ---------------------------------------------------------------------------
+# negative control: every single mutation of a valid certificate is caught
+
+
+def _with_payload(cert, a):
+    """cert with its innermost base payload replaced by a."""
+    if isinstance(cert, Base):
+        return Base(a)
+    return Lift(cert.threshold,
+                tuple((m, _with_payload(c, a)) for m, c in cert.tails))
+
+
+@st.composite
+def full_depth_chains(draw):
+    """A member a of a seeded finite target, lifted until its certificate
+    is exactly policy.depth levels deep: (x, target, cert, policy, a)."""
+    members = draw(st.lists(st.integers(0, 40), min_size=2, max_size=4,
+                            unique=True))
+    policy = CheckPolicy(depth=draw(st.integers(2, 4)),
+                         window=draw(st.integers(1, 3)), fuel=2000)
+    a = draw(st.sampled_from(members))
+    x, cert = pair(0, a), Base(a)
+    for _ in range(policy.depth - 1):
+        x, cert = lifted_constant(x, cert, draw(st.integers(0, 3)), policy)
+    return x, finite(*members), cert, policy, a
+
+
+def _mutants(x, target, cert, policy, a):
+    """name -> (x, target, cert), one mutation each; cert is a Lift."""
+    other = min(b for b in target.elems if b != a)
+    th, tails = cert.threshold, cert.tails
+    deeper_x, deeper = lifted_constant(x, cert, 0, policy)
+    return {
+        "payload": (x, target, _with_payload(cert, other)),
+        "tail-outside-window": (x, target, Lift(
+            th, ((th + policy.window, tails[0][1]),) + tails[1:])),
+        "tail-dropped": (x, target, Lift(th, tails[1:])),
+        "level-past-depth": (deeper_x, target, deeper),
+        "target-misses-payload": (x, Finite(target.elems - {a}), cert),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(full_depth_chains())
+def test_every_single_mutation_is_rejected(chain):
+    x, target, built, policy, a = chain
+    found = CertSearch(policy).search(x, target)
+    assert found is not None
+    for cert in (built, found):
+        assert check_cert(x, target, cert, policy) == Accepted(sampled=True)
+        for name, (mx, mtarget, mcert) in _mutants(x, target, cert, policy,
+                                                   a).items():
+            got = check_cert(mx, mtarget, mcert, policy)
+            assert isinstance(got, Rejected), (name, show_cert(mcert))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ relative to the repository root, because report titles echo them.
 """
 
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -212,6 +213,26 @@ BAD_INPUTS = {
     "skolem-superscript": (["skolem", "standard", "\u00b2"], {}),
     "jcert-superscript": (["jcert", "check", "--x", "0", "--set", "single \u00b2",
                            "--cert", "tests/data/base.cert"], {}),
+    # numerals that int() reads and the one numeral rule does not: ASCII
+    # digits only, with no sign, underscore or base prefix
+    **{f"jset-{name}": (["jcert", "check", "--x", "8", "--set", spec,
+                         "--cert", "tests/data/base.cert"], {})
+       for name, spec in [("underscore", "{1_0}"), ("plus", "{+3}"),
+                          ("arabic-digit", "{\u0663}"),
+                          ("cofinite-underscore", "cofinite{ 1_2 }")]},
+    "doctrine-header-word": (["doctrine", "laws", "{tmp}/h.doc"],
+                             {"h.doc": b"doctrinex 1\napp 0 0 = 0\npair 0 0 = 0\n"}),
+    "doctrine-header-junk": (["doctrine", "laws", "{tmp}/h.doc"],
+                             {"h.doc": b"doctrine 1 junk\napp 0 0 = 0\npair 0 0 = 0\n"}),
+    "asm-label-colon": (["asm", "product", "{tmp}/l.asm", "{tmp}/l.asm"],
+                        {"l.asm": b"point a:b realizers {1}\n"}),
+    "asm-label-comma": (["asm", "product", "{tmp}/l.asm", "{tmp}/l.asm"],
+                        {"l.asm": b"point a,b realizers {1}\n"}),
+    "lfp-empty-member": (["doctrine", "lfp", "doctrines/d4.doc", "--set", "{1,,2}"],
+                         {}),
+    "lfp-binary-mask": (["doctrine", "lfp", "doctrines/d4.doc", "--set", "0b11"], {}),
+    "tracker-hex": (["asm", "track", TWO, "--map", "p:p,q:q", "--tracker", "0x10"],
+                    {}),
 }
 
 
@@ -264,6 +285,19 @@ def test_skolem_eval_raises_only_where_it_reads(formula, capsysbinary):
         assert (code, err) == (0, "") and want in out.splitlines()
     else:
         assert want in _usage_error(argv, capsysbinary)
+
+
+def test_huge_set_member_allocates_nothing(capsysbinary):
+    # a member past the carrier is refused before 1 << member is built
+    tracemalloc.start()
+    try:
+        err = _usage_error(["doctrine", "lfp", "doctrines/d4.doc",
+                            "--set", "{100000000}"], capsysbinary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "out of range for size 4" in err
+    assert peak < 1 << 20
 
 
 def test_oversize_element_error_is_short(capsysbinary):

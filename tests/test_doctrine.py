@@ -222,9 +222,9 @@ def test_doctrine_format_roundtrip():
 
 
 def test_doctrine_format_errors():
-    with pytest.raises(DoctrineSyntaxError, match="header"):
+    with pytest.raises(DoctrineSyntaxError, match="expected 'doctrine'"):
         parse_doctrine("app 0 0 = 0\n")
-    with pytest.raises(DoctrineSyntaxError, match="bad line"):
+    with pytest.raises(DoctrineSyntaxError, match="expected '='"):
         parse_doctrine("doctrine 2\napp 0 0 0\n")
     with pytest.raises(DoctrineSyntaxError, match="unknown table"):
         parse_doctrine("doctrine 2\nfrob 0 0 = 0\n")

@@ -1,15 +1,18 @@
-"""The shared lexer and cursor: each of the five readers parses a text or
-raises its own syntax error, and every message names a position."""
+"""The shared lexer and cursor: each reader parses a text or raises its own
+syntax error, and every message names a position."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jreal.assemblies import AsmSyntaxError, parse_assembly
 from jreal.certs import CertSyntaxError, parse_cert
 from jreal.deciders import DecSyntaxError, parse_dec
+from jreal.doctrine import DoctrineSyntaxError, parse_doctrine
 from jreal.formulas import FormulaSyntaxError, parse_formula
+from jreal.jsets import JSetSyntaxError, parse_jset
 from jreal.quasipoly import QpSyntaxError, parse_qp
 from jreal.terms import TermSyntaxError, parse_term
-from jreal.text import MAX_DEPTH
+from jreal.text import MAX_DEPTH, MAX_DIGITS, blank_comments
 
 # characters no format admits: '²' is a digit to str.isdigit but not to
 # int(), and 'é' a letter to str.isalpha
@@ -34,6 +37,16 @@ READERS = {
     "qp": (parse_qp, QpSyntaxError,
            ["mod", ":", ";", "->", "+", "^", "n", " ", "0", "1", "2"],
            "", ""),
+    "jset": (parse_jset, JSetSyntaxError,
+             ["{", "}", ",", " ", "cofinite", "single", "upfrom", "0", "3"],
+             "", ""),
+    "doctrine": (parse_doctrine, DoctrineSyntaxError,
+                 ["doctrine", "app", "pair", "=", " ", "\n", "#", "0", "1", "2"],
+                 "", ""),
+    "assembly": (parse_assembly, AsmSyntaxError,
+                 ["point", "realizers", "a", "{", "}", ",", " ", "\n", "#",
+                  "single", "0", "1"],
+                 "", ""),
 }
 
 
@@ -68,6 +81,24 @@ MESSAGES = [
     ("qp", "mod 2: 0 -> 1", "no polynomial for 1 of 2 residues, the first 1 "
                             "at position 13"),
     ("qp", "mod 2: 0 -> 1; 2 -> 0", "residue 2 outside modulus 2 at position 15"),
+    ("jset", "{²}", "unexpected character '²' at position 1"),
+    ("jset", "{1_0}", "expected ',', found '_0' at position 2"),
+    ("jset", "{+3}", "unexpected character '+' at position 1"),
+    ("jset", "{٣}", "unexpected character '٣' at position 1"),
+    ("jset", "cofinite{ 1_2 }", "expected ',', found '_2' at position 11"),
+    ("jset", "{1,,2}", "expected a numeral, found ',' at position 3"),
+    ("jset", "upfrom x", "expected a numeral, found 'x' at position 7"),
+    ("jset", "wat", "expected a set, found 'wat' at position 0"),
+    ("doctrine", "app 0 0 = ²", "unexpected character '²' at position 10"),
+    ("doctrine", "doctrinex 2", "expected 'doctrine', found 'doctrinex' at position 0"),
+    ("doctrine", "doctrine 2 junk", "unknown table 'junk' at position 11"),
+    ("doctrine", "# c\ndoctrine 2\napp 0 0 0", "expected '=', found '0' at position 23"),
+    ("doctrine", "doctrine 11", "carrier size 11 out of range at position 11"),
+    ("assembly", "point a:b realizers {1}", "unexpected character ':' at position 7"),
+    ("assembly", "point a,b realizers {1}", "expected 'realizers', found ',' at position 7"),
+    ("assembly", "point { realizers {1}", "expected a point label, found '{' at position 6"),
+    ("assembly", "point a realizers {0} point a realizers {1}",
+     "duplicate points at position 43"),
 ]
 
 
@@ -77,3 +108,38 @@ def test_message_names_the_position(name, text, message):
     with pytest.raises(error) as got:
         read(text)
     assert str(got.value) == message
+
+
+# a numeral slot of each reader; "N" stands for the numeral
+NUMERAL_SLOTS = {
+    "term": "N",
+    "formula": "x = N",
+    "cert": "(base N)",
+    "tree": "one N",
+    "qp": "mod 1: 0 -> N",
+    "jset": "{N}",
+    "doctrine": "doctrine N",
+    "assembly": "point a realizers single N",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_numeral_past_the_digit_limit_is_the_readers_error(name):
+    read, error = READERS[name][:2]
+    slot = NUMERAL_SLOTS[name]
+    for digits in (MAX_DIGITS + 1, 5000):
+        with pytest.raises(error) as got:
+            read(slot.replace("N", "1" * digits))
+        assert str(got.value) == (f"numeral of {digits} digits is too long "
+                                  f"at position {slot.index('N')}")
+    try:  # the longest numeral is read; a doctrine of its size is refused
+        read(slot.replace("N", "1" * MAX_DIGITS))
+    except error as exc:
+        assert "too long" not in str(exc)
+
+
+def test_blank_comments_keeps_positions():
+    text = "# a\r\n  #b\ndoctrine 1 # c\n\t# d"
+    blanked = blank_comments(text)
+    assert len(blanked) == len(text)
+    assert blanked.split() == ["doctrine", "1", "#", "c"]
