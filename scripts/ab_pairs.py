@@ -2,13 +2,18 @@
 
     python3 scripts/ab_pairs.py --base REV --workload certify --pairs 10
     python3 scripts/ab_pairs.py --base HEAD~1 --workload limit --pairs 5 --seed 3
+    python3 scripts/ab_pairs.py --base HEAD --workload limit --pairs 4
 
-Exports REV with ``git archive`` into a temporary directory, then runs
-``perfbench/run.py --workload W --seed S --trace 0`` alternately in that
-export and in this tree, the base first in odd pairs and this tree first in
-even ones, so that a drift in host speed falls on both sides alike.  Each
-run is a fresh process from its own checkout, so each side builds what it
-runs from its own sources.
+Exports REV and this tree with ``git archive`` into two temporary
+directories: this tree as ``git stash create`` records it (its tracked
+files with their changes, so stage a new file to include it), or HEAD when
+nothing tracked has changed.  Then it runs ``perfbench/run.py --workload W
+--seed S --trace 0`` alternately in the two exports, the base first in odd
+pairs and this tree first in even ones, so that a drift in host speed falls
+on both sides alike.  Each run is a fresh process from a clean export, so
+each side builds what it runs from its own sources and neither runs from
+the development checkout.  ``--base HEAD`` on a clean tree runs HEAD
+against itself: an A/A run, whose split shows the host's noise.
 
 It prints, for every end-to-end metric of ``BENCHMARK.json``, the median
 and quartiles of each side, and in how many pairs this tree did better,
@@ -84,17 +89,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     head = _git("rev-parse", "HEAD").decode().strip()
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no").strip())
+    # a commit of the tracked changes, or nothing on a clean tree
+    snapshot = _git("stash", "create").decode().strip()
+    dirty = bool(snapshot)
     pairs = []
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        base_dir = pathlib.Path(tmp)
-        base = export(args.base, base_dir)
+        dirs = {"base": pathlib.Path(tmp, "base"), "head": pathlib.Path(tmp, "head")}
+        base = export(args.base, dirs["base"])
+        export(snapshot or head, dirs["head"])
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"order": list(order)}
             for side in order:
-                pair[side] = bench(base_dir if side == "base" else ROOT,
-                                   args.workload, args.seed)
+                pair[side] = bench(dirs[side], args.workload, args.seed)
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs} ({' then '.join(order)}): "
                   + "  ".join(

@@ -40,7 +40,7 @@ from .kit import A_CODE, B_TERM, D_TERM, E_TERM, wedge_target
 from .machine import DEFAULT_FUEL, Value, apply_cached
 from .prog import p0, p1, tag0
 from .terms import App, Num, Var, ap, encode_term
-from .text import Cursor, blank_comments, is_name
+from .text import Cursor, InputError, blank_comments, is_name
 
 Point = object  # hashable labels: str, int, tuple
 
@@ -56,12 +56,12 @@ class FiniteAssembly:
 
     def __post_init__(self):
         if len(self.points) != len(set(self.points)):
-            raise ValueError("duplicate points")
+            raise InputError("duplicate points")
         if len(self.points) != len(self.realizers):
-            raise ValueError("one realizer set per point")
+            raise InputError("one realizer set per point")
         for p, r in zip(self.points, self.realizers):
             if is_empty(r) is True:
-                raise ValueError(f"empty realizer set at point {p!r}")
+                raise InputError(f"empty realizer set at point {p!r}")
 
     def realizer_set(self, p: Point) -> JSet:
         return self.realizers[self.points.index(p)]
@@ -105,8 +105,8 @@ class ProductAssembly:
         try:
             return wedge_target(self.left.realizer_set(a),
                                 self.right.realizer_set(b))
-        except ValueError as exc:
-            raise ValueError(f"product point {p}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"product point {p}: {exc}") from None
 
     def sample_points(self, k: int) -> tuple[Point, ...]:
         side = max(2, int(k ** 0.5) + 1)
@@ -447,17 +447,13 @@ def omega_uniformity() -> UniformityEvidence:
 # text format (see the module docstring)
 
 
-class AsmSyntaxError(ValueError):
-    pass
-
-
 def show_assembly(A: FiniteAssembly) -> str:
     return "\n".join(f"point {p} realizers {show_jset(r)}"
                      for p, r in zip(A.points, A.realizers)) + "\n"
 
 
 def parse_assembly(text: str, name: str = "asm") -> FiniteAssembly:
-    c = Cursor(SET_TOKENS, blank_comments(text), AsmSyntaxError)
+    c = Cursor(SET_TOKENS, blank_comments(text))
     points: list[Point] = []
     realizers: list[JSet] = []
     while c.peek():
@@ -470,5 +466,5 @@ def parse_assembly(text: str, name: str = "asm") -> FiniteAssembly:
         realizers.append(read_jset(c))
     try:
         return FiniteAssembly(name, tuple(points), tuple(realizers))
-    except ValueError as exc:
+    except InputError as exc:
         c.fail(str(exc))

@@ -24,7 +24,7 @@ from . import coding
 from .jsets import JOf, JSet, member, show_jset
 from .machine import DEFAULT_FUEL, OutOfFuel, apply_cached
 from .terms import App, K, Num, encode_term
-from .text import Cursor, lexer
+from .text import Cursor, InputError, lexer
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +50,7 @@ class CheckPolicy:
 
     def __post_init__(self) -> None:
         if self.depth < 1 or self.window < 1 or self.fuel < 1:
-            raise ValueError("policy bounds must be at least 1")
+            raise InputError("policy bounds must be at least 1")
 
     def window_points(self, threshold: int) -> range:
         return range(threshold, threshold + self.window)
@@ -236,10 +236,6 @@ def lifted_constant(x: int, cert: Cert, threshold: int, policy: CheckPolicy) -> 
 #
 #   (base 5)   (base 5 (base 9))   (lift 2 (2 (base 0)) (3 (base 0)) ...)
 
-class CertSyntaxError(ValueError):
-    pass
-
-
 def show_cert(cert: Cert) -> str:
     match cert:
         case Base(a, None):
@@ -257,7 +253,7 @@ _TOKENS = lexer("(", ")")
 
 
 def parse_cert(text: str) -> Cert:
-    c = Cursor(_TOKENS, text, CertSyntaxError)
+    c = Cursor(_TOKENS, text)
     cert = c.nested(_cert, c)
     c.done()
     return cert

@@ -5,6 +5,14 @@ membership certificates, decision trees, assemblies, realizability checks,
 and the limit-model pipeline.  Every command prints one deterministic
 report (see report.py) and exits 0 on success, 1 on any failed case, and
 2 when unknown verdicts outnumber decided ones or the input is unusable.
+
+Input the program cannot use raises ``text.InputError`` wherever it is
+found, in a reader or in a check, and ``main`` turns it into one line on
+stderr, ``jreal: error: ...``, and exit code 2.  Any other exception is a
+defect of the program and propagates.  Every numeral, in a flag or a
+positional, is taken as text and read once by ``_nat`` through
+``Cursor.nat``, so a bad one is refused like any other input, with its
+flag and a position.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ import pathlib
 import sys
 
 from . import skolem
-from .assemblies import (AsmSyntaxError, Subobject, check_tracking,
-                         exponent_finite, morphism_from_table, parse_assembly,
-                         product, proj_left, proj_right, subobject_check,
-                         TrackReport, TrackStatus)
+from .assemblies import (Subobject, check_tracking, exponent_finite,
+                         morphism_from_table, parse_assembly, product,
+                         proj_left, proj_right, subobject_check, TrackReport,
+                         TrackStatus)
 from .certs import Accepted, CheckPolicy, check_cert, parse_cert
 from .deciders import (Verdict, ground_truth, parse_dec, run_decider,
                        show_dec)
@@ -33,36 +41,33 @@ from .realizes import (Env, Realized, Refuted, Unknown, build_delta0,
                        build_sigma1, jrealizes, nat_env)
 from .report import (Case, Report, case_fail, case_pass, case_unknown,
                      emit_report, exit_code)
-from .text import Cursor
+from .text import Cursor, InputError
 
 LIFT_CAVEAT = "lift obligations checked on a finite window only"
-
-
-class UsageError(ValueError):
-    pass
+EXIT_STATUS = ("exit status: 0 when every case passes, 1 when a case fails, "
+               "2 for one of two things: a usage error (stdout empty, stderr "
+               "'jreal: error: ...') or unknown verdicts outnumbering decided "
+               "ones (a report on stdout)")
 
 
 def _read(path: str) -> str:
     try:
         return pathlib.Path(path).read_text()
     except OSError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError(str(exc)) from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
 
 
-def _nat(what: str, value: int | str) -> int:
-    """A natural number from an int flag, or from a text that is one numeral."""
-    if isinstance(value, str):
-        try:
-            c = Cursor(SET_TOKENS, value, UsageError)
-            value = c.nat()
-            c.done()
-        except UsageError as exc:
-            raise UsageError(f"{what}: {exc}") from None
-    if value < 0:
-        raise UsageError(f"{what} must be a natural number, got {value}")
-    return value
+def _nat(what: str, text: str) -> int:
+    """The natural number a text names: one numeral and nothing else."""
+    try:
+        c = Cursor(SET_TOKENS, text)
+        n = c.nat()
+        c.done()
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
+    return n
 
 
 def _read_closure(path: str) -> tuple[Doctrine, MonoOp, MonoOp]:
@@ -72,13 +77,13 @@ def _read_closure(path: str) -> tuple[Doctrine, MonoOp, MonoOp]:
         d = parse_doctrine(text)
         F = pitts_f_finite(d)
         return d, F, lfp_local(d, F)
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _parse_mask(text: str, d: Doctrine) -> int:
     """Either an element list {0,2} or a numeral bitmask."""
-    c = Cursor(SET_TOKENS, text, UsageError)
+    c = Cursor(SET_TOKENS, text)
     if c.peek() == "{":
         members = read_members(c)
         # a member past the carrier is refused before it is shifted
@@ -88,7 +93,7 @@ def _parse_mask(text: str, d: Doctrine) -> int:
         mask = c.nat()
     c.done()
     if mask > d.full:
-        raise UsageError(f"set {text.strip()!r} out of range for size {d.size}")
+        raise InputError(f"set {text.strip()!r} out of range for size {d.size}")
     return mask
 
 
@@ -130,7 +135,7 @@ def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
 
 def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
     d, F, J = _read_closure(args.file)
-    mask = _try_usage(_parse_mask, args.set, d)
+    mask = _parse_mask(args.set, d)
     iterated = J[mask]
     meet = lfp_by_intersection(d, F, mask)
     cases = [
@@ -166,12 +171,13 @@ def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_jcert_check(args, policy: CheckPolicy) -> Report:
-    target = _try_usage(parse_jset, args.set)
-    cert = _try_usage(parse_cert, _read(args.cert))
-    res = check_cert(_nat("--x", args.x), target, cert, policy)
+    target = parse_jset(args.set)
+    cert = parse_cert(_read(args.cert))
+    x = _nat("--x", args.x)
+    res = check_cert(x, target, cert, policy)
     caveats = ()
     if isinstance(res, Accepted):
-        c = case_pass("cert", "accepted", f"x={args.x} lands in {args.set}")
+        c = case_pass("cert", "accepted", f"x={x} lands in {args.set}")
         if res.sampled:
             caveats = (LIFT_CAVEAT,)
     else:
@@ -200,25 +206,25 @@ def _dec_case(ident: str, res, truth: bool | None) -> Case:
 
 
 def _cmd_jdec_build(args, policy: CheckPolicy) -> Report:
-    tree = _try_usage(parse_dec, args.expr)
+    tree = parse_dec(args.expr)
     out = pathlib.Path(args.output)
     try:
         out.write_text(show_dec(tree) + "\n")
     except OSError as exc:
-        raise UsageError(str(exc)) from None
+        raise InputError(str(exc)) from None
     c = case_pass("build", "Built", f"wrote {args.output}")
     return Report(f"jdec build {args.output}", (c,))
 
 
 def _cmd_jdec_run(args, policy: CheckPolicy) -> Report:
-    tree = _try_usage(parse_dec, _read(args.file))
-    res = run_decider(tree, _nat("--n", args.n), policy)
-    c = _dec_case(f"n={args.n}", res, ground_truth(tree, args.n))
+    tree = parse_dec(_read(args.file))
+    n = _nat("--n", args.n)
+    c = _dec_case(f"n={n}", run_decider(tree, n, policy), ground_truth(tree, n))
     return Report(f"jdec run {args.file}", (c,))
 
 
 def _cmd_jdec_table(args, policy: CheckPolicy) -> Report:
-    tree = _try_usage(parse_dec, _read(args.file))
+    tree = parse_dec(_read(args.file))
     cases = tuple(_dec_case(f"n={n}", run_decider(tree, n, policy),
                             ground_truth(tree, n))
                   for n in range(_nat("--upto", args.upto) + 1))
@@ -230,10 +236,11 @@ def _cmd_jdec_table(args, policy: CheckPolicy) -> Report:
 
 
 def _read_assembly(path: str) -> "FiniteAssembly":
+    text = _read(path)
     try:
-        return parse_assembly(_read(path), pathlib.Path(path).stem)
-    except AsmSyntaxError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        return parse_assembly(text, pathlib.Path(path).stem)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _track_case(ident: str, rep: TrackReport) -> Case:
@@ -256,15 +263,15 @@ def _cmd_asm_track(args, policy: CheckPolicy) -> Report:
     table = {}
     for piece in filter(None, (p.strip() for p in args.map.split(","))):
         if ":" not in piece:
-            raise UsageError(f"map entry {piece!r} needs the form src:dst")
+            raise InputError(f"map entry {piece!r} needs the form src:dst")
         a, b = (s.strip() for s in piece.split(":", 1))
         table[a] = b
     missing = [p for p in src.points if p not in table]
     if missing:
-        raise UsageError(f"map misses points {missing}")
+        raise InputError(f"map misses points {missing}")
     bad = [v for v in table.values() if v not in dst.points]
     if bad:
-        raise UsageError(f"map hits unknown points {bad}")
+        raise InputError(f"map hits unknown points {bad}")
     tracker = _nat("--tracker", args.tracker)
     mor = morphism_from_table(src, dst, table, tracker)
     rep = check_tracking(mor, policy)
@@ -279,7 +286,7 @@ def _cmd_asm_product(args, policy: CheckPolicy) -> Report:
     AB = product(A, B)
     for a in A.points:  # a wedge lists its factors' realizer sets
         for b in B.points:
-            _try_usage(AB.realizer_set, (a, b))
+            AB.realizer_set((a, b))
     cases = (
         case_pass("points", str(len(A.points) * len(B.points)),
                   f"pairs of {A.name} and {B.name}"),
@@ -296,7 +303,8 @@ def _show_map(A, table: tuple) -> str:
 def _cmd_asm_exp(args, policy: CheckPolicy) -> Report:
     A = _read_assembly(args.left)
     B = _read_assembly(args.right)
-    res = exponent_finite(A, B, _nat("--bound", args.bound), policy)
+    bound = _nat("--bound", args.bound)
+    res = exponent_finite(A, B, bound, policy)
     cases = []
     for i, mor in enumerate(res.morphisms):
         table = tuple(mor.map(p) for p in A.points)
@@ -307,10 +315,10 @@ def _cmd_asm_exp(args, policy: CheckPolicy) -> Report:
     for i, table in enumerate(res.unknown_maps):
         cases.append(case_unknown(f"open{i}", "Unknown",
                                   f"{_show_map(A, table)}: no tracker "
-                                  f"below {args.bound}"))
+                                  f"below {bound}"))
     caveats = ()
     if res.unknown_maps:
-        caveats = (f"tracker search cut off at code {args.bound}",)
+        caveats = (f"tracker search cut off at code {bound}",)
     return Report(f"asm exp {args.left} {args.right}", tuple(cases), caveats)
 
 
@@ -319,7 +327,7 @@ def _cmd_asm_sub(args, policy: CheckPolicy) -> Report:
     keep = {p.strip() for p in args.points.split(",") if p.strip()}
     unknown = keep - set(base.points)
     if unknown:
-        raise UsageError(f"points not in the assembly: {sorted(unknown)}")
+        raise InputError(f"points not in the assembly: {sorted(unknown)}")
     empty = Finite(frozenset())
     sub = Subobject(lambda p: base.realizer_set(p) if p in keep else empty)
     rep, live = subobject_check(sub, base, policy)
@@ -356,9 +364,9 @@ def _realize_case(ident: str, verdict) -> Case:
 
 
 def _cmd_realize_check(args, policy: CheckPolicy) -> Report:
-    phi = _try_usage(parse_formula, args.formula)
+    phi = parse_formula(args.formula)
     env = _realize_env(args.asm)
-    v = _try_usage(jrealizes, _nat("--e", args.e), phi, env, policy)
+    v = jrealizes(_nat("--e", args.e), phi, env, policy)
     caveats = v.evidence.caveats if isinstance(v, Realized) else ()
     return Report("realize check", (_realize_case("check", v),), caveats)
 
@@ -366,18 +374,18 @@ def _cmd_realize_check(args, policy: CheckPolicy) -> Report:
 def _build_realizer(phi) -> int:
     try:
         return build_delta0(phi)
-    except ValueError as delta_exc:
+    except InputError as delta_exc:
         try:
             e = build_sigma1(phi)
-        except ValueError:
+        except InputError:
             e = None
         if e is None:
-            raise UsageError(f"no realizer constructed: {delta_exc}") from None
+            raise InputError(f"no realizer constructed: {delta_exc}") from None
         return e
 
 
 def _cmd_realize_build(args, policy: CheckPolicy) -> Report:
-    phi = _try_usage(parse_formula, args.formula)
+    phi = parse_formula(args.formula)
     e = _build_realizer(phi)
     v = jrealizes(e, phi, nat_env(), policy)
     cases = (case_pass("build", "Built", f"e={_big(e)}"),
@@ -391,10 +399,10 @@ def _read_cases(dirname: str):
     ``key: value`` fields and its parsed ``formula`` field."""
     root = pathlib.Path(dirname)
     if not root.is_dir():
-        raise UsageError(f"{dirname} is not a directory")
+        raise InputError(f"{dirname} is not a directory")
     files = sorted(root.glob("*.case"))
     if not files:
-        raise UsageError(f"no .case files under {dirname}")
+        raise InputError(f"no .case files under {dirname}")
     for path in files:
         fields: dict[str, str] = {}
         for ln in _read(str(path)).splitlines():
@@ -402,12 +410,12 @@ def _read_cases(dirname: str):
             if not ln or ln.startswith("#"):
                 continue
             if ":" not in ln:
-                raise UsageError(f"{path.name}: bad line {ln!r}")
+                raise InputError(f"{path.name}: bad line {ln!r}")
             key, val = ln.split(":", 1)
             fields[key.strip()] = val.strip()
         if "formula" not in fields:
-            raise UsageError(f"{path.name}: missing formula")
-        yield path, fields, _try_usage(parse_formula, fields["formula"])
+            raise InputError(f"{path.name}: missing formula")
+        yield path, fields, parse_formula(fields["formula"])
 
 
 def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
@@ -418,7 +426,7 @@ def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
                            if "asm" in fields else None)
         e = (_nat(f"{path.name}: e", fields["e"]) if "e" in fields
              else _build_realizer(phi))
-        v = _try_usage(jrealizes, e, phi, env, policy)
+        v = jrealizes(e, phi, env, policy)
         expect = fields.get("expect", "realized")
         got = {Realized: "realized", Refuted: "refuted",
                Unknown: "unknown"}[type(v)]
@@ -443,10 +451,11 @@ def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_skolem_extend(args, policy: CheckPolicy) -> Report:
-    if args.steps < 1:
-        raise UsageError("--steps must be at least 1")
+    steps = _nat("--steps", args.steps)
+    if steps < 1:
+        raise InputError("--steps must be at least 1")
     states = [skolem.initial_chain()]
-    for _ in range(args.steps):
+    for _ in range(steps):
         states.append(skolem.extend_chain(states[-1]))
     final = states[-1]
     mono = all(a < b for a, b in zip(final.psi, final.psi[1:]))
@@ -458,12 +467,12 @@ def _cmd_skolem_extend(args, policy: CheckPolicy) -> Report:
             f"psi {list(final.psi[:6])}{'...' if len(final.psi) > 6 else ''}"),
         (case_pass if nested else case_fail)(
             "chain", "Nested" if nested else "Broken",
-            f"{args.steps} refinement steps"),
+            f"{steps} refinement steps"),
         case_pass("live", "Infinite",
                   f"mod {live.modulus} residues "
                   f"{sorted(live.residues)} from {live.threshold}"),
     )
-    return Report(f"skolem extend {args.steps}", cases)
+    return Report(f"skolem extend {steps}", cases)
 
 
 def _cmd_skolem_sign(args, policy: CheckPolicy) -> Report:
@@ -480,17 +489,17 @@ def _parse_assignment(text: str) -> dict[str, "skolem.ModelElem"]:
     asn = {}
     for piece in filter(None, (p.strip() for p in text.split("|"))):
         if "=" not in piece:
-            raise UsageError(f"assignment entry {piece!r} needs name=value")
+            raise InputError(f"assignment entry {piece!r} needs name=value")
         name, val = piece.split("=", 1)
-        asn[name.strip()] = _try_usage(skolem.parse_elem, val.strip())
+        asn[name.strip()] = skolem.parse_elem(val)
     return asn
 
 
 def _cmd_skolem_eval(args, policy: CheckPolicy) -> Report:
-    phi = _try_usage(parse_formula, args.formula)
+    phi = parse_formula(args.formula)
     asn = _parse_assignment(args.args) if args.args else {}
     model = skolem.Model()
-    val = _try_usage(skolem.truth_qf, model, phi, asn)
+    val = skolem.truth_qf(model, phi, asn)
     shown = " ".join(f"{n}={skolem.show_elem(e)}" for n, e in sorted(asn.items()))
     return Report("skolem eval",
                   (case_pass("eval", "True" if val else "False",
@@ -498,7 +507,7 @@ def _cmd_skolem_eval(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_skolem_standard(args, policy: CheckPolicy) -> Report:
-    e = _try_usage(skolem.parse_elem, args.elem)
+    e = skolem.parse_elem(args.elem)
     model = skolem.Model()
     val = skolem.standard_value(model, e)
     if val is None:
@@ -515,8 +524,7 @@ def _cmd_skolem_transfer(args, policy: CheckPolicy) -> Report:
     caveats: dict[str, None] = {}
     for path, fields, phi in _read_cases(args.corpus):
         asn = _parse_assignment(fields.get("args", ""))
-        rep = _try_usage(skolem.transfer_check, model, phi, asn,
-                         policy.window * 6)
+        rep = skolem.transfer_check(model, phi, asn, policy.window * 6)
         for cav in rep.caveats:
             caveats[cav] = None
         detail = f"{rep.mode} over {rep.window} points"
@@ -533,26 +541,19 @@ def _cmd_skolem_transfer(args, policy: CheckPolicy) -> Report:
 # dispatch
 
 
-def _try_usage(fn, *fnargs, **kw):
-    try:
-        return fn(*fnargs, **kw)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _common_flags(p: argparse.ArgumentParser, top: bool) -> None:
     # Only the top parser holds defaults.  A leaf sets a flag only when it
     # is given, so a flag given before the family is not overwritten.
     def default(value):
         return value if top else argparse.SUPPRESS
 
-    p.add_argument("--fuel", type=int, default=default(200_000),
+    p.add_argument("--fuel", default=default("200000"),
                    help="machine step budget per run")
-    p.add_argument("--depth", type=int, default=default(4),
+    p.add_argument("--depth", default=default("4"),
                    help="certificate nesting bound")
-    p.add_argument("--window", type=int, default=default(4),
+    p.add_argument("--window", default=default("4"),
                    help="tail window for sampled obligations")
-    p.add_argument("--seed", type=int, default=default(0),
+    p.add_argument("--seed", default=default("0"),
                    help="seed echoed into the report header")
     p.add_argument("--format", choices=("text", "tsv"), default=default("text"),
                    help="report format (default text)")
@@ -561,7 +562,7 @@ def _common_flags(p: argparse.ArgumentParser, top: bool) -> None:
 # parsing leaves the parser as it was, so one serves every call of main
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="jreal")
+    top = argparse.ArgumentParser(prog="jreal", epilog=EXIT_STATUS)
     _common_flags(top, top=True)
     sub = top.add_subparsers(dest="family", required=True)
 
@@ -583,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     jc = sub.add_parser("jcert").add_subparsers(dest="cmd", required=True)
     p = leaf(jc, "check", _cmd_jcert_check)
-    p.add_argument("--x", type=int, required=True)
+    p.add_argument("--x", required=True)
     p.add_argument("--set", required=True,
                    help="target set: {1,2}, cofinite{0}, single 4 or upfrom 7")
     p.add_argument("--cert", required=True, help="certificate file")
@@ -594,10 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p = leaf(jd, "run", _cmd_jdec_run)
     p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p = leaf(jd, "table", _cmd_jdec_table)
     p.add_argument("file")
-    p.add_argument("--upto", type=int, default=30)
+    p.add_argument("--upto", default="30")
 
     am = sub.add_parser("asm").add_subparsers(dest="cmd", required=True)
     p = leaf(am, "track", _cmd_asm_track)
@@ -611,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(am, "exp", _cmd_asm_exp)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--bound", type=int, default=4096,
+    p.add_argument("--bound", default="4096",
                    help="tracker code search bound")
     p = leaf(am, "sub", _cmd_asm_sub)
     p.add_argument("file")
@@ -620,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     rl = sub.add_parser("realize").add_subparsers(dest="cmd", required=True)
     p = leaf(rl, "check", _cmd_realize_check)
     p.add_argument("--formula", required=True)
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--e", required=True)
     p.add_argument("--asm", help="carrier assembly file (default naturals)")
     p = leaf(rl, "build", _cmd_realize_build)
     p.add_argument("--formula", required=True)
@@ -629,10 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sk = sub.add_parser("skolem").add_subparsers(dest="cmd", required=True)
     p = leaf(sk, "extend", _cmd_skolem_extend)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", required=True)
     p = leaf(sk, "sign", _cmd_skolem_sign)
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
+    p.add_argument("i")
+    p.add_argument("j")
     p = leaf(sk, "eval", _cmd_skolem_eval)
     p.add_argument("--formula", required=True)
     p.add_argument("--args", default="",
@@ -652,13 +653,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        policy = _try_usage(CheckPolicy, depth=args.depth, window=args.window,
-                            fuel=args.fuel)
+        policy = CheckPolicy(depth=_nat("--depth", args.depth),
+                             window=_nat("--window", args.window),
+                             fuel=_nat("--fuel", args.fuel))
+        seed = _nat("--seed", args.seed)
         report = args.func(args, policy)
-    except UsageError as exc:
+    except InputError as exc:
         print(f"jreal: error: {exc}", file=sys.stderr)
         return 2
-    report = replace(report, policy=policy, seed=args.seed)
+    report = replace(report, policy=policy, seed=seed)
     sys.stdout.buffer.write(emit_report(report, args.format))
     sys.stdout.buffer.flush()
     return exit_code(report)

@@ -306,10 +306,6 @@ def partial_apply(rep: Representation, x: int, fuel: int = DEFAULT_FUEL) -> Part
 #   union (one 1) (not one 2)
 
 
-class DecSyntaxError(ValueError):
-    pass
-
-
 def show_dec(tree: DecTree) -> str:
     match tree:
         case One(point):
@@ -327,7 +323,7 @@ _TOKENS = lexer("(", ")")
 
 
 def parse_dec(text: str) -> DecTree:
-    c = Cursor(_TOKENS, text, DecSyntaxError)
+    c = Cursor(_TOKENS, text)
     tree = c.nested(_tree, c)
     c.done()
     return tree

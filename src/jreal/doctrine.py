@@ -17,7 +17,10 @@ of ``pair_images[a][B]`` over the members a of A.  Neither builds anything.
 
 File format, read through ``text.Cursor`` ('#' lines are comments):
 ``file := 'doctrine' nat (('app' | 'pair') nat nat '=' nat)*``, as in
-``doctrine 2  app 0 0 = 0  pair 0 1 = 1``; a cell given twice keeps its last.
+``doctrine 2  app 0 0 = 0  pair 0 1 = 1``; a cell given twice is refused.
+A table that cannot be a doctrine (a cell out of range, a pairing that is
+not injective, a carrier above MAX_SIZE), and a pairing without the cells
+the closure's seed stage needs, raise ``text.InputError``.
 """
 
 from __future__ import annotations
@@ -25,13 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .text import Cursor, blank_comments, lexer
+from .text import Cursor, InputError, blank_comments, lexer
 
 MAX_SIZE = 10
-
-
-class UnsuitableDoctrine(ValueError):
-    """The pairing table lacks an entry the closure construction requires."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,19 +79,19 @@ def make_doctrine(size: int,
                   app_cells: dict[tuple[int, int], int],
                   pair_cells: dict[tuple[int, int], int]) -> Doctrine:
     if not (1 <= size <= MAX_SIZE):
-        raise ValueError(f"carrier size {size} out of range")
+        raise InputError(f"carrier size {size} out of range")
     app = [-1] * (size * size)
     pair = [-1] * (size * size)
     for (e, x), v in app_cells.items():
         if not (0 <= e < size and 0 <= x < size and 0 <= v < size):
-            raise ValueError(f"app cell ({e},{x})={v} out of range")
+            raise InputError(f"app cell ({e},{x})={v} out of range")
         app[e * size + x] = v
     seen: dict[int, tuple[int, int]] = {}
     for (x, y), v in pair_cells.items():
         if not (0 <= x < size and 0 <= y < size and 0 <= v < size):
-            raise ValueError(f"pair cell ({x},{y})={v} out of range")
+            raise InputError(f"pair cell ({x},{y})={v} out of range")
         if v in seen and seen[v] != (x, y):
-            raise ValueError(f"pairing not injective: {v} hit twice")
+            raise InputError(f"pairing not injective: {v} hit twice")
         seen[v] = (x, y)
         pair[x * size + y] = v
     return Doctrine(size, tuple(app), tuple(pair))
@@ -298,7 +297,7 @@ def _require_bottom(d: Doctrine, A: int) -> int:
     for a in bits(A):
         p = d.pair_at(0, a)
         if p is None:
-            raise UnsuitableDoctrine(f"pair(0,{a}) undefined but required by the seed stage")
+            raise InputError(f"pair(0,{a}) undefined but required by the seed stage")
         out |= 1 << p
     return out
 
@@ -446,10 +445,6 @@ def candidate_ops(d: Doctrine) -> list[tuple[str, MonoOp]]:
 _TOKENS = lexer("=")
 
 
-class DoctrineSyntaxError(ValueError):
-    pass
-
-
 def show_doctrine(d: Doctrine) -> str:
     n = d.size
     lines = [f"doctrine {n}"]
@@ -460,7 +455,7 @@ def show_doctrine(d: Doctrine) -> str:
 
 
 def parse_doctrine(text: str) -> Doctrine:
-    c = Cursor(_TOKENS, blank_comments(text), DoctrineSyntaxError)
+    c = Cursor(_TOKENS, blank_comments(text))
     c.expect("doctrine")
     size = c.nat()
     cells: dict[str, dict[tuple[int, int], int]] = {"app": {}, "pair": {}}
@@ -468,10 +463,12 @@ def parse_doctrine(text: str) -> Doctrine:
         kind = c.take()
         if kind not in cells:
             c.fail(f"unknown table {kind!r}", c.i - 1)
-        cell = (c.nat(), c.nat())
+        x, y = c.nat(), c.nat()
+        if (x, y) in cells[kind]:
+            c.fail(f"{kind} cell ({x},{y}) given twice", c.i - 3)
         c.expect("=")
-        cells[kind][cell] = c.nat()
+        cells[kind][x, y] = c.nat()
     try:
         return make_doctrine(size, cells["app"], cells["pair"])
-    except ValueError as exc:
+    except InputError as exc:
         c.fail(str(exc))

@@ -9,8 +9,8 @@ shape is what the classifier and the realizer builder recognize.
 One evaluator, ``compile_formula``, turns a formula once into closures over
 a ``Structure``: ``NATURALS`` here, the limit model in ``skolem``.  Compiling
 never raises; what a structure cannot read (a relation, a quantifier, an
-unassigned variable) raises when evaluation reaches it, so ``0 = 1 /\\ P(x)``
-is false.  ``nodes`` is the one walk over a formula's tree.
+unassigned variable) raises an ``InputError`` when evaluation reaches it, so
+``0 = 1 /\\ P(x)`` is false.  ``nodes`` is the one walk over a formula's tree.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable
 
-from .text import MAX_DEPTH, Cursor, is_name, lexer
+from .text import MAX_DEPTH, Cursor, InputError, is_name, lexer
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def compile_formula(phi: Formula, s: Structure,
 
 
 def _raise(msg: str):
-    raise ValueError(msg)
+    raise InputError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +293,6 @@ def _wrap(phi: Formula, looser: tuple) -> str:
 
 # ---------------------------------------------------------------------------
 # parsing
-
-
-class FormulaSyntaxError(ValueError):
-    pass
 
 
 _TOKENS = lexer("->", "\\/", "/\\", "(", ")", ".", ",", "=", "<", "+", "*")
@@ -355,7 +351,7 @@ class _Parser(Cursor):
                 self.expect(")")
                 if self.peek() not in ("=", "<", "+", "*"):
                     return inner
-            except FormulaSyntaxError:
+            except InputError:
                 pass
             self.i, self.depth = mark
             return self._relational()
@@ -412,7 +408,7 @@ class _Parser(Cursor):
 
 def parse_formula(text: str) -> Formula:
     """Parse ``text``; nesting past MAX_DEPTH levels is a syntax error."""
-    p = _Parser(_TOKENS, text, FormulaSyntaxError)
+    p = _Parser(_TOKENS, text)
     out = p.formula()
     p.done()
     if max(depth for _, depth in nodes(out)) > MAX_DEPTH:

@@ -129,10 +129,6 @@ def sample(A: JSet, count: int) -> tuple[int, ...]:
 SET_TOKENS = lexer("{", "}", ",")
 
 
-class JSetSyntaxError(ValueError):
-    pass
-
-
 def show_jset(A: JSet) -> str:
     match A:
         case Finite(elems):
@@ -177,7 +173,7 @@ def read_jset(c: Cursor) -> JSet:
 
 
 def parse_jset(text: str) -> JSet:
-    c = Cursor(SET_TOKENS, text, JSetSyntaxError)
+    c = Cursor(SET_TOKENS, text)
     A = read_jset(c)
     c.done()
     return A

@@ -46,6 +46,7 @@ from .terms import (
     encode_term,
     subst,
 )
+from .text import InputError
 
 
 class MirrorError(ValueError):
@@ -206,7 +207,7 @@ def wedge_target(A: JSet, B: JSet) -> Finite:
     def elems(S: JSet) -> tuple[int, ...]:
         exact = elements(S)
         if exact is None:
-            raise ValueError(f"wedge targets need finite shapes, not {show_jset(S)}")
+            raise InputError(f"wedge targets need finite shapes, not {show_jset(S)}")
         return exact
 
     return Finite(frozenset(coding.pair(a, b) for a in elems(A) for b in elems(B)))

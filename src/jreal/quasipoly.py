@@ -329,10 +329,6 @@ def index_of(qp: QuasiPoly) -> int:
 MAX_POWER = 64
 
 
-class QpSyntaxError(ValueError):
-    pass
-
-
 def show_qp(qp: QuasiPoly) -> str:
     rows = []
     for r, cs in enumerate(qp.residues):
@@ -355,14 +351,14 @@ def _show_poly(cs: tuple[int, ...]) -> str:
     return " + ".join(bits) if bits else "0"
 
 
-_TOKENS = lexer(":", ";", "->", "+", "^")
+QP_TOKENS = lexer(":", ";", "->", "+", "^")
 
 
 def parse_qp(text: str) -> QuasiPoly:
     """The quasi-polynomial a text names.  A modulus above the number of
     rows the text gives, and a power of n above MAX_POWER, are refused
     before anything of their size is built."""
-    c = Cursor(_TOKENS, text, QpSyntaxError)
+    c = Cursor(QP_TOKENS, text)
     c.expect("mod")
     m = c.nat()
     if m < 1:

@@ -46,6 +46,7 @@ from .formulas import (
 from .jsets import ByPredicate, JSet, Singleton, member
 from .prog import LT01, ite, ite_table, seq2, tag0
 from .terms import App, CONS, K, Num, Var, ap, encode_term
+from .text import InputError
 
 Point = object
 
@@ -181,7 +182,8 @@ class Checker:
                 holds = lv == rv if isinstance(phi, Eq) else lv < rv
                 if not holds:
                     op = "=" if isinstance(phi, Eq) else "<"
-                    return Refuted(f"interpretation fails: {lv} {op} {rv}")
+                    return Refuted(f"interpretation fails: "
+                                   f"{_shown(lv)} {op} {_shown(rv)}")
                 ok, note = self.prefix_ok(e, scope)
                 if ok is False:
                     return Refuted(note)
@@ -312,6 +314,11 @@ class Checker:
             (note, f"{clause} map lands for {rep.checked} realizers"), caveats))
 
 
+def _shown(n: int) -> str:
+    """n in decimal, or its size past what str() prints (4,300 digits)."""
+    return str(n) if n.bit_length() <= 14_000 else f"<{n.bit_length()}-bit number>"
+
+
 def _merge(a: Evidence, b: Evidence) -> Evidence:
     return Evidence(a.notes + b.notes, a.caveats + b.caveats)
 
@@ -319,7 +326,7 @@ def _merge(a: Evidence, b: Evidence) -> Evidence:
 def jrealizes(e: int, phi: Formula, env: Env, policy: CheckPolicy) -> Verdict3:
     missing = free_vars(phi)
     if missing:
-        raise ValueError(f"unassigned free variables: {sorted(missing)}")
+        raise InputError(f"unassigned free variables: {sorted(missing)}")
     return Checker(env, policy).check(e, phi)
 
 
@@ -364,11 +371,11 @@ def build_delta0(phi: Formula) -> int:
     realized.
     """
     if free_vars(phi):
-        raise ValueError("builder needs a closed sentence")
+        raise InputError("builder needs a closed sentence")
     if not is_delta0(phi):
-        raise ValueError("builder covers bounded-quantifier sentences only")
+        raise InputError("builder covers bounded-quantifier sentences only")
     if not compile_formula(phi, NATURALS, None)({}):
-        raise ValueError(f"classically false: {show_formula(phi)}")
+        raise InputError(f"classically false: {show_formula(phi)}")
     return _build(phi, ())
 
 
@@ -413,7 +420,7 @@ def _build(phi: Formula, scope: tuple) -> int:
                     return coding.pair(coding.pair(0, w),
                                        _build(guarded, ((var, w),) + scope))
             raise AssertionError("true bounded existential lost its witness")
-    raise ValueError(f"no builder for {show_formula(phi)}")
+    raise InputError(f"no builder for {show_formula(phi)}")
 
 
 def build_sigma1(phi: Formula) -> int | None:
@@ -426,4 +433,4 @@ def build_sigma1(phi: Formula) -> int | None:
                     return coding.pair(coding.pair(0, w),
                                        _build(body, ((var, w),)))
             return None
-    raise ValueError("expected one unguarded existential over a bounded core")
+    raise InputError("expected one unguarded existential over a bounded core")

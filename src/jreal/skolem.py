@@ -65,6 +65,7 @@ from .jsets import Finite
 from .prog import ADD, EQ01, LT01, MOD, MUL, SUFFIX, fixlam, ite, p0, p1, seq2, tag0
 from .quasipoly import (
     FULL_SET,
+    QP_TOKENS,
     DefinableSet,
     QuasiPoly,
     compare_on_class,
@@ -78,6 +79,7 @@ from .quasipoly import (
 )
 from .realizes import Env, Verdict3, jrealizes
 from .terms import CONS, K, LEN, PROJ, SUCC, App, Num, Var, ap, encode_term
+from .text import Cursor, InputError
 
 # ---------------------------------------------------------------------------
 # the refinement chain
@@ -323,7 +325,7 @@ def transfer_check(model: Model, phi: Formula, asn: dict[str, ModelElem],
     gets a sampled consistency report only."""
     missing = free_vars(phi) - set(asn)
     if missing:
-        raise ValueError(f"unassigned free variables: {sorted(missing)}")
+        raise InputError(f"unassigned free variables: {sorted(missing)}")
     if not any(isinstance(n, Rel | All | Ex) for n, _ in nodes(phi)):
         return _transfer_qf(model, phi, asn, window)
     return _transfer_sampled(model, phi, asn, window)
@@ -746,15 +748,15 @@ def st_assembly(model: Model) -> ModelAssembly:
 
 
 # ---------------------------------------------------------------------------
-# element text for the command line: an integer embeds, anything else is a
+# element text for the command line: a numeral embeds, anything else is a
 # quasi-polynomial in the standard text form
 
 
 def parse_elem(text: str) -> ModelElem:
-    text = text.strip()
-    if text.isascii() and text.removeprefix("-").isdigit():
-        n = int(text)
-        if n < 0:
-            raise ValueError("elements embed naturals only")
-        return iota(n)
-    return ModelElem(parse_qp(text))
+    text = text.strip()  # positions count from the first non-blank
+    c = Cursor(QP_TOKENS, text)
+    if not c.peek()[:1].isdigit():
+        return ModelElem(parse_qp(text))
+    n = c.nat()
+    c.done()
+    return iota(n)

@@ -287,15 +287,11 @@ decode_term_cached = _decoded.__getitem__
 _KEYWORDS = {name: i for i, name in enumerate(PRIM_NAMES)}
 
 
-class TermSyntaxError(ValueError):
-    pass
-
-
 _TOKENS = lexer("(", ")", "\\", ".")
 
 
 def parse_term(src: str) -> Term:
-    c = Cursor(_TOKENS, src, TermSyntaxError)
+    c = Cursor(_TOKENS, src)
     t = _read_expr(c)
     c.done()
     return t

@@ -1,20 +1,24 @@
-"""The one lexer and token cursor of every text format.
+"""The one lexer, token cursor and input error of every text format.
 
 Terms, formulas, certificates, decision trees, quasi-polynomials, realizer
-sets, doctrine and assembly files and the command line's numerals are all
-read as tokens: numerals (ASCII digits), names (an ASCII letter or
-underscore, then letters, digits and underscores) and the symbols of the
-format, with white space, newlines included, between them.  ``lexer``
-compiles one regular expression per symbol set; splitting a text on it
-leaves the tokens at the odd places and the gaps between them at the even
-ones, so lexing runs in C and a position is worked out only for an error
-message.  Any character in a gap that is not white space is an error.
-``blank_comments`` blanks a file's '#' lines and keeps every position.
+sets, doctrine and assembly files, elements of the limit model and the
+command line's numerals are all read as tokens: numerals (ASCII digits),
+names (an ASCII letter or underscore, then letters, digits and
+underscores) and the symbols of the format, with white space, newlines
+included, between them.  ``lexer`` compiles one regular expression per
+symbol set; splitting a text on it leaves the tokens at the odd places and
+the gaps between them at the even ones, so lexing runs in C and a position
+is worked out only for an error message.  Any character in a gap that is
+not white space is an error.  ``blank_comments`` blanks a file's '#' lines
+and keeps every position.
 
-A ``Cursor`` walks the tokens and raises the format's own error (a
-``ValueError``), every message ending "at position N", the offset of the
-offending character (the text's length at its end).  ``Cursor.nat`` is the
-one place where text becomes a number.
+``InputError`` is the one error for input the program cannot use: every
+reader raises it, and so does every check that refuses what a user gave
+(a policy bound, a doctrine, an assembly, a formula that cannot be
+evaluated or built).  The command line catches it in one place.  A
+``Cursor`` raises it with every message ending "at position N", the offset
+of the offending character (the text's length at its end).  ``Cursor.nat``
+is the one place where text becomes a number.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from typing import NoReturn
 MAX_DEPTH = 64
 # the longest numeral any reader accepts: int()'s default limit on digits
 MAX_DIGITS = 4300
+
+
+class InputError(ValueError):
+    """Input the program cannot use, with a message that says why."""
 
 
 def lexer(*symbols: str) -> re.Pattern:
@@ -50,13 +58,11 @@ class Cursor:
     """The tokens of one text, read left to right; ``depth`` counts the
     levels ``nested`` has open."""
 
-    __slots__ = ("toks", "i", "depth", "_parts", "_error")
+    __slots__ = ("toks", "i", "depth", "_parts")
 
-    def __init__(self, pattern: re.Pattern, text: str,
-                 error: type[ValueError]):
+    def __init__(self, pattern: re.Pattern, text: str):
         parts = pattern.split(text)
         self._parts = parts
-        self._error = error
         self.toks = parts[1::2]
         self.toks.append("")  # the end
         self.i = 0
@@ -66,15 +72,15 @@ class Cursor:
             k = next(k for k, gap in enumerate(gaps) if gap.strip())
             gap = gaps[k]
             at = sum(map(len, parts[:2 * k])) + len(gap) - len(gap.lstrip())
-            raise error(f"unexpected character {text[at]!r} at position {at}")
+            raise InputError(f"unexpected character {text[at]!r} at position {at}")
 
     def _position(self, i: int) -> int:
         return sum(map(len, self._parts[:2 * i + 1]))
 
     def fail(self, msg: str, i: int | None = None) -> NoReturn:
-        """Raise the format's error at token i, the next one by default."""
+        """Raise an InputError at token i, the next one by default."""
         at = self._position(self.i if i is None else i)
-        raise self._error(f"{msg} at position {at}") from None
+        raise InputError(f"{msg} at position {at}") from None
 
     def wanted(self, what: str) -> NoReturn:
         self.fail(f"expected {what}, found {self.toks[self.i] or 'end'!r}")

@@ -19,6 +19,7 @@ from jreal.machine import NotClosedAtRuntime, _as_nat
 from jreal.quasipoly import const, qp_add, qp_mul
 from jreal.terms import (App, K, Num, PROJ, Prim, Term, Var, ap, decode_term_cached,
                          encode_term, spine)
+from jreal.text import InputError
 
 
 def const_code(x: int) -> int:
@@ -188,7 +189,7 @@ def eval_term(t: TermAst, env: dict) -> int:
     match t:
         case NVar(name):
             if name not in env:
-                raise ValueError(f"unassigned variable {name}")
+                raise InputError(f"unassigned variable {name}")
             return env[name]
         case Lit(k):
             return k
@@ -212,7 +213,7 @@ def truth(phi: Formula, env: dict | None = None,
         case Less(l, r):
             return eval_term(l, env) < eval_term(r, env)
         case Rel(name, _):
-            raise ValueError(f"relation {name} has no interpretation")
+            raise InputError(f"relation {name} has no interpretation")
         case And(a, b):
             return truth(a, env, points) and truth(b, env, points)
         case Or(a, b):
@@ -223,7 +224,7 @@ def truth(phi: Formula, env: dict | None = None,
             if points is None:
                 got = bound_of(phi)
                 if got is None:
-                    raise ValueError("unbounded quantifier has no classical "
+                    raise InputError("unbounded quantifier has no classical "
                                      "evaluation here")
                 ks = range(eval_term(got[1], env))
             else:
@@ -237,7 +238,7 @@ def term_rep(t: TermAst, asn: dict):
     match t:
         case NVar(name):
             if name not in asn:
-                raise ValueError(f"unassigned variable {name}")
+                raise InputError(f"unassigned variable {name}")
             return asn[name].rep
         case Lit(k):
             return const(k)
@@ -264,8 +265,8 @@ def truth_qf(model, phi: Formula, asn: dict) -> bool:
         case Imp(a, b):
             return (not truth_qf(model, a, asn)) or truth_qf(model, b, asn)
         case Rel(name, _):
-            raise ValueError(f"relation {name} has no interpretation")
-    raise ValueError("quantifier-free formulas only")
+            raise InputError(f"relation {name} has no interpretation")
+    raise InputError("quantifier-free formulas only")
 
 
 def is_delta0(phi: Formula) -> bool:

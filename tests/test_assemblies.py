@@ -6,7 +6,6 @@ import pytest
 
 from jreal import coding
 from jreal.assemblies import (
-    AsmSyntaxError,
     FiniteAssembly,
     Morphism,
     NatAssembly,
@@ -33,6 +32,7 @@ from jreal.jsets import Finite, JOf, Singleton, UpFrom
 from jreal.machine import DEFAULT_FUEL
 from jreal.prog import tag0
 from jreal.terms import App, K, Num, SUCC, Var, encode_term
+from jreal.text import InputError
 
 POL = CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
 EXP_POL = CheckPolicy(depth=3, window=2, fuel=600)
@@ -345,9 +345,9 @@ def test_format_roundtrip():
 
 
 def test_format_errors():
-    with pytest.raises(AsmSyntaxError, match="expected 'realizers'"):
+    with pytest.raises(InputError, match="expected 'realizers'"):
         parse_assembly("point a {0}")
-    with pytest.raises(AsmSyntaxError, match="expected a set"):
+    with pytest.raises(InputError, match="expected a set"):
         parse_assembly("point a realizers wat")
-    with pytest.raises(AsmSyntaxError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         parse_assembly("point a realizers {0}\npoint a realizers {1}")

@@ -5,6 +5,7 @@ under ``tests/golden`` exactly, together with its exit code.  Paths are
 relative to the repository root, because report titles echo them.
 """
 
+import argparse
 import pathlib
 import tracemalloc
 
@@ -158,6 +159,28 @@ WIDE_ASM = b"point p realizers upfrom 3\npoint q realizers cofinite{1}\n"
 ONE_POINT_DOCTRINE = b"doctrine 1\napp 0 0 = 0\npair 0 0 = 0\n"
 # a carrier above doctrine.MAX_SIZE, where the laws would run for hours
 OVERSIZE_DOCTRINE = b"doctrine 11\napp 0 0 = 0\npair 0 0 = 0\n"
+# one cell given twice, which used to keep its last value
+TWICE_DOCTRINE = (b"doctrine 2\napp 0 0 = 0\napp 0 0 = 1\n"
+                  b"pair 0 0 = 0\npair 0 1 = 1\n")
+
+# every numeral flag and positional, "N" standing for its numeral
+NUMERAL_ARGV = {
+    **{flag: ["skolem", "sign", "1", "2", flag, "N"]
+       for flag in ("--fuel", "--depth", "--window", "--seed")},
+    "--x": ["jcert", "check", "--x", "N", "--set", "{2}",
+            "--cert", "tests/data/base.cert"],
+    "--n": ["jdec", "run", "tests/data/one.dec", "--n", "N"],
+    "--upto": ["jdec", "table", "tests/data/one.dec", "--upto", "N"],
+    "--bound": ["asm", "exp", TWO, TWO, "--bound", "N"],
+    "--e": ["realize", "check", "--formula", "0 = 0", "--e", "N"],
+    "--steps": ["skolem", "extend", "--steps", "N"],
+    "i": ["skolem", "sign", "N", "2"],
+    "j": ["skolem", "sign", "1", "N"],
+}
+# numerals that int() reads, or that are past its digit limit: the one
+# numeral rule takes ASCII digits only, with no sign, underscore or prefix
+BAD_NUMERALS = {"underscore": "1_0", "plus": "+2", "minus": "-1",
+                "hex": "0x10", "arabic-digit": "\u0663", "long": "1" * 4301}
 
 # name -> (argv, files written under a temporary directory); "{tmp}" in an
 # argument stands for that directory
@@ -233,6 +256,12 @@ BAD_INPUTS = {
     "lfp-binary-mask": (["doctrine", "lfp", "doctrines/d4.doc", "--set", "0b11"], {}),
     "tracker-hex": (["asm", "track", TWO, "--map", "p:p,q:q", "--tracker", "0x10"],
                     {}),
+    "doctrine-cell-twice": (["doctrine", "laws", "{tmp}/t.doc"],
+                            {"t.doc": TWICE_DOCTRINE}),
+    **{f"numeral-{flag.lstrip('-')}-{name}":
+       ([text if a == "N" else a for a in argv], {})
+       for flag, argv in NUMERAL_ARGV.items()
+       for name, text in BAD_NUMERALS.items()},
 }
 
 
@@ -258,6 +287,69 @@ def test_oversize_doctrine_names_its_size(tmp_path, capsysbinary):
     argv, files = BAD_INPUTS["doctrine-laws-oversize"]
     err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
     assert "carrier size 11 out of range" in err
+
+
+def test_no_argument_has_an_argparse_type():
+    # every numeral stays text until cli._nat reads it, so argparse refuses
+    # none of them with its own usage block
+    def actions(parser):
+        for action in parser._actions:
+            yield action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    found = list(actions(cli.build_parser()))
+    assert {"fuel", "x", "n", "upto", "bound", "e", "steps", "i", "j"} <= {
+        a.dest for a in found}
+    assert [a.dest for a in found if a.type is not None] == []
+
+
+@pytest.mark.parametrize("flag", sorted(NUMERAL_ARGV))
+def test_bad_numeral_names_its_flag_and_position(flag, capsysbinary):
+    argv = ["+2" if a == "N" else a for a in NUMERAL_ARGV[flag]]
+    err = _usage_error(argv, capsysbinary)
+    assert err == f"jreal: error: {flag}: unexpected character '+' at position 0\n"
+
+
+PINNED_ERRORS = {
+    "i: unexpected '_0' at position 1": ["skolem", "sign", "1_0", "+2"],
+    "--seed: unexpected character '-' at position 0":
+        ["skolem", "sign", "1", "2", "--seed", "-3"],
+    "numeral of 5000 digits is too long at position 0":
+        ["skolem", "standard", "1" * 5000],
+}
+
+
+@pytest.mark.parametrize("message", sorted(PINNED_ERRORS))
+def test_bad_numeral_message(message, capsysbinary):
+    err = _usage_error(PINNED_ERRORS[message], capsysbinary)
+    assert err == f"jreal: error: {message}\n"
+
+
+def test_doctrine_cell_given_twice_is_refused(tmp_path, capsysbinary):
+    argv, files = BAD_INPUTS["doctrine-cell-twice"]
+    err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert err.endswith("t.doc: app cell (0,0) given twice at position 23\n")
+
+
+def test_only_input_errors_become_usage_errors(monkeypatch):
+    # any other exception is a defect of the program, so it propagates
+    def defect(*args):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(cli.skolem, "truth_qf", defect)
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(["skolem", "eval", "--formula", "0 = 0"])
+
+
+def test_help_says_what_exit_2_means(capsysbinary):
+    code, out, err = run(["--help"], capsysbinary)
+    assert (code, err) == (0, "")
+    text = " ".join(out.split())
+    assert ("2 for one of two things: a usage error (stdout empty, stderr "
+            "'jreal: error: ...') or unknown verdicts outnumbering decided "
+            "ones (a report on stdout)") in text
 
 
 @pytest.mark.parametrize("name", ["skolem-superscript", "jcert-superscript"])
@@ -307,6 +399,7 @@ def test_oversize_element_error_is_short(capsysbinary):
 
 
 WIDE = {"w.asm": WIDE_ASM}
+HUGE = "9" * 3000
 ONE = {"one.doc": ONE_POINT_DOCTRINE}
 EMPTY_UNION = {"u.dec": b"union\n"}
 
@@ -329,6 +422,9 @@ SWEEP = {
     "jdec-run": (["jdec", "run", "{tmp}/u.dec", "--n", "3"], EMPTY_UNION),
     "jdec-table": (["jdec", "table", "{tmp}/u.dec", "--upto", "2"],
                    EMPTY_UNION),
+    # a product past 4,300 digits, which the Refuted note must still print
+    "realize-huge-product": (["realize", "check", "--formula",
+                              f"{HUGE} * {HUGE} = 0", "--e", "0"], {}),
 }
 
 
@@ -345,3 +441,10 @@ def test_edge_inputs_report_or_fail_cleanly(name, tmp_path, capsysbinary):
         assert err == "" and "\ncounts " in out
     else:
         assert code == 2 and err.startswith("jreal: error:")
+
+
+def test_huge_value_is_printed_by_its_size(capsysbinary):
+    code, out, err = run(SWEEP["realize-huge-product"][0], capsysbinary)
+    assert (code, err) == (1, "")
+    assert ("case check Refuted interpretation fails: <19932-bit number> = 0"
+            in out.splitlines())

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from jreal import coding
 from jreal.certs import Accepted, CheckPolicy, check_cert
 from jreal.deciders import (
-    DecSyntaxError,
     Not,
     One,
     PartialOutcome,
@@ -27,7 +26,7 @@ from jreal.deciders import (
 )
 from jreal.jsets import Singleton
 from jreal.machine import Value, apply
-from jreal.text import MAX_DEPTH
+from jreal.text import MAX_DEPTH, InputError
 from support import random_tree
 
 
@@ -144,7 +143,7 @@ def test_format_examples():
 
 def test_format_errors():
     for bad in ("one", "one x", "frob 3", "union (one 1", "one 1 one 2"):
-        with pytest.raises(DecSyntaxError):
+        with pytest.raises(InputError):
             parse_dec(bad)
 
 
@@ -158,7 +157,7 @@ def test_tree_nesting_is_bounded():
     for make in (nots, unions):
         assert show_dec(parse_dec(make(MAX_DEPTH - 1))) == make(MAX_DEPTH - 1)
         for n in (MAX_DEPTH, 2000):
-            with pytest.raises(DecSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+            with pytest.raises(InputError, match=f"nested deeper than {MAX_DEPTH}"):
                 parse_dec(make(n))
 
 

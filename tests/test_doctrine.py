@@ -6,9 +6,7 @@ import pytest
 
 from jreal.doctrine import (
     Doctrine,
-    DoctrineSyntaxError,
     MonoOp,
-    UnsuitableDoctrine,
     Witness,
     arrow,
     candidate_ops,
@@ -29,6 +27,7 @@ from jreal.doctrine import (
     uniformity_finite,
     wedge,
 )
+from jreal.text import InputError
 
 
 def tiny():
@@ -129,7 +128,7 @@ def test_lfp_is_idempotent_and_above_seed():
 
 def test_lfp_requires_bottom_pairing():
     d = make_doctrine(2, {(0, 0): 0, (0, 1): 1}, {(0, 0): 0})
-    with pytest.raises(UnsuitableDoctrine, match="pair\\(0,1\\)"):
+    with pytest.raises(InputError, match="pair\\(0,1\\)"):
         lfp_local(d, tuple(range(4)))  # the identity operator
 
 
@@ -222,11 +221,11 @@ def test_doctrine_format_roundtrip():
 
 
 def test_doctrine_format_errors():
-    with pytest.raises(DoctrineSyntaxError, match="expected 'doctrine'"):
+    with pytest.raises(InputError, match="expected 'doctrine'"):
         parse_doctrine("app 0 0 = 0\n")
-    with pytest.raises(DoctrineSyntaxError, match="expected '='"):
+    with pytest.raises(InputError, match="expected '='"):
         parse_doctrine("doctrine 2\napp 0 0 0\n")
-    with pytest.raises(DoctrineSyntaxError, match="unknown table"):
+    with pytest.raises(InputError, match="unknown table"):
         parse_doctrine("doctrine 2\nfrob 0 0 = 0\n")
-    with pytest.raises(DoctrineSyntaxError, match="not injective"):
+    with pytest.raises(InputError, match="not injective"):
         parse_doctrine("doctrine 2\npair 0 0 = 0\npair 0 1 = 0\n")

@@ -11,7 +11,6 @@ from jreal.formulas import (
     And,
     Eq,
     Ex,
-    FormulaSyntaxError,
     Imp,
     Less,
     Lit,
@@ -29,7 +28,7 @@ from jreal.formulas import (
 )
 from jreal.quasipoly import enumerate_qp
 from jreal.skolem import Model, ModelElem, limit_structure
-from jreal.text import MAX_DEPTH
+from jreal.text import MAX_DEPTH, InputError
 
 NAMES = st.sampled_from(["x", "y", "n_1"])
 
@@ -104,7 +103,7 @@ def test_nesting_is_bounded(name):
     make, deepest = DEEP[name]
     parse_formula(make(deepest))
     for n in (deepest + 1, 3000):
-        with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+        with pytest.raises(InputError, match=f"nested deeper than {MAX_DEPTH}"):
             parse_formula(make(n))
 
 

@@ -7,7 +7,6 @@ from jreal.quasipoly import (
     FULL_SET,
     DefinableSet,
     MAX_POWER,
-    QpSyntaxError,
     QuasiPoly,
     canon,
     compare_on_class,
@@ -22,6 +21,7 @@ from jreal.quasipoly import (
     qp_mul,
     show_qp,
 )
+from jreal.text import InputError
 
 polys = st.lists(st.integers(0, 4), max_size=3).map(
     lambda cs: tuple(cs[:len(cs) - next(
@@ -216,7 +216,7 @@ def test_parse_normalizes():
     "mod 3: 0 -> 1; 2 -> 1",
 ])
 def test_parse_rejects(bad):
-    with pytest.raises(QpSyntaxError):
+    with pytest.raises(InputError):
         parse_qp(bad)
 
 

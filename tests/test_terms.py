@@ -20,7 +20,6 @@ from jreal.terms import (
     Prim,
     S,
     SUCC,
-    TermSyntaxError,
     Var,
     ap,
     decode_term,
@@ -33,7 +32,7 @@ from jreal.terms import (
     spine,
     subst,
 )
-from jreal.text import MAX_DEPTH
+from jreal.text import MAX_DEPTH, InputError
 
 closed_terms = st.recursive(
     st.one_of(
@@ -273,7 +272,7 @@ def test_parse_lambda_compiles_and_runs():
 
 def test_parse_rejects_garbage():
     for src in ["", "(", "K)", r"\. x", r"\x", "K %"]:
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(InputError):
             parse_term(src)
 
 
@@ -283,7 +282,7 @@ def test_parse_rejects_garbage():
 def test_term_nesting_is_bounded(make):
     parse_term(make(MAX_DEPTH))
     for n in (MAX_DEPTH + 1, 2000):
-        with pytest.raises(TermSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+        with pytest.raises(InputError, match=f"nested deeper than {MAX_DEPTH}"):
             parse_term(make(n))
 
 

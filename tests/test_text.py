@@ -1,49 +1,49 @@
-"""The shared lexer and cursor: each reader parses a text or raises its own
-syntax error, and every message names a position."""
+"""The shared lexer and cursor: each reader parses a text or raises the one
+input error, and every message names a position."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jreal.assemblies import AsmSyntaxError, parse_assembly
-from jreal.certs import CertSyntaxError, parse_cert
-from jreal.deciders import DecSyntaxError, parse_dec
-from jreal.doctrine import DoctrineSyntaxError, parse_doctrine
-from jreal.formulas import FormulaSyntaxError, parse_formula
-from jreal.jsets import JSetSyntaxError, parse_jset
-from jreal.quasipoly import QpSyntaxError, parse_qp
-from jreal.terms import TermSyntaxError, parse_term
-from jreal.text import MAX_DEPTH, MAX_DIGITS, blank_comments
+from jreal.assemblies import parse_assembly
+from jreal.certs import parse_cert
+from jreal.deciders import parse_dec
+from jreal.doctrine import parse_doctrine
+from jreal.formulas import parse_formula
+from jreal.jsets import parse_jset
+from jreal.quasipoly import parse_qp
+from jreal.terms import parse_term
+from jreal.text import MAX_DEPTH, MAX_DIGITS, InputError, blank_comments
 
 # characters no format admits: '²' is a digit to str.isdigit but not to
 # int(), and 'é' a letter to str.isalpha
 STRAYS = ["²", "é", "%", "-", "\x00"]
 
-# reader -> (its error, pieces of its alphabet, an opening and a closing
+# format -> (its reader, pieces of its alphabet, an opening and a closing
 # piece that nest)
 READERS = {
-    "term": (parse_term, TermSyntaxError,
+    "term": (parse_term,
              ["(", ")", "\\", ".", " ", "x", "_y", "K", "succ", "nil", "0", "12"],
              "(", ")"),
-    "formula": (parse_formula, FormulaSyntaxError,
+    "formula": (parse_formula,
                 ["(", ")", "->", "\\/", "/\\", ".", ",", "=", "<", "+", "*", " ",
                  "forall", "exists", "S", "x", "P", "0", "7"],
                 "(", ")"),
-    "cert": (parse_cert, CertSyntaxError,
+    "cert": (parse_cert,
              ["(", ")", " ", "base", "lift", "0", "3"],
              "(lift 0 (0 ", "))"),
-    "tree": (parse_dec, DecSyntaxError,
+    "tree": (parse_dec,
              ["(", ")", " ", "one", "not", "union", "0", "5"],
              "union (", ")"),
-    "qp": (parse_qp, QpSyntaxError,
+    "qp": (parse_qp,
            ["mod", ":", ";", "->", "+", "^", "n", " ", "0", "1", "2"],
            "", ""),
-    "jset": (parse_jset, JSetSyntaxError,
+    "jset": (parse_jset,
              ["{", "}", ",", " ", "cofinite", "single", "upfrom", "0", "3"],
              "", ""),
-    "doctrine": (parse_doctrine, DoctrineSyntaxError,
+    "doctrine": (parse_doctrine,
                  ["doctrine", "app", "pair", "=", " ", "\n", "#", "0", "1", "2"],
                  "", ""),
-    "assembly": (parse_assembly, AsmSyntaxError,
+    "assembly": (parse_assembly,
                  ["point", "realizers", "a", "{", "}", ",", " ", "\n", "#",
                   "single", "0", "1"],
                  "", ""),
@@ -54,14 +54,14 @@ READERS = {
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_reader_parses_or_raises_its_own_error(name, data):
-    read, error, pieces, opener, closer = READERS[name]
+    read, pieces, opener, closer = READERS[name]
     body = "".join(data.draw(st.lists(st.sampled_from(pieces + STRAYS),
                                       max_size=12)))
     n = data.draw(st.sampled_from([0, 1, MAX_DEPTH, MAX_DEPTH + 1, 2000]))
     text = opener * n + body + closer * n
     try:
         read(text)
-    except error as exc:
+    except InputError as exc:
         msg, _, pos = str(exc).rpartition(" at position ")
         assert msg and 0 <= int(pos) <= len(text)
 
@@ -94,6 +94,8 @@ MESSAGES = [
     ("doctrine", "doctrine 2 junk", "unknown table 'junk' at position 11"),
     ("doctrine", "# c\ndoctrine 2\napp 0 0 0", "expected '=', found '0' at position 23"),
     ("doctrine", "doctrine 11", "carrier size 11 out of range at position 11"),
+    ("doctrine", "doctrine 2 pair 0 1 = 1 app 1 0 = 0 pair 0 1 = 0",
+     "pair cell (0,1) given twice at position 36"),
     ("assembly", "point a:b realizers {1}", "unexpected character ':' at position 7"),
     ("assembly", "point a,b realizers {1}", "expected 'realizers', found ',' at position 7"),
     ("assembly", "point { realizers {1}", "expected a point label, found '{' at position 6"),
@@ -104,9 +106,8 @@ MESSAGES = [
 
 @pytest.mark.parametrize("name,text,message", MESSAGES)
 def test_message_names_the_position(name, text, message):
-    read, error = READERS[name][:2]
-    with pytest.raises(error) as got:
-        read(text)
+    with pytest.raises(InputError) as got:
+        READERS[name][0](text)
     assert str(got.value) == message
 
 
@@ -125,16 +126,16 @@ NUMERAL_SLOTS = {
 
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_numeral_past_the_digit_limit_is_the_readers_error(name):
-    read, error = READERS[name][:2]
+    read = READERS[name][0]
     slot = NUMERAL_SLOTS[name]
     for digits in (MAX_DIGITS + 1, 5000):
-        with pytest.raises(error) as got:
+        with pytest.raises(InputError) as got:
             read(slot.replace("N", "1" * digits))
         assert str(got.value) == (f"numeral of {digits} digits is too long "
                                   f"at position {slot.index('N')}")
     try:  # the longest numeral is read; a doctrine of its size is refused
         read(slot.replace("N", "1" * MAX_DIGITS))
-    except error as exc:
+    except InputError as exc:
         assert "too long" not in str(exc)
 
 
