@@ -46,6 +46,8 @@ Point = object  # hashable labels: str, int, tuple
 
 # points sampled from an infinite carrier, and from each sampled realizer set
 TRACK_SAMPLES = 16
+# the caveat of every verdict that checked a sample of an infinite realizer set
+SAMPLED_CAVEAT = "realizer sets sampled"
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,6 +267,7 @@ class ExponentResult:
     ev: Morphism
     unknown_maps: tuple[tuple, ...]   # no tracker found below the bound
     excluded_maps: tuple[tuple[tuple, str], ...]  # provably untrackable, with reason
+    sampled: bool  # some source realizer set was checked on a sample only
 
 
 def _exact_meet(sets: Iterable[JSet]) -> set[int] | None:
@@ -308,7 +311,8 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
     """
     if not (A.finite and B.finite):
         raise ValueError("exponents are built for finite carriers only")
-    src_elems = {x: realizer_elements(A.realizer_set(x), 8)[0] for x in A.points}
+    listed = {x: realizer_elements(A.realizer_set(x), 8) for x in A.points}
+    src_elems = {x: elems for x, (elems, _) in listed.items()}
     all_rs = sorted({r for es in src_elems.values() for r in es})
     outputs: dict[int, dict[int, int]] = {}
     for e in range(search_bound):
@@ -354,7 +358,8 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
     ev = Morphism(ev_src, B,
                   lambda p: p[0][A.points.index(p[1])],
                   _EV_TRACKER)
-    return ExponentResult(exp, tuple(morphisms), ev, tuple(unknown), tuple(excluded))
+    return ExponentResult(exp, tuple(morphisms), ev, tuple(unknown), tuple(excluded),
+                          any(approx for _, approx in listed.values()))
 
 
 # ---------------------------------------------------------------------------

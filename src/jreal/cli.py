@@ -24,10 +24,10 @@ import pathlib
 import sys
 
 from . import skolem
-from .assemblies import (Subobject, check_tracking, exponent_finite,
-                         morphism_from_table, parse_assembly, product,
-                         proj_left, proj_right, subobject_check, TrackReport,
-                         TrackStatus)
+from .assemblies import (SAMPLED_CAVEAT, Subobject, check_tracking,
+                         exponent_finite, morphism_from_table, parse_assembly,
+                         product, proj_left, proj_right, subobject_check,
+                         TrackReport, TrackStatus)
 from .certs import Accepted, CheckPolicy, check_cert, parse_cert
 from .deciders import (Verdict, ground_truth, parse_dec, run_decider,
                        show_dec)
@@ -36,7 +36,7 @@ from .doctrine import (Doctrine, MonoOp, bits, lfp_by_intersection, lfp_local,
                        pitts_f_finite, uniformity_finite)
 from .formulas import parse_formula
 from .jsets import SET_TOKENS, Finite, parse_jset, read_members, show_jset
-from .quasipoly import enumerate_qp, show_qp
+from .quasipoly import QuasiPoly, enumerate_qp, show_qp
 from .realizes import (Env, Realized, Refuted, Unknown, build_delta0,
                        build_sigma1, jrealizes, nat_env)
 from .report import (Case, Report, case_fail, case_pass, case_unknown,
@@ -118,12 +118,12 @@ def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
     for name, w in (("e1", rep.e1), ("e2", rep.e2),
                     ("e3", rep.e3), ("e4", rep.e4)):
         if w is not None:
-            cases.append(case_pass(name, "holds", f"uniform element {w.element}"))
+            cases.append(case_pass(name, "holds", f"uniform element {w}"))
         else:
             cases.append(case_fail(name, "fails", "no uniform element"))
     if rep.e4_derived is not None:
         cases.append(case_pass("e4-derived", "holds",
-                               f"element {rep.e4_derived.element} "
+                               f"element {rep.e4_derived} "
                                f"({rep.e4_derivation_note})"))
     else:
         cases.append(case_fail("e4-derived", "fails", rep.e4_derivation_note))
@@ -177,7 +177,7 @@ def _cmd_jcert_check(args, policy: CheckPolicy) -> Report:
     res = check_cert(x, target, cert, policy)
     caveats = ()
     if isinstance(res, Accepted):
-        c = case_pass("cert", "accepted", f"x={x} lands in {args.set}")
+        c = case_pass("cert", "accepted", f"x={x} lands in {show_jset(target)}")
         if res.sampled:
             caveats = (LIFT_CAVEAT,)
     else:
@@ -265,6 +265,8 @@ def _cmd_asm_track(args, policy: CheckPolicy) -> Report:
         if ":" not in piece:
             raise InputError(f"map entry {piece!r} needs the form src:dst")
         a, b = (s.strip() for s in piece.split(":", 1))
+        if a in table:
+            raise InputError(f"map gives point {a!r} twice")
         table[a] = b
     missing = [p for p in src.points if p not in table]
     if missing:
@@ -275,7 +277,7 @@ def _cmd_asm_track(args, policy: CheckPolicy) -> Report:
     tracker = _nat("--tracker", args.tracker)
     mor = morphism_from_table(src, dst, table, tracker)
     rep = check_tracking(mor, policy)
-    caveats = (LIFT_CAVEAT,) if rep.sampled else ()
+    caveats = (SAMPLED_CAVEAT,) if rep.sampled else ()
     return Report(f"asm track {args.file}",
                   (_track_case("tracking", rep),), caveats)
 
@@ -319,6 +321,8 @@ def _cmd_asm_exp(args, policy: CheckPolicy) -> Report:
     caveats = ()
     if res.unknown_maps:
         caveats = (f"tracker search cut off at code {bound}",)
+    if res.sampled:
+        caveats += (SAMPLED_CAVEAT,)
     return Report(f"asm exp {args.left} {args.right}", tuple(cases), caveats)
 
 
@@ -338,7 +342,8 @@ def _cmd_asm_sub(args, policy: CheckPolicy) -> Report:
     else:
         cases.append(case_fail("points", "Mismatch",
                                f"live {list(live)} expected {list(expected)}"))
-    return Report(f"asm sub {args.file}", tuple(cases))
+    caveats = (SAMPLED_CAVEAT,) if rep.sampled else ()
+    return Report(f"asm sub {args.file}", tuple(cases), caveats)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +416,10 @@ def _read_cases(dirname: str):
                 continue
             if ":" not in ln:
                 raise InputError(f"{path.name}: bad line {ln!r}")
-            key, val = ln.split(":", 1)
-            fields[key.strip()] = val.strip()
+            key, val = (s.strip() for s in ln.split(":", 1))
+            if key in fields:
+                raise InputError(f"{path.name}: field {key!r} given twice")
+            fields[key] = val
         if "formula" not in fields:
             raise InputError(f"{path.name}: missing formula")
         yield path, fields, parse_formula(fields["formula"])
@@ -484,14 +491,17 @@ def _cmd_skolem_sign(args, policy: CheckPolicy) -> Report:
                   (case_pass(f"{i},{j}", rel, detail),))
 
 
-def _parse_assignment(text: str) -> dict[str, "skolem.ModelElem"]:
+def _parse_assignment(text: str) -> dict[str, QuasiPoly]:
     # entries separated by |, since the element syntax itself uses , and ;
     asn = {}
     for piece in filter(None, (p.strip() for p in text.split("|"))):
         if "=" not in piece:
             raise InputError(f"assignment entry {piece!r} needs name=value")
         name, val = piece.split("=", 1)
-        asn[name.strip()] = skolem.parse_elem(val)
+        name = name.strip()
+        if name in asn:
+            raise InputError(f"assignment gives {name!r} twice")
+        asn[name] = skolem.parse_elem(val)
     return asn
 
 

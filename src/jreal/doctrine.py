@@ -3,10 +3,12 @@
 A doctrine is a carrier {0..N-1} with partial application and pairing tables.
 Subsets are bitmasks, and an operator on subsets is a plain tuple indexed by
 subset mask, checked monotone at construction (``mono_op``).  Every law is
-witnessed by a concrete element or reported absent.  The least closed
-operator above a monotone map is computed per set by iterating the two
-generating rules and cross-checked against the big intersection it is
-supposed to equal.
+witnessed by a concrete element or reported absent.  A witness is the
+element itself, an ``int``, or ``None`` when there is none; test it with
+``is None``, since the element 0 is a witness.  The least closed operator
+above a monotone map is computed per set by iterating the two generating
+rules and cross-checked against the big intersection it is supposed to
+equal.
 
 A doctrine carries two tables fixed when it is built, both filled subset by
 subset from ``A ^ lowbit(A)``: ``images[e][A]``, the image of the set A under
@@ -151,36 +153,29 @@ def wedge(d: Doctrine, A: int, B: int) -> int:
 # witnesses and laws
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
-    element: int
-    law: str
-
-
-def preorder_witness(d: Doctrine, F: MonoOp, G: MonoOp) -> Witness | None:
+def preorder_witness(d: Doctrine, F: MonoOp, G: MonoOp) -> int | None:
     """An element sending every F-stage into the matching G-stage, if any."""
-    return _least(_uniform(d, ((F[A], G[A]) for A in range(1 << d.size))),
-                  "preorder")
+    return _least(_uniform(d, ((F[A], G[A]) for A in range(1 << d.size))))
 
 
 @dataclass(frozen=True, slots=True)
 class LawReport:
-    e1: Witness | None
-    e2: Witness | None
-    e3: Witness | None
-    e4: Witness | None
-    e4_derived: Witness | None
+    e1: int | None
+    e2: int | None
+    e3: int | None
+    e4: int | None
+    e4_derived: int | None
     e4_derivation_note: str
 
     @property
     def operator_is_local(self) -> bool:
-        return None not in (self.e1, self.e2, self.e3)
+        return all(w is not None for w in (self.e1, self.e2, self.e3))
 
 
-def _least(mask: int, law: str) -> Witness | None:
+def _least(mask: int) -> int | None:
     if not mask:
         return None
-    return Witness((mask & -mask).bit_length() - 1, law)
+    return (mask & -mask).bit_length() - 1
 
 
 def _uniform(d: Doctrine, pairs) -> int:
@@ -202,17 +197,16 @@ def _e2_mask(d: Doctrine, J: MonoOp) -> int:
 def local_laws(d: Doctrine, J: MonoOp) -> LawReport:
     n = range(1 << d.size)
     w1 = _least(_uniform(d, ((arrow(d, A, B), arrow(d, J[A], J[B]))
-                             for A in n for B in n)), "E1")
-    w3 = _least(_uniform(d, ((J[J[A]], J[A]) for A in n)), "E3")
+                             for A in n for B in n)))
+    w3 = _least(_uniform(d, ((J[J[A]], J[A]) for A in n)))
     m4 = _uniform(d, ((wedge(d, J[A], J[B]), J[wedge(d, A, B)])
                       for A in n for B in n))
     derived, note = derive_e4(d, w1, w3, m4)
-    return LawReport(w1, _least(_e2_mask(d, J), "E2"), w3, _least(m4, "E4"),
-                     derived, note)
+    return LawReport(w1, _least(_e2_mask(d, J)), w3, _least(m4), derived, note)
 
 
-def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
-              e4_mask: int) -> tuple[Witness | None, str]:
+def derive_e4(d: Doctrine, w1: int | None, w3: int | None,
+              e4_mask: int) -> tuple[int | None, str]:
     """Build a pair-merging witness out of the push and flatten witnesses.
 
     The construction mirrors how the law follows from the other three: section
@@ -239,7 +233,7 @@ def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
 
     pushed: dict[int, int] = {}
     for u, p_u in sections.items():
-        q = d.app_at(w1.element, p_u)
+        q = d.app_at(w1, p_u)
         if q is None:
             return None, f"underivable: push witness undefined on section {p_u}"
         pushed[u] = q
@@ -263,13 +257,13 @@ def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
             w = d.pair_at(u, v)
             if w is None:
                 continue
-            s1 = d.app_at(w1.element, stitched[v])
+            s1 = d.app_at(w1, stitched[v])
             if s1 is None:
                 return None, "underivable: push witness undefined on a stitched row"
             s2 = d.app_at(s1, u)
             if s2 is None:
                 return None, "underivable: pushed stitch undefined on a first component"
-            s3 = d.app_at(w3.element, s2)
+            s3 = d.app_at(w3, s2)
             if s3 is None:
                 return None, "underivable: flatten witness undefined on the composite"
             combined[w] = s3
@@ -277,7 +271,7 @@ def derive_e4(d: Doctrine, w1: Witness | None, w3: Witness | None,
     if e is None:
         return None, "underivable: no row realizes the composite"
     if e4_mask >> e & 1:
-        return Witness(e, "E4"), "derived and verified"
+        return e, "derived and verified"
     return None, f"underivable: candidate {e} fails the law set"
 
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
-from .assemblies import Assembly, NatAssembly, TrackStatus, track_rows
+from .assemblies import (SAMPLED_CAVEAT, Assembly, NatAssembly, TrackStatus,
+                         track_rows)
 from .bracket import lam
 from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy, tagged
 from .formulas import (
@@ -309,7 +310,7 @@ class Checker:
         if rep.status is TrackStatus.UNKNOWN:
             return Unknown(f"{clause} map undecided at {rep.witness[0]}: {rep.note}")
         if rep.sampled:
-            caveats += ("realizer sets sampled",)
+            caveats += (SAMPLED_CAVEAT,)
         return Realized(e, Evidence(
             (note, f"{clause} map lands for {rep.checked} realizers"), caveats))
 

@@ -11,6 +11,10 @@ two representatives name the same element exactly when they agree along the
 selector's tail, and the chain keeps the enumerated functions as an
 ascending list of such equality classes.
 
+Elements are quasi-polynomials: wherever an element is taken or returned,
+a plain ``QuasiPoly`` stands for its class, and ``const(n)`` is the embedded
+natural n.
+
 The payoff is a structure where order and equality between elements are
 decided by finite polynomial comparisons, embedded copies of the naturals
 sit below every unbounded element, and "is this element a natural number"
@@ -59,7 +63,6 @@ from .formulas import (
     compile_term,
     free_vars,
     nodes,
-    show_formula,
 )
 from .jsets import Finite
 from .prog import ADD, EQ01, LT01, MOD, MUL, SUFFIX, fixlam, ite, p0, p1, seq2, tag0
@@ -71,9 +74,9 @@ from .quasipoly import (
     compare_on_class,
     const,
     enumerate_qp,
+    ident,
     parse_qp,
     qp_add,
-    qp_compose,
     qp_mul,
     show_qp,
 )
@@ -192,24 +195,8 @@ def show_chain(state: ChainState) -> str:
 # elements and the model interface
 
 
-@dataclass(frozen=True, slots=True)
-class ModelElem:
-    rep: QuasiPoly
-
-
-def iota(n: int) -> ModelElem:
-    """The embedded natural n."""
-    return ModelElem(const(n))
-
-
-def apply_fn(f: QuasiPoly, e: ModelElem) -> ModelElem:
-    """The function f applied inside the model: compose with the
-    representative.  Well defined on classes; tests audit that."""
-    return ModelElem(qp_compose(f, e.rep))
-
-
-def show_elem(e: ModelElem) -> str:
-    return f"[{show_qp(e.rep)}]"
+def show_elem(e: QuasiPoly) -> str:
+    return f"[{show_qp(e)}]"
 
 
 class Model:
@@ -246,38 +233,31 @@ class Model:
         """Past this value the settled relation holds at every live point."""
         return max(t for _, t in self._settle(f, g))
 
-    def eq(self, a: ModelElem, b: ModelElem) -> bool:
-        return self.sign_qp(a.rep, b.rep) == "="
-
-    def lt(self, a: ModelElem, b: ModelElem) -> bool:
-        return self.sign_qp(a.rep, b.rep) == "<"
-
 
 # ---------------------------------------------------------------------------
 # standardness
 
 
-def standard_value(model: Model, e: ModelElem) -> int | None:
+def standard_value(model: Model, e: QuasiPoly) -> int | None:
     """The natural this element embeds, or None when it sits above all.
 
     Restricted to the live set the representative either ends up constant
     (one residue class survives with one constant polynomial) or stays
     nonconstant on every class forever; both outcomes are detected
     syntactically, so the loop always exits."""
-    rep = e.rep
     while True:
-        _, residues = _live_classes(model.state.live, rep)
-        polys = {rep.poly_at(r) for r in residues}
+        _, residues = _live_classes(model.state.live, e)
+        polys = {e.poly_at(r) for r in residues}
         if all(len(p) > 1 for p in polys):
             return None
         if all(len(p) <= 1 for p in polys):
             vals = {p[0] if p else 0 for p in polys}
             if len(vals) == 1:
                 return vals.pop()
-        model.state = extend_chain(model.state)
+        model.ensure(model.state.k + 1)
 
 
-def is_standard(model: Model, e: ModelElem) -> bool:
+def is_standard(model: Model, e: QuasiPoly) -> bool:
     return standard_value(model, e) is not None
 
 
@@ -293,10 +273,9 @@ def limit_structure(model: Model) -> Structure:
                      lambda f, g: model.sign_qp(f, g) == "<", None)
 
 
-def truth_qf(model: Model, phi: Formula, asn: dict[str, ModelElem]) -> bool:
+def truth_qf(model: Model, phi: Formula, asn: dict[str, QuasiPoly]) -> bool:
     """Exact truth of a quantifier-free formula at model elements."""
-    reps = {v: e.rep for v, e in asn.items()}
-    return compile_formula(phi, limit_structure(model), None)(reps)
+    return compile_formula(phi, limit_structure(model), None)(asn)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +284,6 @@ def truth_qf(model: Model, phi: Formula, asn: dict[str, ModelElem]) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class TransferReport:
-    formula: str
     mode: str                      # "exact" or "sampled"
     limit_truth: bool | None
     standard_truth: bool | None
@@ -318,8 +296,8 @@ class TransferReport:
         return not self.disagreements
 
 
-def transfer_check(model: Model, phi: Formula, asn: dict[str, ModelElem],
-                   window: int = 24) -> TransferReport:
+def transfer_check(model: Model, phi: Formula, asn: dict[str, QuasiPoly],
+                   window: int) -> TransferReport:
     """Compare limit truth, truth at selector points, and truth at the
     embedded naturals.  Exact for quantifier-free input; quantified input
     gets a sampled consistency report only."""
@@ -334,12 +312,12 @@ def transfer_check(model: Model, phi: Formula, asn: dict[str, ModelElem],
 def _transfer_qf(model: Model, phi: Formula, asn, window: int) -> TransferReport:
     lt = truth_qf(model, phi, asn)
     # settling every atom, left to right, extends the chain in a fixed order
-    limit, reps = limit_structure(model), {v: e.rep for v, e in asn.items()}
-    t_max = max((model.settle_threshold(compile_term(n.left, limit)(reps),
-                                        compile_term(n.right, limit)(reps))
+    limit = limit_structure(model)
+    t_max = max((model.settle_threshold(compile_term(n.left, limit)(asn),
+                                        compile_term(n.right, limit)(asn))
                  for n, _ in nodes(phi) if isinstance(n, Eq | Less)), default=0)
     while model.state.psi[-1] < t_max:
-        model.state = extend_chain(model.state)
+        model.ensure(model.state.k + 1)
     holds = compile_formula(phi, NATURALS, None)
     n0, psi, verdicts = _at_selector(model, holds, asn, window)
     disagreements = [f"selector point psi({n})={psi[n]} disagrees"
@@ -350,7 +328,7 @@ def _transfer_qf(model: Model, phi: Formula, asn, window: int) -> TransferReport
         st = holds(values)
         if st != lt:
             disagreements.append("embedded-argument truth differs")
-    return TransferReport(show_formula(phi), "exact", lt, st,
+    return TransferReport("exact", lt, st,
                           (n0, n0 + window), tuple(disagreements), ())
 
 
@@ -359,7 +337,7 @@ def _at_selector(model: Model, holds, asn, window: int):
     verdict at each selector point of the window."""
     n0 = model.state.k
     psi = model.ensure(n0 + window).psi
-    return n0, psi, [holds({v: e.rep.value(psi[n]) for v, e in asn.items()})
+    return n0, psi, [holds({v: e.value(psi[n]) for v, e in asn.items()})
                      for n in range(n0, n0 + window)]
 
 
@@ -374,7 +352,7 @@ def _transfer_sampled(model: Model, phi: Formula, asn, window: int) -> TransferR
         flips = [n0 + i for i in range(1, window) if verdicts[i] != verdicts[i - 1]]
         disagreements = (f"sampled verdict flips at selector indices {flips}",)
     return TransferReport(
-        show_formula(phi), "sampled", None, None, (n0, n0 + window),
+        "sampled", None, None, (n0, n0 + window),
         disagreements,
         (f"quantifiers sampled over a {_QUANT_SAMPLE}-point range",
          "quantified input: consistency report only"))
@@ -596,32 +574,28 @@ ST_PREFIX_LEN = 24
 class ModelAssembly:
     assembly: FiniteAssembly
     standard: Subobject
-    standard_points: tuple[ModelElem, ...]
+    standard_points: tuple[QuasiPoly, ...]
     standard_report: TrackReport
     morphism_reports: tuple[tuple[str, TrackReport], ...]
     split_code: int
     split_verdict: Verdict3
 
 
-def default_elements() -> tuple[ModelElem, ...]:
-    n = ident_elem().rep
+def default_elements() -> tuple[QuasiPoly, ...]:
+    n = ident()
     nonstd = (n, qp_add(n, const(1)), qp_add(n, const(2)), qp_add(n, const(5)),
               qp_mul(const(2), n), qp_add(qp_mul(const(2), n), const(1)),
               qp_mul(const(3), n), qp_mul(n, n),
               qp_add(qp_mul(n, n), const(1)), qp_add(qp_mul(n, n), n))
-    return tuple(iota(i) for i in range(10)) + tuple(ModelElem(q) for q in nonstd)
+    return tuple(const(i) for i in range(10)) + nonstd
 
 
-def ident_elem() -> ModelElem:
-    return ModelElem(QuasiPoly(1, ((0, 1),)))
-
-
-def _canonicalize(model: Model, elems) -> tuple[ModelElem, ...]:
-    out: list[ModelElem] = []
+def _canonicalize(model: Model, elems) -> tuple[QuasiPoly, ...]:
+    out: list[QuasiPoly] = []
     for e in elems:
         v = standard_value(model, e)
-        e = iota(v) if v is not None else e
-        if not any(model.eq(e, seen) for seen in out):
+        e = const(v) if v is not None else e
+        if not any(model.sign_qp(e, seen) == "=" for seen in out):
             out.append(e)
     return tuple(out)
 
@@ -636,27 +610,26 @@ def st_assembly(model: Model) -> ModelAssembly:
     model.ensure(ST_PREFIX_LEN - 1)
     psi_code = coding.encode_seq(model.state.psi[:ST_PREFIX_LEN])
 
-    data = {e: qp_data(e.rep) for e in elems}
-    variants: dict[ModelElem, set[int]] = {e: {elem_code(e.rep, psi_code)}
+    data = {e: qp_data(e) for e in elems}
+    variants: dict[QuasiPoly, set[int]] = {e: {elem_code(e, psi_code)}
                                            for e in elems}
 
-    def find(qp: QuasiPoly) -> ModelElem | None:
-        probe = ModelElem(qp)
+    def find(qp: QuasiPoly) -> QuasiPoly | None:
         for e in elems:
-            if model.eq(e, probe):
+            if model.sign_qp(e, qp) == "=":
                 return e
         return None
 
-    def register(e: ModelElem, desc: int):
+    def register(e: QuasiPoly, desc: int):
         variants[e].add(coding.pair(desc, psi_code))
 
     std = {e: standard_value(model, e) is not None for e in elems}
 
     # successor: every element whose bump stays inside the sample; variant
     # registration repeats until stable since targets feed later sources
-    succ_map: dict[ModelElem, ModelElem] = {}
+    succ_map: dict[QuasiPoly, QuasiPoly] = {}
     for e in elems:
-        target = find(qp_add(e.rep, const(1)))
+        target = find(qp_add(e, const(1)))
         if target is not None:
             succ_map[e] = target
     changed = True
@@ -679,7 +652,7 @@ def st_assembly(model: Model) -> ModelAssembly:
                 if skip_zero and 0 in (standard_value(model, a),
                                        standard_value(model, b)):
                     continue
-                t = find(op(a.rep, b.rep))
+                t = find(op(a, b))
                 if t is not None:
                     hits.append((a, b, t))
         mixed = [abt for abt in hits if not (std[abt[0]] and std[abt[1]])]
@@ -723,7 +696,7 @@ def st_assembly(model: Model) -> ModelAssembly:
         src = FiniteAssembly(
             f"{name}-domain", tuple((a, b) for a, b, _ in pairs),
             tuple(Finite(frozenset({coding.pair(
-                elem_code(a.rep, psi_code), elem_code(b.rep, psi_code))}))
+                elem_code(a, psi_code), elem_code(b, psi_code))}))
                 for a, b, _ in pairs))
         table = {(a, b): t for a, b, t in pairs}
         reports.append((name, check_tracking(
@@ -752,11 +725,11 @@ def st_assembly(model: Model) -> ModelAssembly:
 # quasi-polynomial in the standard text form
 
 
-def parse_elem(text: str) -> ModelElem:
+def parse_elem(text: str) -> QuasiPoly:
     text = text.strip()  # positions count from the first non-blank
     c = Cursor(QP_TOKENS, text)
     if not c.peek()[:1].isdigit():
-        return ModelElem(parse_qp(text))
+        return parse_qp(text)
     n = c.nat()
     c.done()
-    return iota(n)
+    return const(n)

@@ -239,7 +239,7 @@ def term_rep(t: TermAst, asn: dict):
         case NVar(name):
             if name not in asn:
                 raise InputError(f"unassigned variable {name}")
-            return asn[name].rep
+            return asn[name]
         case Lit(k):
             return const(k)
         case Succ(a):

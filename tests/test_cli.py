@@ -258,6 +258,13 @@ BAD_INPUTS = {
                     {}),
     "doctrine-cell-twice": (["doctrine", "laws", "{tmp}/t.doc"],
                             {"t.doc": TWICE_DOCTRINE}),
+    # a key given twice, whose last value used to win
+    "asm-map-twice": (["asm", "track", TWO, "--map", "p:q,p:p,q:q",
+                       "--tracker", str(A_CODE)], {}),
+    "eval-args-twice": (["skolem", "eval", "--formula", "x = 1",
+                         "--args", "x=1 | x=2"], {}),
+    "corpus-formula-twice": (["realize", "corpus", "{tmp}"],
+                             {"a.case": b"formula: 0 = 1\nformula: 0 = 0\n"}),
     **{f"numeral-{flag.lstrip('-')}-{name}":
        ([text if a == "N" else a for a in argv], {})
        for flag, argv in NUMERAL_ARGV.items()
@@ -331,6 +338,18 @@ def test_doctrine_cell_given_twice_is_refused(tmp_path, capsysbinary):
     argv, files = BAD_INPUTS["doctrine-cell-twice"]
     err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
     assert err.endswith("t.doc: app cell (0,0) given twice at position 23\n")
+
+
+REPEATED_KEYS = {"asm-map-twice": "map gives point 'p' twice",
+                 "eval-args-twice": "assignment gives 'x' twice",
+                 "corpus-formula-twice": "a.case: field 'formula' given twice"}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_KEYS))
+def test_a_key_given_twice_is_named(name, tmp_path, capsysbinary):
+    argv, files = BAD_INPUTS[name]
+    err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert err == f"jreal: error: {REPEATED_KEYS[name]}\n"
 
 
 def test_only_input_errors_become_usage_errors(monkeypatch):
@@ -425,6 +444,9 @@ SWEEP = {
     # a product past 4,300 digits, which the Refuted note must still print
     "realize-huge-product": (["realize", "check", "--formula",
                               f"{HUGE} * {HUGE} = 0", "--e", "0"], {}),
+    # a set whose text is not one line, which the report must not echo
+    "jcert-set-newline": (["jcert", "check", "--x", "8", "--set", "{2\n}",
+                           "--cert", "tests/data/base.cert"], {}),
 }
 
 
@@ -448,3 +470,24 @@ def test_huge_value_is_printed_by_its_size(capsysbinary):
     assert (code, err) == (1, "")
     assert ("case check Refuted interpretation fails: <19932-bit number> = 0"
             in out.splitlines())
+
+
+# one infinite realizer set, which every asm command checks on a sample
+UPFROM = {"s.asm": b"point a realizers upfrom 3\npoint b realizers {2}\n",
+          "u.asm": b"point a realizers upfrom 3\n",
+          "p.asm": b"point p realizers upfrom 0\n"}
+SAMPLED_SETS = {
+    "track": ["asm", "track", "{tmp}/s.asm", "--map", "a:a,b:b",
+              "--tracker", str(A_CODE)],
+    "sub": ["asm", "sub", "{tmp}/s.asm", "--points", "a"],
+    "exp": ["asm", "exp", "{tmp}/u.asm", "{tmp}/p.asm", "--bound", "64"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SETS))
+def test_sampled_realizer_sets_are_labelled(name, tmp_path, capsysbinary):
+    code, out, err = run(_in_tmp(SAMPLED_SETS[name], UPFROM, tmp_path),
+                         capsysbinary)
+    assert (code, err) == (0, "")
+    assert ([ln for ln in out.splitlines() if ln.startswith("APPROX")]
+            == ["APPROX realizer sets sampled"])

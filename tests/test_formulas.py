@@ -27,7 +27,7 @@ from jreal.formulas import (
     show_formula,
 )
 from jreal.quasipoly import enumerate_qp
-from jreal.skolem import Model, ModelElem, limit_structure
+from jreal.skolem import Model, limit_structure
 from jreal.text import MAX_DEPTH, InputError
 
 NAMES = st.sampled_from(["x", "y", "n_1"])
@@ -162,7 +162,7 @@ def test_compiled_naturals_agree_with_the_interpreter(phi, env, points):
             == outcome(support.truth, phi, env, points))
 
 
-ELEM = st.integers(0, 30).map(enumerate_qp).map(ModelElem)
+ELEM = st.integers(0, 30).map(enumerate_qp)
 ELEMS = st.fixed_dictionaries({v: ELEM for v in "xyz"}) | st.dictionaries(VARS, ELEM)
 
 
@@ -172,8 +172,7 @@ def test_compiled_limit_agrees_with_the_interpreter(phi, asn):
     # each reading on its own model: both must also settle the same
     # comparisons in the same order, so both chains end alike
     mine, theirs = Model(), Model()
-    reps = {v: e.rep for v, e in asn.items()}
-    got = outcome(compile_formula(phi, limit_structure(mine), None), reps)
+    got = outcome(compile_formula(phi, limit_structure(mine), None), asn)
     assert got == outcome(support.truth_qf, theirs, phi, asn)
     assert mine.state == theirs.state
 

@@ -83,6 +83,17 @@ def test_chain_is_pinned():
         "psi tail=[...1680,1740,1800,1860,1920,1980]")
 
 
+def _law_text(rep) -> str:
+    """The law report in the text the doctrine pin was taken over, where each
+    witness element is printed together with the name of its law."""
+    def w(e, law):
+        return "None" if e is None else f"Witness(element={e}, law={law!r})"
+    return (f"LawReport(e1={w(rep.e1, 'E1')}, e2={w(rep.e2, 'E2')}, "
+            f"e3={w(rep.e3, 'E3')}, e4={w(rep.e4, 'E4')}, "
+            f"e4_derived={w(rep.e4_derived, 'E4')}, "
+            f"e4_derivation_note={rep.e4_derivation_note!r})")
+
+
 def test_doctrine_lab_is_pinned():
     h = hashlib.sha256()
     for size in range(3, 7):
@@ -90,9 +101,10 @@ def test_doctrine_lab_is_pinned():
             d = random_doctrine(Random(seed), size)
             F = pitts_f_finite(d)
             J = lfp_local(d, F)
-            h.update(repr((F, J,
-                           local_laws(d, F), uniformity_finite(d, F),
-                           local_laws(d, J), uniformity_finite(d, J))).encode())
+            h.update((f"({F!r}, {J!r}, "
+                      f"{_law_text(local_laws(d, F))}, {uniformity_finite(d, F)!r}, "
+                      f"{_law_text(local_laws(d, J))}, {uniformity_finite(d, J)!r})"
+                      ).encode())
     assert h.hexdigest() == (
         "7f8639f7d06a60dc3c8a288a6e8cb1857ec58f6c2675f95d2a62d677399dd3dc")
 

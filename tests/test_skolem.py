@@ -10,19 +10,16 @@ from jreal import cli, coding, skolem
 from jreal.assemblies import TrackStatus
 from jreal.formulas import parse_formula
 from jreal.machine import Value, apply_cached
-from jreal.quasipoly import canon, const, enumerate_qp, ident, qp_add, qp_mul
+from jreal.quasipoly import (canon, const, enumerate_qp, ident, qp_add,
+                             qp_compose, qp_mul)
 from jreal.realizes import Realized
 from jreal.skolem import (
     Model,
-    ModelElem,
-    apply_fn,
     decode_elem_code,
     default_elements,
     elem_code,
     extend_chain,
-    ident_elem,
     initial_chain,
-    iota,
     is_standard,
     mirror_add,
     mirror_mul,
@@ -119,18 +116,18 @@ def test_show_chain_mentions_live_set():
 
 def test_model_equality_merges_collapsing_representatives():
     m = Model()
-    two_valued = ModelElem(canon(2, [(), (1,)]))
-    assert m.eq(two_valued, iota(0))
-    assert not m.eq(two_valued, iota(1))
+    two_valued = canon(2, [(), (1,)])
+    assert m.sign_qp(two_valued, const(0)) == "="
+    assert m.sign_qp(two_valued, const(1)) != "="
     assert standard_value(m, two_valued) == 0
 
 
 def test_order_places_unbounded_above_every_embedded():
     m = Model()
-    n = ident_elem()
+    n = ident()
     for c in (0, 5, 9, 40):
-        assert m.lt(iota(c), n)
-    assert m.lt(n, ModelElem(qp_mul(n.rep, n.rep)))
+        assert m.sign_qp(const(c), n) == "<"
+    assert m.sign_qp(n, qp_mul(n, n)) == "<"
 
 
 def test_model_comparison_agrees_with_matrix():
@@ -159,7 +156,7 @@ def _equal_pairs(model: Model, rng: random.Random, k: int):
         junk = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 3)))
         padded = canon(2, [base.residues[0], junk])
         if padded.modulus == 2:
-            out.append((ModelElem(base), ModelElem(padded)))
+            out.append((base, padded))
     return out
 
 
@@ -169,9 +166,9 @@ def test_equal_representatives_and_apply_fn_well_defined():
     fns = [qp_add(ident(), const(2)), qp_mul(ident(), ident()),
            canon(2, [(1,), (0, 3)])]
     for a, b in _equal_pairs(m, rng, 20):
-        assert m.eq(a, b), (a, b)
+        assert m.sign_qp(a, b) == "=", (a, b)
         f = rng.choice(fns)
-        assert m.eq(apply_fn(f, a), apply_fn(f, b))
+        assert m.sign_qp(qp_compose(f, a), qp_compose(f, b)) == "="
 
 
 def test_standardness_total_and_matches_boundedness_audit():
@@ -186,13 +183,12 @@ def test_standardness_total_and_matches_boundedness_audit():
     while len(seeds) < 50:
         seeds.append(qp_add(rng.choice(seeds), rng.choice(seeds)))
     for q in seeds[:50]:
-        e = ModelElem(q)
-        verdict = is_standard(m, e)        # total: never raises
+        verdict = is_standard(m, q)        # total: never raises
         m.ensure(m.state.k + 12)
         tail = [q.value(x) for x in m.state.psi[-10:]]
         if verdict:
             assert len(set(tail)) == 1
-            assert tail[0] == standard_value(m, e)
+            assert tail[0] == standard_value(m, q)
         else:
             assert tail[-1] > tail[0], q   # keeps growing along the tail
 
@@ -200,7 +196,7 @@ def test_standardness_total_and_matches_boundedness_audit():
 def test_mixed_class_standardness_follows_the_surviving_class():
     m = Model()
     # unbounded on odds, constant on evens: the tail is even, so standard
-    e = ModelElem(canon(2, [(7,), (0, 5)]))
+    e = canon(2, [(7,), (0, 5)])
     assert standard_value(m, e) == 7
 
 
@@ -210,13 +206,13 @@ def test_mixed_class_standardness_follows_the_surviving_class():
 
 def test_truth_qf_battery():
     m = Model()
-    n = ident_elem()
+    n = ident()
     cases = [
         ("x < x + S 0", {"x": n}, True),
-        ("x + y = y + x", {"x": n, "y": iota(3)}, True),
-        ("x * x < x + 9", {"x": iota(2)}, True),
+        ("x + y = y + x", {"x": n, "y": const(3)}, True),
+        ("x * x < x + 9", {"x": const(2)}, True),
         ("x * x < x + 9", {"x": n}, False),
-        ("x < y \\/ y < x \\/ x = y", {"x": n, "y": iota(7)}, True),
+        ("x < y \\/ y < x \\/ x = y", {"x": n, "y": const(7)}, True),
         ("x = 0 -> x < S 0", {"x": n}, True),
         ("S x * S x = x * x + x + x + S 0", {"x": n}, True),
     ]
@@ -229,7 +225,7 @@ def test_truth_qf_rejects_quantifiers_and_relations():
     with pytest.raises(ValueError):
         truth_qf(m, parse_formula("forall z . z = z"), {})
     with pytest.raises(ValueError):
-        truth_qf(m, parse_formula("P(x)"), {"x": iota(0)})
+        truth_qf(m, parse_formula("P(x)"), {"x": const(0)})
     with pytest.raises(ValueError):
         truth_qf(m, parse_formula("x = 0"), {})
 
@@ -246,16 +242,16 @@ def test_congruence_equal_elements_indistinguishable():
 
 def test_transfer_exact_on_quantifier_free():
     m = Model()
-    n = ident_elem()
+    n = ident()
     corpus = [
-        ("x + y = y + x", {"x": n, "y": iota(4)}),
+        ("x + y = y + x", {"x": n, "y": const(4)}),
         ("x < x * x", {"x": n}),
         ("x < 7 \\/ 6 < x", {"x": n}),
-        ("x = 2 -> x < 3", {"x": iota(2)}),
-        ("x * x + 1 = x -> 0 = S 0", {"x": iota(3)}),
+        ("x = 2 -> x < 3", {"x": const(2)}),
+        ("x * x + 1 = x -> 0 = S 0", {"x": const(3)}),
     ]
     for text, asn in corpus:
-        rep = transfer_check(m, parse_formula(text), asn)
+        rep = transfer_check(m, parse_formula(text), asn, 24)
         assert rep.mode == "exact"
         assert rep.consistent, (text, rep.disagreements)
         if all(standard_value(m, e) is not None for e in asn.values()):
@@ -264,7 +260,8 @@ def test_transfer_exact_on_quantifier_free():
 
 def test_transfer_quantified_is_sampled_only():
     m = Model()
-    rep = transfer_check(m, parse_formula("exists z < 6 . x < z"), {"x": iota(2)})
+    rep = transfer_check(m, parse_formula("exists z < 6 . x < z"), {"x": const(2)},
+                         24)
     assert rep.mode == "sampled"
     assert rep.limit_truth is None
     assert any("sampled" in c for c in rep.caveats)
@@ -295,9 +292,9 @@ def _flip_limit_order(monkeypatch):
 @pytest.mark.parametrize("name", ["qf_square", "qf_mixed"])
 def test_transfer_catches_a_flipped_limit_order(name, monkeypatch):
     phi, asn = _shipped_case(name)
-    assert transfer_check(Model(), phi, asn).consistent
+    assert transfer_check(Model(), phi, asn, 24).consistent
     _flip_limit_order(monkeypatch)
-    rep = transfer_check(Model(), phi, asn)
+    rep = transfer_check(Model(), phi, asn, 24)
     assert rep.mode == "exact" and not rep.consistent
 
 
@@ -309,7 +306,7 @@ def test_transfer_command_fails_on_a_flipped_limit_order(monkeypatch, capsys):
 
 def test_transfer_requires_assignment():
     with pytest.raises(ValueError):
-        transfer_check(Model(), parse_formula("x = 0"), {})
+        transfer_check(Model(), parse_formula("x = 0"), {}, 24)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +346,14 @@ def test_realizer_descriptions_replay_on_the_prefix(built):
     qpeval = encode_term(QPEVAL)
     psi = model.state.psi
     for e in ma.assembly.points[:6] + ma.assembly.points[-2:]:
-        code = elem_code(e.rep, coding.encode_seq(psi[:ST_PREFIX_LEN]))
+        code = elem_code(e, coding.encode_seq(psi[:ST_PREFIX_LEN]))
         data, _ = coding.unpair(code)
         staged = apply_cached(qpeval, data, 200_000)
         assert isinstance(staged, Value)
         for k in range(5):
             got = apply_cached(staged.value, psi[k], 400_000)
             assert isinstance(got, Value)
-            assert got.value == e.rep.value(psi[k]), (e, k)
+            assert got.value == e.value(psi[k]), (e, k)
 
 
 def test_variant_descriptions_denote_their_element(built):
@@ -368,7 +365,7 @@ def test_variant_descriptions_denote_their_element(built):
         for code in S.elems:
             m_, rows, prefix = decode_elem_code(code)
             rebuilt = canon(m_, rows)
-            assert model.eq(ModelElem(rebuilt), e)
+            assert model.sign_qp(rebuilt, e) == "="
             assert len(prefix) == ST_PREFIX_LEN
 
 
@@ -405,7 +402,7 @@ def test_default_elements_shape():
 
 def test_parse_elem():
     model = Model()
-    assert model.eq(parse_elem("7"), iota(7))
-    assert parse_elem("mod 1: 0 -> n").rep == ident()
+    assert model.sign_qp(parse_elem("7"), const(7)) == "="
+    assert parse_elem("mod 1: 0 -> n") == ident()
     with pytest.raises(ValueError):
         parse_elem("-3")

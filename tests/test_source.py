@@ -1,5 +1,6 @@
 """Checks on the package source itself: no module imports a name it never
-uses, or a private name of another module."""
+uses, or a private name of another module, and the number of defaulted
+parameters stays where it is pinned."""
 
 import ast
 import pathlib
@@ -50,3 +51,29 @@ def test_the_check_finds_a_private_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_private_name(path):
     assert private_imports(path.read_text()) == []
+
+
+# defaults and keyword defaults over every def in src/jreal; a default is an
+# option each caller may set, so a change that adds one says so here
+DEFAULTED_PARAMS = 15
+
+
+def defaulted_params(text: str) -> int:
+    """Parameters with a default, over every ``def`` in the text."""
+    return sum(len(node.args.defaults)
+               + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef))
+
+
+def _source_texts() -> list[str]:
+    return [path.read_text() for path in sorted(SRC.glob("*.py"))]
+
+
+def test_one_more_default_breaks_the_pin():
+    extra = "def f(a, *, b=None):\n    pass\n"
+    assert sum(map(defaulted_params, _source_texts() + [extra])) != DEFAULTED_PARAMS
+
+
+def test_defaulted_parameters_are_pinned():
+    assert sum(map(defaulted_params, _source_texts())) == DEFAULTED_PARAMS
