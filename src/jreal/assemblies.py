@@ -7,6 +7,9 @@ carrier map plus a code; the code tracks the map when it sends every
 realizer of a point into the certified closure of the target's realizers.
 
 Checks over infinite carriers are sampled and say so in their reports.
+A report's caveats, printed as given, name what a verdict rests on: a
+sampled realizer set (``SAMPLED_CAVEAT``) or a lift (``LIFT_CAVEAT``).  Its
+scope note says whether the carrier was checked in full or sampled.
 Whether a tracker's output lands is decided by ``CertSearch.decide``: an
 untagged output or a base payload outside the target is Failed, and a
 certificate search that finds nothing is only ever Unknown, never Failed.
@@ -32,8 +35,8 @@ from typing import Any, Callable, Iterable
 
 from . import coding, prog
 from .bracket import lam
-from .certs import (SCAN_THRESHOLD, TRACK_THRESHOLD, Accepted, Base,
-                    CertSearch, CheckPolicy, check_cert, tagged)
+from .certs import (LIFT_CAVEAT, SCAN_THRESHOLD, TRACK_THRESHOLD, Accepted,
+                    Base, CertSearch, CheckPolicy, check_cert, tagged)
 from .jsets import (SET_TOKENS, Cofinite, Finite, JSet, Singleton, UpFrom, elements,
                     is_empty, read_jset, sample, show_jset)
 from .kit import A_CODE, B_TERM, D_TERM, E_TERM, wedge_target
@@ -151,7 +154,7 @@ class TrackReport:
     status: TrackStatus
     witness: tuple | None  # (point, realizer) pinpointing a failure
     checked: int
-    sampled: bool
+    caveats: tuple[str, ...]
     note: str
 
 
@@ -165,36 +168,44 @@ def realizer_elements(S: JSet, k: int) -> tuple[tuple[int, ...], bool]:
 
 def track_rows(tracker: int, rows,
                lands: Callable[[int, Any], tuple[bool | None, str]],
-               fuel: int, samples: int, sampled: bool) -> TrackReport:
+               fuel: int, samples: int, carrier_sampled: bool) -> TrackReport:
     """Every realizer of each row's source set, under the tracker, must land
     in the closure of the row's target set; rows are (point, source, target).
 
     ``lands(v, target)`` is the landing rule: True or False when decided,
     None when not, each with a reason.  The first False fails the check.
     The target is passed to it as the row holds it, so a rule may ask for
-    more than the set.
+    more than the set.  A 1-tagged output that lands can only have landed
+    by the lift rule, so it adds ``LIFT_CAVEAT``.
     """
     checked = 0
     unknown: tuple | None = None
     note = ""
+    caveats: dict[str, None] = {}  # in first-seen order
     for x, source, target in rows:
         elems, approx = realizer_elements(source, samples)
-        sampled = sampled or approx
+        if approx:
+            caveats[SAMPLED_CAVEAT] = None
         for r in elems:
             checked += 1
             res = apply_cached(tracker, r, fuel)
             if isinstance(res, Value):
                 inside, why = lands(res.value, target)
+                if inside is True and tagged(res.value)[0] == 1:
+                    caveats[LIFT_CAVEAT] = None
             else:
                 inside, why = None, "tracker ran out of fuel"
             if inside is False:
-                return TrackReport(TrackStatus.FAILED, (x, r), checked, sampled, why)
+                return TrackReport(TrackStatus.FAILED, (x, r), checked,
+                                   tuple(caveats), why)
             if inside is None and unknown is None:
                 unknown, note = (x, r), why
     if unknown is not None:
-        return TrackReport(TrackStatus.UNKNOWN, unknown, checked, sampled, note)
-    scope = "sampled carrier" if sampled else "full carrier"
-    return TrackReport(TrackStatus.VERIFIED, None, checked, sampled, scope)
+        return TrackReport(TrackStatus.UNKNOWN, unknown, checked,
+                           tuple(caveats), note)
+    scope = "sampled carrier" if carrier_sampled else "full carrier"
+    return TrackReport(TrackStatus.VERIFIED, None, checked, tuple(caveats),
+                       scope)
 
 
 def check_tracking(mor: Morphism, policy: CheckPolicy,
@@ -267,7 +278,7 @@ class ExponentResult:
     ev: Morphism
     unknown_maps: tuple[tuple, ...]   # no tracker found below the bound
     excluded_maps: tuple[tuple[tuple, str], ...]  # provably untrackable, with reason
-    sampled: bool  # some source realizer set was checked on a sample only
+    caveats: tuple[str, ...]
 
 
 def _exact_meet(sets: Iterable[JSet]) -> set[int] | None:
@@ -307,7 +318,8 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
     Each candidate code below the bound is run once on every source realizer;
     maps are then vetted against the precomputed outputs.  A code that jams
     or emits an untagged value on any realizer tracks nothing and is dropped
-    before the per-map pass.
+    before the per-map pass.  The caveats say when some map was left open at
+    the bound and when a source realizer set was checked on a sample.
     """
     if not (A.finite and B.finite):
         raise ValueError("exponents are built for finite carriers only")
@@ -358,8 +370,11 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
     ev = Morphism(ev_src, B,
                   lambda p: p[0][A.points.index(p[1])],
                   _EV_TRACKER)
+    caveats = (f"tracker search cut off at code {search_bound}",) if unknown else ()
+    if any(approx for _, approx in listed.values()):
+        caveats += (SAMPLED_CAVEAT,)
     return ExponentResult(exp, tuple(morphisms), ev, tuple(unknown), tuple(excluded),
-                          any(approx for _, approx in listed.values()))
+                          caveats)
 
 
 # ---------------------------------------------------------------------------

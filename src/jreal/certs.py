@@ -8,12 +8,16 @@ checked against the two generating rules:
         into the closure, witnessed by per-point tail certificates.
 
 The lift rule's universal condition is sampled on a finite window, so an
-Accepted verdict is a bounded approximation by construction, never a proof.
+Accepted verdict that used it is a bounded approximation, never a proof,
+and its caveats are ``(LIFT_CAVEAT,)``; otherwise they are empty.
 Rejection always carries the first failing rule, sample point, or fuel site.
 
 When the target is itself a closure (a ``JOf`` set), a base certificate must
 carry an inner certificate for its payload; there is no direct membership
 test to fall back on.
+
+``CertSearch`` memoizes answers by (value, target, depth).  It recurses at
+a smaller depth only, so the memo holds no provisional entry.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ class Lift:
 
 Cert = Base | Lift
 
+# the caveat of every verdict whose certificate used the lift rule
+LIFT_CAVEAT = "lift obligations checked on a finite window only"
+
 
 @dataclass(frozen=True, slots=True)
 class CheckPolicy:
@@ -58,8 +65,7 @@ class CheckPolicy:
 
 @dataclass(frozen=True, slots=True)
 class Accepted:
-    # sampled is set when any lift rule was exercised on the way
-    sampled: bool = False
+    caveats: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +107,7 @@ def _check(x: int, target: JSet, cert: Cert, policy: CheckPolicy, depth: int) ->
                 return Rejected(f"base: membership of {a} in {show_jset(target)} undecided")
             if not got:
                 return Rejected(f"base: {a} not in {show_jset(target)}")
-            return Accepted()
+            return Accepted(())
         case Lift(threshold, tails):
             got = tagged(x)
             if got is None or got[0] != 1:
@@ -118,7 +124,7 @@ def _check(x: int, target: JSet, cert: Cert, policy: CheckPolicy, depth: int) ->
                 sub = _check(res.value, target, tail, policy, depth - 1)
                 if isinstance(sub, Rejected):
                     return Rejected(f"lift at {m}: {sub.reason}")
-            return Accepted(sampled=True)
+            return Accepted((LIFT_CAVEAT,))
         case _:
             raise TypeError(cert)
 
@@ -192,7 +198,6 @@ class CertSearch:
         key = (x, target, depth)
         if key in self._memo:
             return self._memo[key]
-        self._memo[key] = None  # cuts self-referential code loops short
         found: Cert | None = None
         match tagged(x):
             case (0, payload):

@@ -24,10 +24,10 @@ import pathlib
 import sys
 
 from . import skolem
-from .assemblies import (SAMPLED_CAVEAT, Subobject, check_tracking,
-                         exponent_finite, morphism_from_table, parse_assembly,
-                         product, proj_left, proj_right, subobject_check,
-                         TrackReport, TrackStatus)
+from .assemblies import (Subobject, check_tracking, exponent_finite,
+                         morphism_from_table, parse_assembly, product,
+                         proj_left, proj_right, subobject_check, TrackReport,
+                         TrackStatus)
 from .certs import Accepted, CheckPolicy, check_cert, parse_cert
 from .deciders import (Verdict, ground_truth, parse_dec, run_decider,
                        show_dec)
@@ -43,7 +43,6 @@ from .report import (Case, Report, case_fail, case_pass, case_unknown,
                      emit_report, exit_code)
 from .text import Cursor, InputError
 
-LIFT_CAVEAT = "lift obligations checked on a finite window only"
 EXIT_STATUS = ("exit status: 0 when every case passes, 1 when a case fails, "
                "2 for one of two things: a usage error (stdout empty, stderr "
                "'jreal: error: ...') or unknown verdicts outnumbering decided "
@@ -175,14 +174,11 @@ def _cmd_jcert_check(args, policy: CheckPolicy) -> Report:
     cert = parse_cert(_read(args.cert))
     x = _nat("--x", args.x)
     res = check_cert(x, target, cert, policy)
-    caveats = ()
+    title = f"jcert check {args.cert}"
     if isinstance(res, Accepted):
         c = case_pass("cert", "accepted", f"x={x} lands in {show_jset(target)}")
-        if res.sampled:
-            caveats = (LIFT_CAVEAT,)
-    else:
-        c = case_fail("cert", "rejected", res.reason)
-    return Report(f"jcert check {args.cert}", (c,), caveats)
+        return Report(title, (c,), res.caveats)
+    return Report(title, (case_fail("cert", "rejected", res.reason),))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +190,7 @@ _DEC_WORD = {Verdict.IN: "In", Verdict.OUT: "Out", Verdict.UNKNOWN: "Unknown"}
 
 def _dec_case(ident: str, res, truth: bool | None) -> Case:
     word = _DEC_WORD[res.verdict]
-    detail = res.note or f"value {res.value}"
+    detail = res.note
     if res.verdict is Verdict.UNKNOWN:
         return case_unknown(ident, word, detail)
     if truth is not None:
@@ -219,16 +215,19 @@ def _cmd_jdec_build(args, policy: CheckPolicy) -> Report:
 def _cmd_jdec_run(args, policy: CheckPolicy) -> Report:
     tree = parse_dec(_read(args.file))
     n = _nat("--n", args.n)
-    c = _dec_case(f"n={n}", run_decider(tree, n, policy), ground_truth(tree, n))
-    return Report(f"jdec run {args.file}", (c,))
+    res = run_decider(tree, n, policy)
+    c = _dec_case(f"n={n}", res, ground_truth(tree, n))
+    return Report(f"jdec run {args.file}", (c,), res.caveats)
 
 
 def _cmd_jdec_table(args, policy: CheckPolicy) -> Report:
     tree = parse_dec(_read(args.file))
-    cases = tuple(_dec_case(f"n={n}", run_decider(tree, n, policy),
-                            ground_truth(tree, n))
-                  for n in range(_nat("--upto", args.upto) + 1))
-    return Report(f"jdec table {args.file}", cases)
+    runs = [(n, run_decider(tree, n, policy))
+            for n in range(_nat("--upto", args.upto) + 1)]
+    cases = tuple(_dec_case(f"n={n}", res, ground_truth(tree, n))
+                  for n, res in runs)
+    return Report(f"jdec table {args.file}", cases,
+                  tuple(cav for _, res in runs for cav in res.caveats))
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +276,8 @@ def _cmd_asm_track(args, policy: CheckPolicy) -> Report:
     tracker = _nat("--tracker", args.tracker)
     mor = morphism_from_table(src, dst, table, tracker)
     rep = check_tracking(mor, policy)
-    caveats = (SAMPLED_CAVEAT,) if rep.sampled else ()
     return Report(f"asm track {args.file}",
-                  (_track_case("tracking", rep),), caveats)
+                  (_track_case("tracking", rep),), rep.caveats)
 
 
 def _cmd_asm_product(args, policy: CheckPolicy) -> Report:
@@ -318,12 +316,8 @@ def _cmd_asm_exp(args, policy: CheckPolicy) -> Report:
         cases.append(case_unknown(f"open{i}", "Unknown",
                                   f"{_show_map(A, table)}: no tracker "
                                   f"below {bound}"))
-    caveats = ()
-    if res.unknown_maps:
-        caveats = (f"tracker search cut off at code {bound}",)
-    if res.sampled:
-        caveats += (SAMPLED_CAVEAT,)
-    return Report(f"asm exp {args.left} {args.right}", tuple(cases), caveats)
+    return Report(f"asm exp {args.left} {args.right}", tuple(cases),
+                  res.caveats)
 
 
 def _cmd_asm_sub(args, policy: CheckPolicy) -> Report:
@@ -342,8 +336,7 @@ def _cmd_asm_sub(args, policy: CheckPolicy) -> Report:
     else:
         cases.append(case_fail("points", "Mismatch",
                                f"live {list(live)} expected {list(expected)}"))
-    caveats = (SAMPLED_CAVEAT,) if rep.sampled else ()
-    return Report(f"asm sub {args.file}", tuple(cases), caveats)
+    return Report(f"asm sub {args.file}", tuple(cases), rep.caveats)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +351,8 @@ def _realize_env(asm_path: str | None) -> Env:
 
 def _realize_case(ident: str, verdict) -> Case:
     match verdict:
-        case Realized(_, ev):
-            detail = ev.notes[-1] if ev.notes else "all clauses checked"
-            return case_pass(ident, "Realized", detail)
+        case Realized(note, _):
+            return case_pass(ident, "Realized", note)
         case Refuted(reason):
             return case_fail(ident, "Refuted", reason)
         case Unknown(diag):
@@ -372,7 +364,7 @@ def _cmd_realize_check(args, policy: CheckPolicy) -> Report:
     phi = parse_formula(args.formula)
     env = _realize_env(args.asm)
     v = jrealizes(_nat("--e", args.e), phi, env, policy)
-    caveats = v.evidence.caveats if isinstance(v, Realized) else ()
+    caveats = v.caveats if isinstance(v, Realized) else ()
     return Report("realize check", (_realize_case("check", v),), caveats)
 
 
@@ -395,7 +387,7 @@ def _cmd_realize_build(args, policy: CheckPolicy) -> Report:
     v = jrealizes(e, phi, nat_env(), policy)
     cases = (case_pass("build", "Built", f"e={_big(e)}"),
              _realize_case("selfcheck", v))
-    caveats = v.evidence.caveats if isinstance(v, Realized) else ()
+    caveats = v.caveats if isinstance(v, Realized) else ()
     return Report("realize build", cases, caveats)
 
 
@@ -427,7 +419,7 @@ def _read_cases(dirname: str):
 
 def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
     cases = []
-    caveats: dict[str, None] = {}
+    caveats: list[str] = []
     for path, fields, phi in _read_cases(args.dir):
         env = _realize_env(str(path.parent / fields["asm"])
                            if "asm" in fields else None)
@@ -438,8 +430,7 @@ def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
         got = {Realized: "realized", Refuted: "refuted",
                Unknown: "unknown"}[type(v)]
         if isinstance(v, Realized):
-            for cav in v.evidence.caveats:
-                caveats[cav] = None
+            caveats += v.caveats
         if got == expect:
             cases.append(case_pass(path.stem, got.capitalize(),
                                    "as expected"))
@@ -531,12 +522,11 @@ def _cmd_skolem_standard(args, policy: CheckPolicy) -> Report:
 def _cmd_skolem_transfer(args, policy: CheckPolicy) -> Report:
     model = skolem.Model()
     cases = []
-    caveats: dict[str, None] = {}
+    caveats: list[str] = []
     for path, fields, phi in _read_cases(args.corpus):
         asn = _parse_assignment(fields.get("args", ""))
         rep = skolem.transfer_check(model, phi, asn, policy.window * 6)
-        for cav in rep.caveats:
-            caveats[cav] = None
+        caveats += rep.caveats
         detail = f"{rep.mode} over {rep.window} points"
         if rep.consistent:
             cases.append(case_pass(path.stem, "Consistent", detail))

@@ -11,7 +11,8 @@ A run classifies a point by rebuilding the answer's certificate through the
 combinator mirrors, following the tree the code was compiled from, and then
 checking that certificate against the machine's actual output value.  The
 verdict is only as strong as the check: a rejected certificate, a mirror
-mismatch, or fuel exhaustion all come back Unknown.  Run certificates
+mismatch, or fuel exhaustion all come back Unknown, and a decided verdict
+carries the caveats of the check it rests on.  Run certificates
 sample one point per stage by default; widen the policy window for
 stronger evidence at superlinear replay cost.
 
@@ -153,6 +154,7 @@ class RunResult:
     value: int | None
     cert: Cert | None
     note: str
+    caveats: tuple[str, ...]  # the certificate check's, on a decided verdict
 
 
 def cert_depth_bound(tree: DecTree, window: int) -> int:
@@ -216,20 +218,21 @@ def run_decider(tree: DecTree, x: int, policy: CheckPolicy) -> RunResult:
     res = apply_cached(decider_code(tree), x, policy.fuel)
     if not isinstance(res, Value):
         return RunResult(Verdict.UNKNOWN, None, None,
-                         f"decider ran out of fuel after {res.steps} steps")
+                         f"decider ran out of fuel after {res.steps} steps", ())
     try:
         value, cert, bit = _mirror_run(tree, x, policy)
     except MirrorError as exc:
-        return RunResult(Verdict.UNKNOWN, res.value, None, str(exc))
+        return RunResult(Verdict.UNKNOWN, res.value, None, str(exc), ())
     if value != res.value:
         return RunResult(Verdict.UNKNOWN, res.value, None,
-                         "mirror and machine disagree on the output value")
+                         "mirror and machine disagree on the output value", ())
     checked = check_cert(res.value, Singleton(bit), cert, policy)
     if not isinstance(checked, Accepted):
         return RunResult(Verdict.UNKNOWN, res.value, cert,
-                         f"certificate rejected: {checked.reason}")
+                         f"certificate rejected: {checked.reason}", ())
     verdict = Verdict.IN if bit == 0 else Verdict.OUT
-    return RunResult(verdict, res.value, cert, "answer bit certified")
+    return RunResult(verdict, res.value, cert, "answer bit certified",
+                     checked.caveats)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,18 @@ track maps, so both clauses run through the tracking loop
 ``assemblies.track_rows`` with this rule.
 
 Checks against an infinite carrier range over a window of
-``QUANT_WINDOW`` points and are stamped as sampled in the evidence; they
-never silently claim certainty.  An implication tries the antecedent's
+``QUANT_WINDOW`` points and say so in the verdict's caveats; they never
+silently claim certainty.  An implication tries the antecedent's
 realizers below ``CAND_BOUND``.  On finite carriers with finite realizer
 shapes the checker commits to definite verdicts at its declared policy
 bounds.
+
+A verdict is ``Realized(note, caveats)``, ``Refuted(reason)`` or
+``Unknown(diagnostics)``, and holds what a report prints: the deciding
+clause's note, and every caveat the verdict rests on.  ``Checker.memo``
+stays for nested implications: each level tries every antecedent candidate
+against the level below, so without it the checks multiply with the depth.
+Checks recurse on strict subformulas only, so it holds no provisional entry.
 """
 
 from __future__ import annotations
@@ -36,8 +43,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import coding
-from .assemblies import (SAMPLED_CAVEAT, Assembly, NatAssembly, TrackStatus,
-                         track_rows)
+from .assemblies import Assembly, NatAssembly, TrackStatus, track_rows
 from .bracket import lam
 from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy, tagged
 from .formulas import (
@@ -58,19 +64,9 @@ WITNESS_BOUND = 256
 
 
 @dataclass(frozen=True, slots=True)
-class Evidence:
-    notes: tuple[str, ...] = ()
-    caveats: tuple[str, ...] = ()
-
-    @property
-    def sampled(self) -> bool:
-        return bool(self.caveats)
-
-
-@dataclass(frozen=True, slots=True)
 class Realized:
-    e: int
-    evidence: Evidence
+    note: str
+    caveats: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +102,6 @@ class Checker:
         self.relations = dict(env.relations)
         self.memo: dict = {}
         self.searcher = CertSearch(self.policy, TRACK_THRESHOLD)
-        self._jsets: dict = {}
         self._atoms: dict = {}  # an atom's two terms, compiled
 
     # -- membership -------------------------------------------------------
@@ -141,17 +136,13 @@ class Checker:
 
     def realizer_jset(self, phi: Formula, scope: tuple) -> JSet:
         """The realizers of a formula as a membership test, any magnitude."""
-        key = (phi, scope)
-        if key not in self._jsets:
-            self._jsets[key] = ByPredicate(
-                lambda m: self._bool(self.check(m, phi, scope)),
-                f"realizes[{show_formula(phi)}]")
-        return self._jsets[key]
+        return ByPredicate(lambda m: self._bool(self.check(m, phi, scope)),
+                           f"realizes[{show_formula(phi)}]")
 
     @staticmethod
     def _bool(v: Verdict3) -> bool | None:
         match v:
-            case Realized(_, _):
+            case Realized():
                 return True
             case Refuted(_):
                 return False
@@ -160,13 +151,12 @@ class Checker:
     # -- the clauses ------------------------------------------------------
 
     def check(self, e: int, phi: Formula, scope: tuple = ()) -> Verdict3:
+        # without the memo, nested implications re-check every level below
+        # for each antecedent candidate (see the module docstring)
         key = (e, phi, scope)
-        if key in self.memo:
-            return self.memo[key]
-        # a provisional entry breaks self-referential candidate loops
-        self.memo[key] = Unknown("cyclic membership obligation")
-        out = self._check(e, phi, scope)
-        self.memo[key] = out
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self._check(e, phi, scope)
         return out
 
     def _check(self, e: int, phi: Formula, scope: tuple) -> Verdict3:
@@ -190,7 +180,7 @@ class Checker:
                     return Refuted(note)
                 if ok is None:
                     return Unknown(note)
-                return Realized(e, Evidence((note,)))
+                return Realized(note, ())
             case Rel(name, args):
                 if name not in self.relations:
                     return Unknown(f"relation {name} not interpreted")
@@ -198,7 +188,7 @@ class Checker:
                 S = self.relations[name](pts)
                 got = member(S, e)
                 if got is True:
-                    return Realized(e, Evidence((f"{name}{pts} holds of {e}",)))
+                    return Realized(f"{name}{pts} holds of {e}", ())
                 if got is False:
                     return Refuted(f"{e} outside the {name} set at {pts}")
                 return Unknown(f"{name} membership undecided at {pts}")
@@ -216,7 +206,7 @@ class Checker:
                     return Unknown(f"left conjunct: {va.diagnostics}")
                 if isinstance(vb, Unknown):
                     return Unknown(f"right conjunct: {vb.diagnostics}")
-                return Realized(e, _merge(va.evidence, vb.evidence))
+                return Realized(vb.note, va.caveats + vb.caveats)
             case Or(a, b):
                 parts = coding.decode_seq(e)
                 if len(parts) != 2:
@@ -226,18 +216,16 @@ class Checker:
                 side, sub = ("left", a) if parts[0] == 0 else ("right", b)
                 v = self.check(parts[1], sub, scope)
                 match v:
-                    case Realized(_, ev):
-                        return Realized(e, Evidence(
-                            (f"{side} disjunct selected",) + ev.notes, ev.caveats))
                     case Refuted(reason):
                         return Refuted(f"{side} disjunct: {reason}")
                     case Unknown(d):
                         return Unknown(f"{side} disjunct: {d}")
+                return v
             case Imp(a, b):
                 # rows carry (target, sure) for lands; see the module docstring
                 target = self.realizer_jset(b, scope)
                 rows = ((m, Singleton(m),
-                         (target, self.exact or not got.evidence.caveats))
+                         (target, self.exact or not got.caveats))
                         for m in range(CAND_BOUND)
                         if isinstance(got := self.check(m, a, scope), Realized))
                 return self._check_map(
@@ -278,10 +266,8 @@ class Checker:
                 continue
             inner = self.check(parts[1], body, ((var, a),) + scope)
             match inner:
-                case Realized(_, evd):
-                    notes = (f"witness {a} accepted",) + evd.notes
-                    cavs = evd.caveats + ((caveat,) if caveat else ())
-                    return Realized(e, Evidence(notes, cavs))
+                case Realized(note, cavs):
+                    return Realized(note, cavs + ((caveat,) if caveat else ()))
                 case Unknown(d):
                     pending = pending or f"witness {a}: {d}"
         if pending is not None:
@@ -309,19 +295,13 @@ class Checker:
             return Unknown(note)
         if rep.status is TrackStatus.UNKNOWN:
             return Unknown(f"{clause} map undecided at {rep.witness[0]}: {rep.note}")
-        if rep.sampled:
-            caveats += (SAMPLED_CAVEAT,)
-        return Realized(e, Evidence(
-            (note, f"{clause} map lands for {rep.checked} realizers"), caveats))
+        return Realized(f"{clause} map lands for {rep.checked} realizers",
+                        caveats + rep.caveats)
 
 
 def _shown(n: int) -> str:
     """n in decimal, or its size past what str() prints (4,300 digits)."""
     return str(n) if n.bit_length() <= 14_000 else f"<{n.bit_length()}-bit number>"
-
-
-def _merge(a: Evidence, b: Evidence) -> Evidence:
-    return Evidence(a.notes + b.notes, a.caveats + b.caveats)
 
 
 def jrealizes(e: int, phi: Formula, env: Env, policy: CheckPolicy) -> Verdict3:

@@ -4,6 +4,9 @@ Every subcommand reduces its work to a flat list of cases, each carrying a
 machine verdict and a short human detail.  The emitters are byte-stable:
 the same report object always serializes to the same bytes, so golden-file
 tests can diff command output directly.
+
+A report's caveats are the ones its results carry, passed on as they come;
+the text format prints each once, as an ``APPROX`` line, in first-seen order.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def _text_lines(report: Report) -> list[str]:
     lines.append(f"counts pass={report.count(Status.PASS)} "
                  f"fail={report.count(Status.FAIL)} "
                  f"unknown={report.count(Status.UNKNOWN)}")
-    for cav in report.caveats:
+    for cav in dict.fromkeys(report.caveats):
         lines.append(f"APPROX {cav}")
     return lines
 

@@ -13,6 +13,7 @@ from jreal.certs import (
     Base,
     CertSearch,
     CheckPolicy,
+    LIFT_CAVEAT,
     Lift,
     Rejected,
     check_cert,
@@ -122,7 +123,7 @@ def test_jset_text_roundtrip():
 
 
 def test_base_accepts_tagged_member():
-    assert check_cert(pair(0, 5), Singleton(5), Base(5), P) == Accepted()
+    assert check_cert(pair(0, 5), Singleton(5), Base(5), P) == Accepted(())
 
 
 def test_base_rejects_nonmember_and_wrong_shape():
@@ -137,7 +138,7 @@ def test_base_rejects_nonmember_and_wrong_shape():
 def test_base_against_nested_target_needs_inner():
     x = pair(0, pair(0, 9))
     target = JOf(Singleton(9))
-    assert check_cert(x, target, Base(pair(0, 9), Base(9)), P) == Accepted()
+    assert check_cert(x, target, Base(pair(0, 9), Base(9)), P) == Accepted(())
     out = check_cert(x, target, Base(pair(0, 9)), P)
     assert isinstance(out, Rejected) and "inner" in out.reason
 
@@ -167,7 +168,7 @@ def test_lift_accepts_constant_tail():
     x = pair(1, e)
     cert = Lift(0, tuple((m, Base(3)) for m in range(4)))
     out = check_cert(x, Singleton(3), cert, P)
-    assert out == Accepted(sampled=True)
+    assert out == Accepted((LIFT_CAVEAT,))
 
 
 def test_lift_needs_every_window_point():
@@ -180,7 +181,7 @@ def test_lift_needs_every_window_point():
 def test_lift_respects_threshold_window():
     e = constant_tail_code(3)
     cert = Lift(5, tuple((m, Base(3)) for m in range(5, 9)))
-    assert check_cert(pair(1, e), Singleton(3), cert, P) == Accepted(sampled=True)
+    assert check_cert(pair(1, e), Singleton(3), cert, P) == Accepted((LIFT_CAVEAT,))
 
 
 def test_lift_rejects_on_divergent_tail_code():
@@ -195,7 +196,7 @@ def test_depth_bound_rejects_deep_chains():
     x, cert = pair(0, 7), Base(7)
     for _ in range(3):
         x, cert = lifted_constant(x, cert, 0, P)
-    assert check_cert(x, Singleton(7), cert, P) == Accepted(sampled=True)
+    assert check_cert(x, Singleton(7), cert, P) == Accepted((LIFT_CAVEAT,))
     x, cert = lifted_constant(x, cert, 0, P)
     out = check_cert(x, Singleton(7), cert, P)
     assert isinstance(out, Rejected) and "depth" in out.reason
@@ -300,7 +301,7 @@ def test_every_single_mutation_is_rejected(chain):
     found = CertSearch(policy).search(x, target)
     assert found is not None
     for cert in (built, found):
-        assert check_cert(x, target, cert, policy) == Accepted(sampled=True)
+        assert check_cert(x, target, cert, policy) == Accepted((LIFT_CAVEAT,))
         for name, (mx, mtarget, mcert) in _mutants(x, target, cert, policy,
                                                    a).items():
             got = check_cert(mx, mtarget, mcert, policy)

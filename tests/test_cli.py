@@ -13,6 +13,7 @@ import pytest
 
 from jreal import cli
 from jreal.kit import A_CODE
+from jreal.report import Report, case_pass, emit_report
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -491,3 +492,58 @@ def test_sampled_realizer_sets_are_labelled(name, tmp_path, capsysbinary):
     assert (code, err) == (0, "")
     assert ([ln for ln in out.splitlines() if ln.startswith("APPROX")]
             == ["APPROX realizer sets sampled"])
+
+
+def _approx(out: str) -> list[str]:
+    return [ln for ln in out.splitlines() if ln.startswith("APPROX")]
+
+
+# s.asm's carrier is checked in full; only point a's realizers are sampled
+@pytest.mark.parametrize("name, checked", [("track", 17), ("sub", 16)])
+def test_scope_note_says_what_was_sampled(name, checked, tmp_path,
+                                          capsysbinary):
+    _, out, _ = run(_in_tmp(SAMPLED_SETS[name], UPFROM, tmp_path), capsysbinary)
+    assert (f"case tracking Verified checked {checked}; full carrier"
+            in out.splitlines())
+
+
+LIFT = "APPROX lift obligations checked on a finite window only"
+
+
+def test_output_landing_by_a_lift_prints_the_lift_caveat(tmp_path,
+                                                          capsysbinary):
+    # the tracker is λr.<1, K<0,r>>: each output is 1-tagged, so it can only
+    # land by the lift rule
+    argv = ["asm", "track", "{tmp}/l.asm", "--map", "a:a,b:b", "--tracker",
+            "689028913761567743885340915298517368550294808555240012479989353489"]
+    files = {"l.asm": b"point a realizers {1}\npoint b realizers {2}\n"}
+    code, out, err = run(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert (code, err) == (0, "")
+    assert "case tracking Verified checked 2; full carrier" in out.splitlines()
+    assert _approx(out) == [LIFT]
+
+
+# a union's answer is certified through a lift at every point; the table
+# prints the caveat its four verdicts share once
+@pytest.mark.parametrize("argv", [["jdec", "run", "{tmp}/u.dec", "--n", "2"],
+                                  ["jdec", "table", "{tmp}/u.dec", "--upto", "3"]],
+                         ids=["run", "table"])
+def test_jdec_verdicts_resting_on_a_lift_say_so(argv, tmp_path, capsysbinary):
+    files = {"u.dec": b"union (one 2) (not one 5)\n"}
+    code, out, err = run(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert (code, err) == (0, "")
+    assert _approx(out) == [LIFT]
+
+
+def test_a_caveat_two_conjuncts_rest_on_is_printed_once(capsysbinary):
+    code, out, err = run(["realize", "check", "--formula",
+                          "(0 = 1 -> 0 = 0) /\\ (0 = 1 -> 0 = 0)",
+                          "--e", "3539859374853"], capsysbinary)
+    assert (code, err) == (0, "")
+    assert "case check Realized implication map lands for 0 realizers" in out
+    assert _approx(out) == ["APPROX antecedent realizers sampled below 64"]
+
+
+def test_report_prints_each_caveat_once_in_first_seen_order():
+    rep = Report("t", (case_pass("c", "ok", ""),), ("b", "a", "b", "a"))
+    assert _approx(emit_report(rep).decode()) == ["APPROX b", "APPROX a"]

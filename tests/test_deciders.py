@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jreal import coding
-from jreal.certs import Accepted, CheckPolicy, check_cert
+from jreal.certs import LIFT_CAVEAT, Accepted, CheckPolicy, check_cert
 from jreal.deciders import (
     Not,
     One,
@@ -58,6 +58,15 @@ def test_union_run_matches_truth_and_certs_verify():
         assert got.verdict == want, (x, got.note)
         bit = 0 if want == Verdict.IN else 1
         assert isinstance(check_cert(got.value, Singleton(bit), got.cert, policy), Accepted)
+
+
+def test_a_verdict_carries_the_caveats_of_its_check():
+    # a singleton's answer is a base certificate; a union's goes through a
+    # lift, so its verdict is only as good as the lift's window
+    policy = run_policy(Union((One(2), Not(One(5)))))
+    assert run_decider(One(2), 2, policy).caveats == ()
+    got = run_decider(Union((One(2), Not(One(5)))), 2, policy)
+    assert (got.verdict, got.caveats) == (Verdict.IN, (LIFT_CAVEAT,))
 
 
 def test_union_of_complement_covers_everything():

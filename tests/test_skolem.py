@@ -338,7 +338,7 @@ def test_assembly_standard_subobject(built):
 def test_standardness_split_realized(built):
     _, ma = built
     assert isinstance(ma.split_verdict, Realized)
-    assert not ma.split_verdict.evidence.caveats
+    assert not ma.split_verdict.caveats
 
 
 def test_realizer_descriptions_replay_on_the_prefix(built):

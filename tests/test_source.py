@@ -1,6 +1,6 @@
 """Checks on the package source itself: no module imports a name it never
 uses, or a private name of another module, and the number of defaulted
-parameters stays where it is pinned."""
+parameters and of source lines stays where it is pinned."""
 
 import ast
 import pathlib
@@ -77,3 +77,20 @@ def test_one_more_default_breaks_the_pin():
 
 def test_defaulted_parameters_are_pinned():
     assert sum(map(defaulted_params, _source_texts())) == DEFAULTED_PARAMS
+
+
+# newline characters over every module in src/jreal, as ``cat *.py | wc -l``
+# counts them; a change that grows or shrinks the package re-pins this
+SOURCE_LINES = 6066
+
+
+def source_lines(texts: list[str]) -> int:
+    return sum(text.count("\n") for text in texts)
+
+
+def test_one_more_line_breaks_the_pin():
+    assert source_lines(_source_texts() + ["x = 1\n"]) != SOURCE_LINES
+
+
+def test_source_lines_are_pinned():
+    assert source_lines(_source_texts()) == SOURCE_LINES
