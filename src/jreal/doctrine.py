@@ -16,6 +16,10 @@ row e (-1 where e is undefined somewhere on A), and ``pair_images[a][B]``,
 the defined pair codes ``pair(a, b)`` for b in B.  ``arrow(d, A, B)`` is the
 rows whose image of A is defined and inside B; ``wedge(d, A, B)`` is the OR
 of ``pair_images[a][B]`` over the members a of A.  Neither builds anything.
+The arrow row of A, ``arrow(d, A, B)`` for every B, sets row e's bit at every
+superset of its image of A.  Every law mask is one fold, ``_uniform``: it
+meets the targets of each source set first, so it makes one ``arrow`` call
+per distinct source, at most 2^N per law.
 
 File format, read through ``text.Cursor`` ('#' lines are comments):
 ``file := 'doctrine' nat (('app' | 'pair') nat nat '=' nat)*``, as in
@@ -141,6 +145,18 @@ def arrow(d: Doctrine, A: int, B: int) -> int:
     return mask
 
 
+def _arrow_row(d: Doctrine, A: int) -> list[int]:
+    """``arrow(d, A, B)`` for every B, by a superset walk from each image."""
+    full = d.full
+    out = [0] * (full + 1)
+    for e, image in enumerate(d.images):
+        B = img = image[A]
+        while 0 <= B <= full:  # an image of -1: e is undefined on A
+            out[B] |= 1 << e
+            B = (B + 1) | img
+    return out
+
+
 def wedge(d: Doctrine, A: int, B: int) -> int:
     """The defined pair codes pair(a, b) for a in A and b in B."""
     mask = 0
@@ -179,10 +195,13 @@ def _least(mask: int) -> int | None:
 
 
 def _uniform(d: Doctrine, pairs) -> int:
-    """The rows sending A into B for every (A, B) of ``pairs``; the pairs
-    are drawn lazily, and none after the mask runs empty."""
-    mask = d.full
+    """The rows sending A into B for every (A, B) of ``pairs``: one ``arrow``
+    call per distinct A, and none after the mask runs empty."""
+    need: dict[int, int] = {}
     for A, B in pairs:
+        need[A] = need.get(A, B) & B
+    mask = d.full
+    for A, B in need.items():
         mask &= arrow(d, A, B)
         if not mask:
             break
@@ -196,10 +215,16 @@ def _e2_mask(d: Doctrine, J: MonoOp) -> int:
 
 def local_laws(d: Doctrine, J: MonoOp) -> LawReport:
     n = range(1 << d.size)
-    w1 = _least(_uniform(d, ((arrow(d, A, B), arrow(d, J[A], J[B]))
+    rows = [_arrow_row(d, A) for A in n]  # rows[A][B] = arrow(d, A, B)
+    wedges = [[0] * len(n) for _ in n]  # wedges[B][A] = wedge(d, A, B)
+    for B, row in enumerate(wedges):
+        for A in n[1:]:
+            low = A & -A
+            row[A] = row[A ^ low] | d.pair_images[low.bit_length() - 1][B]
+    w1 = _least(_uniform(d, ((rows[A][B], rows[J[A]][J[B]])
                              for A in n for B in n)))
     w3 = _least(_uniform(d, ((J[J[A]], J[A]) for A in n)))
-    m4 = _uniform(d, ((wedge(d, J[A], J[B]), J[wedge(d, A, B)])
+    m4 = _uniform(d, ((wedges[J[B]][J[A]], J[wedges[B][A]])
                       for A in n for B in n))
     derived, note = derive_e4(d, w1, w3, m4)
     return LawReport(w1, _least(_e2_mask(d, J)), w3, _least(m4), derived, note)
@@ -335,13 +360,10 @@ def lift_caveats(d: Doctrine) -> tuple[str, ...]:
 
 def pitts_f_finite(d: Doctrine) -> MonoOp:
     """A maps to the union over n of (up-set of n) arrow A."""
-    table = []
-    for A in range(1 << d.size):
-        out = 0
-        for n in range(d.size):
-            up = (d.full >> n) << n
-            out |= arrow(d, up, A)
-        table.append(out)
+    table = [0] * (1 << d.size)
+    for n in range(d.size):
+        for A, rows in enumerate(_arrow_row(d, (d.full >> n) << n)):
+            table[A] |= rows
     return mono_op(d.size, tuple(table))
 
 
@@ -429,7 +451,7 @@ def candidate_ops(d: Doctrine) -> list[tuple[str, MonoOp]]:
     for C in range(n):
         out.append((f"join_{C}", tuple(A | C for A in range(n))))
     for C in range(min(n, 16)):
-        out.append((f"arrow_{C}", tuple(arrow(d, C, A) for A in range(n))))
+        out.append((f"arrow_{C}", tuple(_arrow_row(d, C))))
     return out
 
 

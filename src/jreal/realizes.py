@@ -20,7 +20,9 @@ refutes, except on an infinite carrier where the value is the map's image of
 an antecedent realizer whose own verdict carries caveats: that realizer may
 not be one, so the False stays Unknown.  Implication and universal realizers
 track maps, so both clauses run through the tracking loop
-``assemblies.track_rows`` with this rule.
+``assemblies.track_rows`` with this rule.  A 1-tagged value that lands, as
+witness evidence or in a membership prefix, landed by the lift rule, so the
+verdict carries ``LIFT_CAVEAT``.
 
 Checks against an infinite carrier range over a window of
 ``QUANT_WINDOW`` points and say so in the verdict's caveats; they never
@@ -45,7 +47,7 @@ from typing import Callable
 from . import coding
 from .assemblies import Assembly, NatAssembly, TrackStatus, track_rows
 from .bracket import lam
-from .certs import TRACK_THRESHOLD, CertSearch, CheckPolicy, tagged
+from .certs import LIFT_CAVEAT, TRACK_THRESHOLD, CertSearch, CheckPolicy, tagged
 from .formulas import (
     NATURALS, All, And, Eq, Ex, Formula, Imp, Less, Or, Rel,
     bound_of, compile_formula, compile_term, free_vars, is_delta0, show_formula,
@@ -116,23 +118,24 @@ class Checker:
             return None, f"{why}, from a sampled antecedent realizer"
         return inside, why
 
-    def prefix_ok(self, e: int, scope: tuple) -> tuple[bool | None, str]:
-        """e against the closure of each scope realizer set, flat when long."""
+    def prefix_ok(self, e: int, scope: tuple) -> tuple[bool | None, str, tuple[str, ...]]:
+        """e against the closure of each scope realizer set, flat when long,
+        with the caveats of a prefix that lands."""
         if not scope:
-            return True, "empty prefix"
+            return True, "empty prefix", ()
         sets = [self.env.assembly.realizer_set(pt) for _, pt in scope]
         if len(scope) == 1:
             parts = [e]
         else:
             parts = list(coding.decode_seq(e))
             if len(parts) != len(scope):
-                return False, f"prefix is not a {len(scope)}-sequence"
+                return False, f"prefix is not a {len(scope)}-sequence", ()
         for (name, _), part, S in zip(scope, parts, sets):
             got = self.lands(part, S)[0]
             if got is not True:
                 verdict = "outside" if got is False else "undecided against"
-                return got, f"prefix for {name} {verdict} its closure"
-        return True, "prefix certified"
+                return got, f"prefix for {name} {verdict} its closure", ()
+        return True, "prefix certified", _lift_caveat(parts)
 
     def realizer_jset(self, phi: Formula, scope: tuple) -> JSet:
         """The realizers of a formula as a membership test, any magnitude."""
@@ -175,12 +178,12 @@ class Checker:
                     op = "=" if isinstance(phi, Eq) else "<"
                     return Refuted(f"interpretation fails: "
                                    f"{_shown(lv)} {op} {_shown(rv)}")
-                ok, note = self.prefix_ok(e, scope)
+                ok, note, cavs = self.prefix_ok(e, scope)
                 if ok is False:
                     return Refuted(note)
                 if ok is None:
                     return Unknown(note)
-                return Realized(note, ())
+                return Realized(note, cavs)
             case Rel(name, args):
                 if name not in self.relations:
                     return Unknown(f"relation {name} not interpreted")
@@ -267,7 +270,8 @@ class Checker:
             inner = self.check(parts[1], body, ((var, a),) + scope)
             match inner:
                 case Realized(note, cavs):
-                    return Realized(note, cavs + ((caveat,) if caveat else ()))
+                    return Realized(note, _lift_caveat(parts[:1]) + cavs
+                                    + ((caveat,) if caveat else ()))
                 case Unknown(d):
                     pending = pending or f"witness {a}: {d}"
         if pending is not None:
@@ -284,7 +288,7 @@ class Checker:
         parts = coding.decode_seq(e)
         if len(parts) != 2:
             return Refuted(f"{clause} realizer is not a pair")
-        ok, note = self.prefix_ok(parts[0], scope)
+        ok, note, prefix_cavs = self.prefix_ok(parts[0], scope)
         if ok is False:
             return Refuted(note)
         rep = track_rows(parts[1], rows, lambda v, t: self.lands(v, *t),
@@ -296,7 +300,12 @@ class Checker:
         if rep.status is TrackStatus.UNKNOWN:
             return Unknown(f"{clause} map undecided at {rep.witness[0]}: {rep.note}")
         return Realized(f"{clause} map lands for {rep.checked} realizers",
-                        caveats + rep.caveats)
+                        prefix_cavs + caveats + rep.caveats)
+
+
+def _lift_caveat(landed) -> tuple[str, ...]:
+    """A 1-tagged value that lands can only land by the lift rule."""
+    return (LIFT_CAVEAT,) if any(tagged(v)[0] == 1 for v in landed) else ()
 
 
 def _shown(n: int) -> str:

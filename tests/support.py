@@ -1,6 +1,7 @@
 """Builders for random certified closure members and decision trees, shared
 across test modules, the quasi-polynomial evaluators, the reference machine
-loop, and the reference formula interpreters.
+loop, the reference formula interpreters, and the reference doctrine law
+checker.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -13,6 +14,7 @@ from jreal import coding, prog
 from jreal.bracket import lam
 from jreal.certs import Base, Cert, CheckPolicy, Lift
 from jreal.deciders import DecTree, Not, One, Union
+from jreal.doctrine import Doctrine, LawReport, MonoOp, arrow, derive_e4, wedge
 from jreal.formulas import (All, And, Eq, Ex, Formula, Imp, Less, Lit, NVar, Or,
                             Plus, Rel, Succ, TermAst, Times, bound_of)
 from jreal.machine import NotClosedAtRuntime, _as_nat
@@ -303,3 +305,32 @@ def levels(phi) -> int:
                  for v in (field if isinstance(field, tuple) else (field,))
                  if not isinstance(v, str | int)]
     return count
+
+
+# ---------------------------------------------------------------------------
+# the law checker that ``doctrine.local_laws`` must match: every (source,
+# target) pair of every law costs its own ``arrow`` call, and every set in a
+# pair is computed by ``arrow`` or ``wedge`` on the spot
+
+
+def local_laws(d: Doctrine, J: MonoOp) -> LawReport:
+    def uniform(pairs) -> int:
+        mask = d.full
+        for A, B in pairs:
+            mask &= arrow(d, A, B)
+            if not mask:
+                break
+        return mask
+
+    def least(mask: int) -> int | None:
+        return (mask & -mask).bit_length() - 1 if mask else None
+
+    n = range(1 << d.size)
+    w1 = least(uniform((arrow(d, A, B), arrow(d, J[A], J[B]))
+                       for A in n for B in n))
+    w2 = least(uniform((A, J[A]) for A in n))
+    w3 = least(uniform((J[J[A]], J[A]) for A in n))
+    m4 = uniform((wedge(d, J[A], J[B]), J[wedge(d, A, B)])
+                 for A in n for B in n)
+    derived, note = derive_e4(d, w1, w3, m4)
+    return LawReport(w1, w2, w3, least(m4), derived, note)

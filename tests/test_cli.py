@@ -535,6 +535,21 @@ def test_jdec_verdicts_resting_on_a_lift_say_so(argv, tmp_path, capsysbinary):
     assert _approx(out) == [LIFT]
 
 
+# e = <evidence, prefix> for `exists x. x = x` on one point with realizers
+# {3}: <1, K<0,3>> lands there only by the lift rule, and <0,3> by the base
+@pytest.mark.parametrize("e", ["27492852863", "153119018646"],
+                         ids=["evidence", "prefix"])
+def test_a_realizer_landing_by_a_lift_prints_the_lift_caveat(e, tmp_path,
+                                                             capsysbinary):
+    argv = ["realize", "check", "--formula", "exists x. x = x", "--e", e,
+            "--asm", "{tmp}/a.asm"]
+    files = {"a.asm": b"point a realizers {3}\n"}
+    code, out, err = run(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert (code, err) == (0, "")
+    assert "case check Realized prefix certified" in out.splitlines()
+    assert _approx(out) == [LIFT]
+
+
 def test_a_caveat_two_conjuncts_rest_on_is_printed_once(capsysbinary):
     code, out, err = run(["realize", "check", "--formula",
                           "(0 = 1 -> 0 = 0) /\\ (0 = 1 -> 0 = 0)",

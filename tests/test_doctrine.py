@@ -3,7 +3,10 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import support
+from jreal import doctrine
 from jreal.doctrine import (
     Doctrine,
     MonoOp,
@@ -157,6 +160,39 @@ def test_local_laws_on_shipped():
         assert report.e4_derived is not None
         assert report.e4_derived == report.e4
         assert report.e4_derivation_note == "derived and verified"
+
+
+# the arrow rows and the reduced fold against the arrow-by-arrow oracle in
+# tests/support.py, on doctrines with undefined cells and pairs off row 0,
+# for F, its least closed operator J and every candidate operator
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.booleans())
+def test_local_laws_match_the_arrow_by_arrow_oracle(seed, size, partial):
+    rng = Random(seed)
+    d = partial_doctrine(rng, size) if partial else random_doctrine(rng, size)
+    f = pitts_f_finite(d)
+    ops = [f] + [op for _, op in candidate_ops(d)]
+    try:
+        ops.append(lfp_local(d, f))
+    except InputError:  # a partial pairing without the seed stage has no J
+        pass
+    for op in ops:
+        assert local_laws(d, op) == support.local_laws(d, op), op
+
+
+def test_local_laws_make_one_arrow_call_per_source_set(monkeypatch):
+    calls = []
+
+    def counted(d, A, B):
+        calls.append(A)
+        return arrow(d, A, B)
+
+    d = shipped_d8()
+    j = lfp_local(d, pitts_f_finite(d))
+    monkeypatch.setattr(doctrine, "arrow", counted)
+    assert local_laws(d, j).operator_is_local
+    # four law folds of at most 2^N source sets each; a call per pair is 262,656
+    assert 0 < len(calls) <= 4 << d.size
 
 
 def test_e1_witness_verifies_directly():
