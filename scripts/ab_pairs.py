@@ -17,10 +17,11 @@ against itself: an A/A run, whose split shows the host's noise.
 
 It prints, for every end-to-end metric of ``BENCHMARK.json``, the median
 and quartiles of each side, and in how many pairs this tree did better,
-and writes every run's result line to ``BENCH_<workload>.json`` at the
-root of this tree.  A gain is worth claiming when this tree wins nearly
-every pair and the medians differ by more than the base's interquartile
-range.
+and writes every run's result line at the root of this tree, to
+``BENCH_<workload>.json`` for seed 0 and ``BENCH_<workload>-seed<S>.json``
+for any other seed S, so that a run at a second seed keeps the first one's
+record.  A gain is worth claiming when this tree wins nearly every pair and
+the medians differ by more than the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {"workload": args.workload, "seed": args.seed,
               "base": base, "head": head, "head_has_changes": dirty,
               "summary": table, "pairs": pairs}
-    path = ROOT / f"BENCH_{args.workload}.json"
+    suffix = f"-seed{args.seed}" if args.seed else ""
+    path = ROOT / f"BENCH_{args.workload}{suffix}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0

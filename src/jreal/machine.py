@@ -18,7 +18,7 @@ fills the decode cache, so a code the machine built unquotes through
 Divergence and fuel exhaustion are indistinguishable by design: both surface
 as ``OutOfFuel``.
 
-``Machine.eval`` is one loop over one stack of terms and two marker objects.
+``Machine.eval`` is one loop over one stack of terms and marker objects.
 ``_ARG`` over a term marks an argument still to evaluate; ``_APP`` over a
 value marks a function waiting for the value being returned.  A function
 value with room 1 fires, and since no primitive takes more than three
@@ -38,10 +38,21 @@ the fuel ends the run at ``steps == fuel``, where every exhausted run
 ends.  Any other y gives the ``pre`` steps back and unfolds ``fix F x``
 after all, so a jet changes no step count, only the time.  ``JET_HITS``
 counts the calls each jet answered.
+
+Sub-runs: an unquote of a numeral c on a numeral n runs ``decode(c) n``,
+whose value and steps depend on (c, n) alone.  A ``_DONE`` marker under the
+unquote records both when the value comes back to it, in a table of
+``_SUBRUNS_MAX`` entries, oldest evicted first.  The next unquote of c on n
+is charged those steps and takes the value, or, if they do not fit the fuel,
+ends the run at ``steps == fuel``.  So charged steps are exact, and executed
+contractions can be fewer.  A jetted ``fix F x`` drops the markers above its
+pending second argument, so its jet fires and those sub-runs go unrecorded.
+``SUBRUN_HITS`` counts the unquotes the table answered.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -90,6 +101,7 @@ def _as_nat(t: Term) -> int:
 
 _ARG = object()
 _APP = object()
+_DONE = object()
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -117,6 +129,12 @@ for _jet in (_MONUS, _ADD):
 # calls answered by each jet, over the life of the process
 JET_HITS = {_MONUS.name: 0, _ADD.name: 0}
 
+# (c, n) -> (steps, value) of the run of numeral c unquoted on numeral n
+_SUBRUNS_MAX = 4096
+_subruns: OrderedDict[tuple[int, int], tuple[int, Term]] = OrderedDict()
+# unquotes answered from _subruns, over the life of the process
+SUBRUN_HITS = 0
+
 
 class Machine:
     """Single-run evaluator; kept as a class so steps can be inspected."""
@@ -136,8 +154,10 @@ class Machine:
         # applies the value to it at once; an _APP entry applies its
         # function to the value.  The head of a firing function is f, f.fn
         # or f.fn.fn for arity 1, 2 or 3.  A Jet entry over a numeral takes
-        # the value of a jetted call's second argument.  Steps are counted in
-        # a local and written back on every exit, returns and raises alike.
+        # the value of a jetted call's second argument; a _DONE entry over
+        # ((c, n), steps) records the value of a sub-run.  Steps are counted
+        # in a local and written back on every exit, returns and raises alike.
+        global SUBRUN_HITS
         fuel = self.fuel
         steps = self.steps
         stack: list = []
@@ -173,6 +193,12 @@ class Machine:
                         t = arg
                     elif top is _APP:
                         f = pop()
+                    elif top is _DONE:
+                        key, s0 = pop()
+                        _subruns[key] = (steps - s0, t)
+                        if len(_subruns) > _SUBRUNS_MAX:
+                            _subruns.popitem(last=False)
+                        continue
                     else:  # a jet, over its first argument
                         x = pop()
                         if type(t) is Num:
@@ -201,6 +227,18 @@ class Machine:
                         return None
                     steps += 1
                     if type(f) is Num:
+                        if type(t) is Num:
+                            key = (f.value, t.value)
+                            if (known := _subruns.get(key)) is not None:
+                                steps += known[0]
+                                if steps > fuel:
+                                    steps = fuel
+                                    return None
+                                SUBRUN_HITS += 1
+                                t = known[1]
+                                continue
+                            push((key, steps))
+                            push(_DONE)
                         push(t)
                         push(_ARG)
                         t = decode_term_cached(f.value)
@@ -225,21 +263,24 @@ class Machine:
                         push(_APP)
                     elif tag == 5:  # fix a t -> a (fix a) t
                         # a jet over x takes the place of the pending y,
-                        # which is handed to it at once or evaluated first
-                        if ((a is monus_fn or a is add_fn) and type(t) is Num
-                                and stack and stack[-1] is _ARG
-                                and (type(y := stack[-2]) is Num or not y.room)):
-                            jet = _MONUS if a is monus_fn else _ADD
-                            steps += jet.pre - 1
-                            if steps > fuel:
-                                steps = fuel
-                                return None
-                            stack[-2] = t
-                            stack[-1] = jet
-                            t = y
-                            if y.room:
-                                continue
-                            break
+                        # which is handed to it at once or evaluated first;
+                        # the sub-runs this call ends are not remembered
+                        if (a is monus_fn or a is add_fn) and type(t) is Num:
+                            while stack and stack[-1] is _DONE:
+                                del stack[-2:]
+                            if (stack and stack[-1] is _ARG and
+                                    (type(y := stack[-2]) is Num or not y.room)):
+                                jet = _MONUS if a is monus_fn else _ADD
+                                steps += jet.pre - 1
+                                if steps > fuel:
+                                    steps = fuel
+                                    return None
+                                stack[-2] = t
+                                stack[-1] = jet
+                                t = y
+                                if y.room:
+                                    continue
+                                break
                         push(t)
                         push(_ARG)
                         push(a)

@@ -6,7 +6,8 @@ the same report object always serializes to the same bytes, so golden-file
 tests can diff command output directly.
 
 A report's caveats are the ones its results carry, passed on as they come;
-the text format prints each once, as an ``APPROX`` line, in first-seen order.
+each format prints each once, in first-seen order: text as an ``APPROX``
+line, tsv as an ``APPROX`` row.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ def _text_lines(report: Report) -> list[str]:
 
 
 def _tsv_lines(report: Report) -> list[str]:
-    # one row per case, no trailing whitespace on any row
-    return [f"{c.ident}\t{c.verdict}\t{c.detail}".rstrip()
-            for c in report.cases]
+    # one row per case, then one per caveat; no trailing whitespace on a row
+    return ([f"{c.ident}\t{c.verdict}\t{c.detail}".rstrip()
+             for c in report.cases]
+            + [f"APPROX\t{cav}" for cav in dict.fromkeys(report.caveats)])
 
 
 def emit_report(report: Report, fmt: str = "text") -> bytes:

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from jreal import cli
+from jreal import cli, machine
 from jreal.kit import A_CODE
 from jreal.report import Report, case_pass, emit_report
 
@@ -47,6 +47,9 @@ CASES = {
     "skolem-extend": (["skolem", "extend", "--steps", "12"], 0),
     "skolem-sign": (["skolem", "sign", "2", "5"], 0),
     "jdec-table": (["jdec", "table", "tests/data/one.dec", "--upto", "3"], 0),
+    # a union lifts at every point, and its flatten replays a stage tail
+    "jdec-table-union": (["jdec", "table", "tests/data/union.dec",
+                          "--upto", "3"], 0),
     "jcert-base": (["jcert", "check", "--x", "8", "--set", "{2}",
                     "--cert", "tests/data/base.cert"], 0),
     "jcert-lift": (["jcert", "check", "--x", "1060671", "--set", "{2}",
@@ -533,6 +536,31 @@ def test_jdec_verdicts_resting_on_a_lift_say_so(argv, tmp_path, capsysbinary):
     code, out, err = run(_in_tmp(argv, files, tmp_path), capsysbinary)
     assert (code, err) == (0, "")
     assert _approx(out) == [LIFT]
+
+
+def test_a_lifted_jdec_run_reuses_remembered_subruns(monkeypatch,
+                                                    capsysbinary):
+    # the flatten mirror replays the stage tail at each window point, and
+    # the machine answers its unquotes from the ones the decider ran; the
+    # steps charged are those of running them all (101,890 in 9 runs)
+    argv = ["jdec", "run", "tests/data/union.dec", "--n", "2"]
+    assert run(argv, capsysbinary)[0] == 0  # builds what is cached for good
+    machine.apply_cached.cache_clear()
+    machine._subruns.clear()
+    charged = []
+    evaluate = machine.Machine.eval
+
+    def counted(self, t):
+        try:
+            return evaluate(self, t)
+        finally:
+            charged.append(self.steps)
+
+    monkeypatch.setattr(machine.Machine, "eval", counted)
+    hits = machine.SUBRUN_HITS
+    assert run(argv, capsysbinary)[0] == 0
+    assert (sum(charged), len(charged)) == (101_890, 9)
+    assert machine.SUBRUN_HITS > hits
 
 
 # e = <evidence, prefix> for `exists x. x = x` on one point with realizers

@@ -382,3 +382,74 @@ def test_jets_know_their_programs_by_identity():
     t = ap(copy, Num(7), Num(3))
     assert _run(Machine, t, UNBOUNDED) == ("value", Num(4), 105 + 115 * 3)
     assert _hits() == before
+
+
+# ---------------------------------------------------------------------------
+# remembered sub-runs: an unquote of a numeral on a numeral runs once
+
+
+def _unquote(program, n):
+    return ap(Num(encode_term(program)), Num(n))
+
+
+# one-argument programs: sub-runs with jets inside, a sub-run that ends in
+# a jetted call (never remembered), nested unquotes, and plain combinators
+SUBRUN_PROGRAMS = {
+    "ADD 3": ap(prog.ADD, Num(3)),
+    "MONUS 4": ap(prog.MONUS, Num(4)),
+    "EQ01 2": ap(prog.EQ01, Num(2)),
+    "MUL 2": ap(prog.MUL, Num(2)),
+    "ADD": prog.ADD,
+    "I": I,
+    "succ": SUCC,
+    "unquoted ADD 3": Num(encode_term(ap(prog.ADD, Num(3)))),
+    "unquoted MONUS": Num(encode_term(prog.MONUS)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SUBRUN_PROGRAMS)),
+       st.integers(min_value=0, max_value=5),
+       st.data())
+def test_remembered_subruns_match_the_reference(name, n, data):
+    # K X X runs the unquote X twice; cold, the second run may be answered
+    # by the first, and warm, both are
+    x = _unquote(SUBRUN_PROGRAMS[name], n)
+    t = ap(K, x, x)
+    _, _, total = _run(ReferenceMachine, t, UNBOUNDED)
+    fuel = data.draw(st.integers(min_value=0, max_value=total + 3))
+    machine._subruns.clear()
+    cold = _same_as_reference(t, fuel)
+    _run(Machine, t, UNBOUNDED)
+    assert _same_as_reference(t, fuel) == cold
+
+
+def test_a_remembered_subrun_past_the_fuel_ends_the_run_there():
+    # from the fuel that completes the first X on, the second is answered
+    # from the table, and wherever its steps do not fit the run must stop
+    # at exactly the fuel
+    x = _unquote(ap(prog.MUL, Num(2)), 3)
+    machine._subruns.clear()
+    before = machine.SUBRUN_HITS
+    value, _ = _agrees_at_every_fuel(ap(K, x, x))
+    assert value == Num(6)
+    assert machine.SUBRUN_HITS > before
+
+
+@pytest.mark.parametrize("y", [0, 4])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_jets_fire_through_unquotes(depth, y):
+    # MONUS unquoted (once, or through a quoted numeral) on 9, with y
+    # pending outside the sub-run: the jet must still see y.  On y = 0 the
+    # program itself makes no jetted call, so the one hit is this one
+    head = prog.MONUS
+    for _ in range(depth):
+        head = Num(encode_term(head))
+    t = ap(head, Num(9), Num(y))
+    machine._subruns.clear()
+    before = _hits()
+    assert _run(Machine, t, UNBOUNDED) == ("value", Num(9 - y),
+                                           depth + 105 + 115 * y)
+    assert _hits()["MONUS"] == before["MONUS"] + 1
+    assert not machine._subruns
+    _agrees_at_every_fuel(t, _sampled_fuels)
