@@ -311,15 +311,56 @@ def _impossible_map(A: FiniteAssembly, B: FiniteAssembly,
     return None
 
 
+def _per_map_pass(codes: list[int], rows: list[dict[int, int]],
+                  elems: list[tuple[int, ...]],
+                  lands: Callable[[int, int], bool]
+                  ) -> Callable[[tuple[int, ...]], list[int]]:
+    """For a map's image index per point, the codes, in order, whose output
+    on every realizer ``elems[j]`` of every point j lands in ``images[j]``.
+
+    ``rows[k]`` holds the outputs of ``codes[k]``, and bit k of a mask
+    stands for it.  Each (point, image) pair keeps a mask of the codes
+    decided there and one of those that land.  A map decides, point by
+    point, only the codes still alive, then ANDs, so ``lands`` is asked what
+    listing every code for every map would ask, and each question once.
+    """
+    masks: dict[tuple[int, int], list[int]] = {}  # (j, i) -> [decided, lands]
+    everyone = (1 << len(codes)) - 1
+
+    def found(images: tuple[int, ...]) -> list[int]:
+        alive = everyone
+        for j, i in enumerate(images):
+            pair = masks.setdefault((j, i), [0, 0])
+            todo = alive & ~pair[0]
+            pair[0] |= todo
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                row = rows[low.bit_length() - 1]
+                if all(lands(row[r], i) for r in elems[j]):
+                    pair[1] |= low
+            alive &= pair[1]
+        out = []
+        while alive:
+            low = alive & -alive
+            alive ^= low
+            out.append(codes[low.bit_length() - 1])
+        return out
+
+    return found
+
+
 def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
                     policy: CheckPolicy) -> ExponentResult:
     """All tracked maps A -> B, trackers found by raw code enumeration.
 
     Each candidate code below the bound is run once on every source realizer;
-    maps are then vetted against the precomputed outputs.  A code that jams
-    or emits an untagged value on any realizer tracks nothing and is dropped
-    before the per-map pass.  The caveats say when some map was left open at
-    the bound and when a source realizer set was checked on a sample.
+    maps are then vetted against the precomputed outputs by
+    ``_per_map_pass``, which decides each code once per point and image and
+    settles a map with a few ANDs of bitmasks over the codes.  A code that
+    jams or emits an untagged value on any realizer tracks nothing and is
+    dropped before the per-map pass.  The caveats say when some map was left
+    open at the bound and when a source realizer set was checked on a sample.
     """
     if not (A.finite and B.finite):
         raise ValueError("exponents are built for finite carriers only")
@@ -341,6 +382,8 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
         searcher = CertSearch(policy, SCAN_THRESHOLD)
         return searcher.decide(v, B.realizers[ti])[0] is True
 
+    trackers = _per_map_pass(list(outputs), list(outputs.values()),
+                             [src_elems[x] for x in A.points], lands)
     points: list[Point] = []
     realizers: list[JSet] = []
     morphisms: list[Morphism] = []
@@ -353,12 +396,7 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
             excluded.append((label, reason))
             continue
         table = {p: B.points[i] for p, i in zip(A.points, images)}
-        found = [
-            e for e, row in outputs.items()
-            if all(lands(row[r], i)
-                   for x, i in zip(A.points, images)
-                   for r in src_elems[x])
-        ]
+        found = trackers(images)
         if found:
             points.append(label)
             realizers.append(Finite(frozenset(found)))

@@ -48,6 +48,19 @@ ends the run at ``steps == fuel``.  So charged steps are exact, and executed
 contractions can be fewer.  A jetted ``fix F x`` drops the markers above its
 pending second argument, so its jet fires and those sub-runs go unrecorded.
 ``SUBRUN_HITS`` counts the unquotes the table answered.
+
+Cycles: a run is deterministic, so once it comes back to a configuration
+it has been in, it repeats forever.  Past ``_CYCLE_AFTER`` steps, every
+non-jetted ``fix a t`` firing compares (a, t, stack) with a snapshot taken
+at the first such firing at or past a step count that doubles after each
+snapshot (Brent, "An improved Monte Carlo factorization algorithm", BIT
+1980); a match ends the run at ``steps == fuel``, where it would have ended.
+Terms compare structurally and markers by identity.  The step counts in
+``_DONE`` entries differ between iterations, so a cycle through a pending
+sub-run goes unseen; neither sub-run answers nor jets change a charged
+step, so equal configurations have equal futures.  A comparison too deep
+for Python's recursion limit ends the watch for that run.  ``CYCLES``
+counts the runs ended this way.
 """
 
 from __future__ import annotations
@@ -135,6 +148,11 @@ _subruns: OrderedDict[tuple[int, int], tuple[int, Term]] = OrderedDict()
 # unquotes answered from _subruns, over the life of the process
 SUBRUN_HITS = 0
 
+# steps a run takes before its fix firings are watched for a repeat
+_CYCLE_AFTER = 32
+# runs ended by a repeated configuration, over the life of the process
+CYCLES = 0
+
 
 class Machine:
     """Single-run evaluator; kept as a class so steps can be inspected."""
@@ -155,12 +173,18 @@ class Machine:
         # function to the value.  The head of a firing function is f, f.fn
         # or f.fn.fn for arity 1, 2 or 3.  A Jet entry over a numeral takes
         # the value of a jetted call's second argument; a _DONE entry over
-        # ((c, n), steps) records the value of a sub-run.  Steps are counted
-        # in a local and written back on every exit, returns and raises alike.
-        global SUBRUN_HITS
+        # ((c, n), steps) records the value of a sub-run.  snap holds the
+        # configuration a fix firing is compared with, snap_len its stack's
+        # length, and due the step count of the next snapshot.  Steps are
+        # counted in a local and written back on every exit, returns and
+        # raises alike.
+        global SUBRUN_HITS, CYCLES
         fuel = self.fuel
         steps = self.steps
         stack: list = []
+        snap = None
+        snap_len = -1
+        due = _CYCLE_AFTER
         push = stack.append
         pop = stack.pop
         monus_fn = _MONUS.fn
@@ -281,6 +305,22 @@ class Machine:
                                 if y.room:
                                     continue
                                 break
+                        # a configuration met before repeats forever
+                        if steps > _CYCLE_AFTER:
+                            if len(stack) == snap_len:
+                                try:
+                                    same = (a, t, stack) == snap
+                                except RecursionError:  # watch no more
+                                    same = False
+                                    snap_len, due = -1, fuel + 1
+                                if same:
+                                    CYCLES += 1
+                                    steps = fuel
+                                    return None
+                            if steps >= due:
+                                snap = (a, t, stack.copy())
+                                snap_len = len(stack)
+                                due = 2 * steps
                         push(t)
                         push(_ARG)
                         push(a)

@@ -55,7 +55,7 @@ from .formulas import (
 from .jsets import ByPredicate, JSet, Singleton, member
 from .prog import LT01, ite, ite_table, seq2, tag0
 from .terms import App, CONS, K, Num, Var, ap, encode_term
-from .text import InputError
+from .text import InputError, show_nat
 
 Point = object
 
@@ -177,7 +177,7 @@ class Checker:
                 if not holds:
                     op = "=" if isinstance(phi, Eq) else "<"
                     return Refuted(f"interpretation fails: "
-                                   f"{_shown(lv)} {op} {_shown(rv)}")
+                                   f"{show_nat(lv)} {op} {show_nat(rv)}")
                 ok, note, cavs = self.prefix_ok(e, scope)
                 if ok is False:
                     return Refuted(note)
@@ -306,11 +306,6 @@ class Checker:
 def _lift_caveat(landed) -> tuple[str, ...]:
     """A 1-tagged value that lands can only land by the lift rule."""
     return (LIFT_CAVEAT,) if any(tagged(v)[0] == 1 for v in landed) else ()
-
-
-def _shown(n: int) -> str:
-    """n in decimal, or its size past what str() prints (4,300 digits)."""
-    return str(n) if n.bit_length() <= 14_000 else f"<{n.bit_length()}-bit number>"
 
 
 def jrealizes(e: int, phi: Formula, env: Env, policy: CheckPolicy) -> Verdict3:

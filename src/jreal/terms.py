@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .coding import phi_join, phi_split
-from .text import Cursor, is_name, lexer
+from .text import Cursor, is_name, lexer, show_nat
 
 PRIM_NAMES = ("K", "S", "succ", "pred", "ifz", "fix", "nil", "cons", "len", "proj")
 PRIM_ARITY = (2, 3, 1, 1, 3, 2, 0, 2, 1, 2)
@@ -58,7 +58,7 @@ class Num:
     room: ClassVar[int] = 1
 
     def __repr__(self) -> str:
-        return str(self.value)
+        return show_nat(self.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,7 +342,7 @@ def show_term(t: Term) -> str:
         case Prim(tag):
             base = PRIM_NAMES[tag]
         case Num(value):
-            base = str(value)
+            base = show_nat(value)
         case Var(name):
             base = name
         case _:

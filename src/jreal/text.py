@@ -18,7 +18,8 @@ reader raises it, and so does every check that refuses what a user gave
 evaluated or built).  The command line catches it in one place.  A
 ``Cursor`` raises it with every message ending "at position N", the offset
 of the offending character (the text's length at its end).  ``Cursor.nat``
-is the one place where text becomes a number.
+is the one place where text becomes a number; ``show_nat`` prints one by
+its size once ``str`` would refuse it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from typing import NoReturn
 MAX_DEPTH = 64
 # the longest numeral any reader accepts: int()'s default limit on digits
 MAX_DIGITS = 4300
+
+
+def show_nat(n: int) -> str:
+    """n in decimal, or its size past what str() prints (MAX_DIGITS)."""
+    return str(n) if n.bit_length() <= 14_000 else f"<{n.bit_length()}-bit number>"
 
 
 class InputError(ValueError):

@@ -1,7 +1,7 @@
 """Builders for random certified closure members and decision trees, shared
 across test modules, the quasi-polynomial evaluators, the reference machine
-loop, the reference formula interpreters, and the reference doctrine law
-checker.
+loop, the reference formula interpreters, the reference doctrine law
+checker, and the reference per-map pass of finite exponents.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -334,3 +334,17 @@ def local_laws(d: Doctrine, J: MonoOp) -> LawReport:
                  for A in n for B in n)
     derived, note = derive_e4(d, w1, w3, m4)
     return LawReport(w1, w2, w3, least(m4), derived, note)
+
+
+# ---------------------------------------------------------------------------
+# the per-map pass that ``assemblies._per_map_pass`` must match: every map
+# runs every candidate code through ``lands`` again, point by point
+
+
+def per_map_listing(codes, rows, elems, lands):
+    def found(images):
+        return [e for e, row in zip(codes, rows)
+                if all(lands(row[r], i)
+                       for j, i in enumerate(images)
+                       for r in elems[j])]
+    return found

@@ -1,10 +1,12 @@
 """Tracked maps of assemblies: verification, constructions, exponents."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jreal import coding
+from jreal import assemblies, coding
 from jreal.assemblies import (
     FiniteAssembly,
     Morphism,
@@ -27,12 +29,13 @@ from jreal.assemblies import (
     table_tracker,
 )
 from jreal.bracket import lam
-from jreal.certs import CheckPolicy
+from jreal.certs import CertSearch, CheckPolicy
 from jreal.jsets import Finite, JOf, Singleton, UpFrom
-from jreal.machine import DEFAULT_FUEL
+from jreal.machine import DEFAULT_FUEL, apply_cached
 from jreal.prog import tag0
 from jreal.terms import App, K, Num, SUCC, Var, encode_term
 from jreal.text import InputError
+from support import per_map_listing
 
 POL = CheckPolicy(depth=4, window=2, fuel=DEFAULT_FUEL)
 EXP_POL = CheckPolicy(depth=3, window=2, fuel=600)
@@ -278,6 +281,59 @@ def test_exponent_reports_unknown_below_small_bound():
                          (Finite(frozenset({0})), Finite(frozenset({1}))))
     res = exponent_finite(two, two, 40, EXP_POL)
     assert ("p", "q") in res.unknown_maps  # identity needs a code above this bound
+
+
+# source realizers are tagged pairs, which many small codes pass on, so
+# outputs differ from realizer to realizer; some of their payloads lie in
+# the small target sets and some do not
+realizer_sets = st.frozensets(st.integers(0, 12).map(lambda x: coding.pair(0, x)),
+                              min_size=1, max_size=3).map(Finite)
+source_sets = st.one_of(realizer_sets, st.builds(UpFrom, st.integers(0, 41)))
+small_sets = st.frozensets(st.integers(0, 5), min_size=1, max_size=3).map(Finite)
+target_sets = st.one_of(small_sets, st.builds(UpFrom, st.integers(0, 5)),
+                        small_sets.map(JOf))
+
+
+def _assembly(name, sets):
+    return st.lists(sets, min_size=1, max_size=3).map(
+        lambda rs: FiniteAssembly(name, tuple(f"{name}{k}" for k in range(len(rs))),
+                                  tuple(rs)))
+
+
+def _exponent_run(A, B, bound, policy):
+    """An exponent's result as plain values, the apply_cached hits and
+    misses it caused from a cold cache, and the decide calls it made."""
+    calls = Counter()
+
+    class Recording(CertSearch):
+        def decide(self, v, target):
+            calls[v, target] += 1
+            return super().decide(v, target)
+
+    apply_cached.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assemblies, "CertSearch", Recording)
+        res = exponent_finite(A, B, bound, policy)
+    info = apply_cached.cache_info()
+    maps = [(m.tracker, tuple(m.map(p) for p in A.points)) for m in res.morphisms]
+    plain = (res.assembly, maps, res.ev.tracker, res.unknown_maps,
+             res.excluded_maps, res.caveats)
+    return plain, (info.hits, info.misses), calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(_assembly("a", source_sets), _assembly("b", target_sets),
+       st.integers(min_value=16, max_value=300),
+       st.integers(min_value=50, max_value=400))
+def test_mask_pass_matches_the_listing(A, B, bound, fuel):
+    # the same result, the same machine runs and the same landing questions
+    # as listing every candidate code for every map
+    policy = CheckPolicy(depth=2, window=2, fuel=fuel)
+    got = _exponent_run(A, B, bound, policy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assemblies, "_per_map_pass", per_map_listing)
+        want = _exponent_run(A, B, bound, policy)
+    assert got == want
 
 
 def test_subobject_full_refinement_verifies():

@@ -453,3 +453,67 @@ def test_jets_fire_through_unquotes(depth, y):
     assert _hits()["MONUS"] == before["MONUS"] + 1
     assert not machine._subruns
     _agrees_at_every_fuel(t, _sampled_fuels)
+
+
+# ---------------------------------------------------------------------------
+# repeated configurations: a run that comes back to one ends at the fuel
+
+# the argument a loop passes on: counted down (the loop finishes), kept (it
+# repeats), counted up (it neither finishes nor repeats), or counted down
+# after an inner loop has run with the outer count pending on the stack
+LOOP_STEPS = ("pred", "pred pred", "same", "succ", "inner")
+
+
+@st.composite
+def loops(draw, depth=2):
+    """fix (\\f x. if x = 0 then done else f (step x)) applied to a numeral;
+    done is a numeral or an inner loop, run with the stack the outer loop
+    had on entry."""
+    kinds = LOOP_STEPS if depth else LOOP_STEPS[:4]
+    step = draw(st.sampled_from(kinds))
+    x = Var("x")
+    nxt = {"pred": lambda: ap(PRED, x),
+           "pred pred": lambda: ap(PRED, ap(PRED, x)),
+           "same": lambda: x,
+           "succ": lambda: ap(SUCC, x),
+           "inner": lambda: ap(K, ap(PRED, x), draw(loops(depth - 1)))}[step]()
+    done = (draw(loops(depth - 1)) if depth and draw(st.booleans())
+            else Num(draw(st.integers(min_value=0, max_value=3))))
+    body = prog.ite(x, done, ap(Var("f"), nxt))
+    return ap(prog.fixlam("f", "x", body),
+              Num(draw(st.integers(min_value=0, max_value=30))))
+
+
+CYCLE_CAP = 6000
+
+
+@settings(max_examples=120, deadline=None)
+@given(loops(), st.lists(st.integers(min_value=0, max_value=CYCLE_CAP),
+                         min_size=2, max_size=2))
+def test_loops_match_the_reference_at_several_fuels(t, fuels):
+    # a loop that finishes must not be taken for one that repeats: the
+    # count or the stack below an inner loop differs between iterations
+    kind, _, total = _run(ReferenceMachine, t, CYCLE_CAP)
+    ends = [total - 1, total] if kind == "value" else [CYCLE_CAP]
+    for fuel in fuels + ends:
+        _same_as_reference(t, max(fuel, 0))
+
+
+@pytest.mark.parametrize("n", [0, 5, 40])
+def test_fix_s_k_repeats_and_is_cut_short(n):
+    # 239 is fix S K: applied to anything it comes back to where it was
+    assert decode_term(239) == ap(FIX, S, K)
+    for fuel in (100, 5000, 10**6):
+        before = machine.CYCLES
+        assert apply(239, n, fuel) == OutOfFuel(fuel)
+        assert machine.CYCLES == before + 1
+    _same_as_reference(App(decode_term(239), Num(n)), 5000)
+
+
+def test_a_configuration_too_deep_to_compare_ends_the_watch():
+    # x grows to K (K (... 0)) past Python's recursion limit, so comparing
+    # it with a snapshot raises RecursionError; the run goes on to the fuel
+    t = ap(prog.fixlam("f", "x", ap(Var("f"), ap(K, Var("x")))), Num(0))
+    before = machine.CYCLES
+    assert _same_as_reference(t, 20000) == ("fuel", None, 20000)
+    assert machine.CYCLES == before

@@ -235,6 +235,13 @@ def test_applications_are_frozen_structural_values():
     assert repr(a) == "K 3"
 
 
+def test_numerals_past_the_digit_limit_print_by_size():
+    # 10**5000 has 5,001 digits, past what str() prints
+    big = Num(10**5000)
+    assert repr(App(K, big)) == "K <16610-bit number>"
+    assert repr(App(big, K)) == repr(big) + " K" == "<16610-bit number> K"
+
+
 def test_spine():
     t = ap(IFZ, Num(0), K, S)
     assert spine(t) == (IFZ, [Num(0), K, S])
