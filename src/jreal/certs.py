@@ -79,7 +79,14 @@ CheckResult = Accepted | Rejected
 def tagged(v: int) -> tuple[int, int] | None:
     """(tag, payload) when v is <0,a> or <1,e>, the two shapes the closure
     rules make; None for every other code, which lies in no closure."""
-    parts = coding.decode_seq(v)
+    if v < coding.DECODE_CACHE_MAX:
+        parts = coding.decode_seq(v)
+    else:
+        # past decode_seq's cache, the first entry rules out most codes,
+        # and three entries tell a pair from a longer sequence
+        parts = coding.seq_prefix(v, 1)
+        if parts[0] < 2:
+            parts = coding.seq_prefix(v, 3)
     if len(parts) == 2 and parts[0] < 2:
         return parts
     return None

@@ -42,9 +42,14 @@ def _pair(a: int, b: int) -> int:
 def _unpair(n: int) -> tuple[int, int]:
     if n == 0:
         return 0, 0
-    L = n.bit_length()  # off(bitlen(n)) > n, so scan downward
+    # off(L) has about L + bitlen(L) bits, so the largest L with
+    # off(L) <= n lies a step or two from this one
+    b = n.bit_length()
+    L = b - b.bit_length() + 1
     while _off(L) > n:
         L -= 1
+    while _off(L + 1) <= n:
+        L += 1
     r = n - _off(L)
     la = r >> L
     rest = r - (la << L)
@@ -76,17 +81,26 @@ def _decode_seq(s: int) -> tuple[int, ...]:
 
 
 _decode_cache: dict[int, tuple[int, ...]] = {}
-_DECODE_CACHE_MAX = 4096
+DECODE_CACHE_MAX = 4096
 
 
 def decode_seq(s: int) -> tuple[int, ...]:
-    if s < _DECODE_CACHE_MAX:
+    if s < DECODE_CACHE_MAX:
         hit = _decode_cache.get(s)
         if hit is None:
             hit = _decode_seq(s)
             _decode_cache[s] = hit
         return hit
     return _decode_seq(s)
+
+
+def seq_prefix(s: int, k: int) -> tuple[int, ...]:
+    """The first k entries of the sequence coded by s; all, if it has fewer."""
+    out: list[int] = []
+    while s and len(out) < k:
+        h, s = _unpair(s - 1)
+        out.append(h)
+    return tuple(out)
 
 
 def seq_len(s: int) -> int:

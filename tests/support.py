@@ -1,7 +1,8 @@
 """Builders for random certified closure members and decision trees, shared
 across test modules, the quasi-polynomial evaluators, the reference machine
 loop, the reference formula interpreters, the reference doctrine law
-checker, and the reference per-map pass of finite exponents.
+checker, the reference per-map pass of finite exponents, and the reference
+unpairing and closure-tag reader.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -348,3 +349,31 @@ def per_map_listing(codes, rows, elems, lands):
                        for j, i in enumerate(images)
                        for r in elems[j])]
     return found
+
+
+# ---------------------------------------------------------------------------
+# the unpairing that ``coding._unpair`` must match, scanning down from
+# n's bit length, and the tag reader that ``certs.tagged`` must match,
+# decoding the whole sequence
+
+
+def unpair_by_scan(n: int) -> tuple[int, int]:
+    if n == 0:
+        return 0, 0
+    L = n.bit_length()  # off(bitlen(n)) > n, so scan downward
+    while coding._off(L) > n:
+        L -= 1
+    r = n - coding._off(L)
+    la = r >> L
+    rest = r - (la << L)
+    lb = L - la
+    pa = rest >> lb
+    pb = rest - (pa << lb)
+    return (1 << la) - 1 + pa, (1 << lb) - 1 + pb
+
+
+def tagged_by_full_decode(v: int) -> tuple[int, int] | None:
+    parts = coding.decode_seq(v)
+    if len(parts) == 2 and parts[0] < 2:
+        return parts
+    return None

@@ -23,7 +23,7 @@ from jreal.certs import (
     show_cert,
     tagged,
 )
-from jreal.coding import decode_seq, encode_seq, pair
+from jreal.coding import encode_seq, pair
 from jreal.jsets import (
     ByPredicate,
     Cofinite,
@@ -40,20 +40,13 @@ from jreal.jsets import (
 )
 from jreal.terms import FIX, Num, Var, ap, encode_term
 from jreal.text import MAX_DEPTH, InputError
+from support import tagged_by_full_decode
 
 P = CheckPolicy(depth=4, window=4, fuel=2000)
 
 
 # ---------------------------------------------------------------------------
 # the closure value format
-
-
-def inline_tag(v):
-    """The hand-written test each caller made before ``tagged`` existed."""
-    parts = decode_seq(v)
-    if len(parts) != 2 or parts[0] not in (0, 1):
-        return None
-    return parts[0], parts[1]
 
 
 closure_like_codes = (
@@ -68,9 +61,22 @@ closure_like_codes = (
 @given(closure_like_codes)
 def test_tagged_matches_the_inline_tag_test(v):
     got = tagged(v)
-    assert got == inline_tag(v)
+    assert got == tagged_by_full_decode(v)
     if got is not None:
         assert pair(*got) == v
+
+
+def test_tagged_matches_the_full_decode_across_the_cache_bound():
+    # below 4,096 tagged reads decode_seq's cache, from there at most three
+    # entries
+    for v in range(5000):
+        assert tagged(v) == tagged_by_full_decode(v), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**300 - 1))
+def test_tagged_matches_the_full_decode(v):
+    assert tagged(v) == tagged_by_full_decode(v)
 
 
 def test_tagged_on_hand_picked_codes():

@@ -563,6 +563,36 @@ def test_a_lifted_jdec_run_reuses_remembered_subruns(monkeypatch,
     assert machine.SUBRUN_HITS > hits
 
 
+# the unit tracker's run takes 10 steps on each realizer, so the second
+# call must fail where the first passes; then the CI's asm exp, at a fuel
+# that ends some of its runs and at one that ends more
+FUEL_SEQUENCE = [
+    ["asm", "track", TWO, "--map", "p:p,q:q", "--tracker", str(A_CODE),
+     "--fuel", "10"],
+    ["asm", "track", TWO, "--map", "p:p,q:q", "--tracker", str(A_CODE),
+     "--fuel", "9"],
+    ["asm", "exp", TWO, TWO, "--bound", "1024", "--fuel", "400"],
+    ["asm", "exp", TWO, TWO, "--bound", "1024", "--fuel", "200"],
+]
+
+
+def test_no_verdict_leaks_across_fuels_in_a_warm_process(capsysbinary):
+    # a run remembered at one fuel answers every later one, at any fuel:
+    # each report must be the one a fresh process prints
+    def cold(argv):
+        machine.apply_cached.cache_clear()
+        machine._subruns.clear()
+        return run(argv, capsysbinary)
+
+    want = [cold(argv) for argv in FUEL_SEQUENCE]
+    assert "Verified" in want[0][1] and "Verified" not in want[1][1]
+    machine.apply_cached.cache_clear()
+    machine._subruns.clear()
+    hits = machine.SUBRUN_HITS
+    assert [run(argv, capsysbinary) for argv in FUEL_SEQUENCE] == want
+    assert machine.SUBRUN_HITS > hits
+
+
 # e = <evidence, prefix> for `exists x. x = x` on one point with realizers
 # {3}: <1, K<0,3>> lands there only by the lift rule, and <0,3> by the base
 @pytest.mark.parametrize("e", ["27492852863", "153119018646"],

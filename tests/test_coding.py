@@ -5,6 +5,8 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from jreal.coding import (
+    _off,
+    _unpair,
     decode_seq,
     encode_seq,
     pair,
@@ -12,9 +14,11 @@ from jreal.coding import (
     phi_split,
     seq_cons,
     seq_len,
+    seq_prefix,
     seq_proj,
     unpair,
 )
+from support import unpair_by_scan
 
 
 def test_empty_sequence_is_zero():
@@ -98,3 +102,22 @@ def test_seq_cons(x, xs):
 def test_nested_sequences(xss):
     s = encode_seq([encode_seq(xs) for xs in xss])
     assert [list(decode_seq(m)) for m in decode_seq(s)] == xss
+
+
+def test_unpair_matches_the_scan_at_every_length_boundary():
+    # the length scan starts near the answer; where off(L) is crossed it
+    # must still land on the largest L with off(L) <= n
+    for L in range(4097):
+        for n in (_off(L) - 1, _off(L), _off(L) + 1):
+            if n >= 0:
+                assert _unpair(n) == unpair_by_scan(n), n
+
+
+@given(st.integers(min_value=0, max_value=2**300))
+def test_unpair_matches_the_scan(n):
+    assert _unpair(n) == unpair_by_scan(n)
+
+
+@given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=0, max_value=4))
+def test_seq_prefix_is_a_prefix_of_the_decode(s, k):
+    assert seq_prefix(s, k) == decode_seq(s)[:k]

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jreal import machine, prog, terms
 from jreal.coding import decode_seq, encode_seq, phi_join
@@ -453,6 +453,36 @@ def test_jets_fire_through_unquotes(depth, y):
     assert _hits()["MONUS"] == before["MONUS"] + 1
     assert not machine._subruns
     _agrees_at_every_fuel(t, _sampled_fuels)
+
+
+# runs past this on the reference are left out: some codes diverge
+APPLY_CAP = 1000
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(encode_term(p) for p in SUBRUN_PROGRAMS.values()))
+       | st.integers(min_value=0, max_value=4095),
+       st.integers(min_value=0, max_value=5))
+def test_applications_answered_from_the_table_match_the_reference(e, n):
+    # apply(e, n) is the sub-run (e, n): once it has run to the end, the
+    # table answers it at every fuel, charging its steps where they fit
+    t = App(terms.decode_term_cached(e), Num(n))
+    kind, value, total = _run(ReferenceMachine, t, APPLY_CAP)
+    assume(kind == "value")
+    machine.apply_cached.cache_clear()
+    machine._subruns.clear()
+    assert apply(e, n, UNBOUNDED) == Value(machine._as_nat(value))
+    recorded = bool(machine._subruns)
+    if (e, n) in machine._subruns:
+        assert machine._subruns[(e, n)] == (total, value)
+    before = machine.SUBRUN_HITS
+    _agrees_at_every_fuel(t, lambda total: range(total + 4))
+    for fuel in range(total + 4):
+        want = Value(machine._as_nat(value)) if fuel >= total else OutOfFuel(fuel)
+        assert apply(e, n, fuel) == want, fuel
+    # a run that recorded nothing (a bare primitive, or a jetted call that
+    # drops the marker) has nothing to answer
+    assert (machine.SUBRUN_HITS > before) == recorded
 
 
 # ---------------------------------------------------------------------------
