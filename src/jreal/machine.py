@@ -42,19 +42,38 @@ counts the calls each jet answered.
 Sub-runs: an unquote of a numeral c on a numeral n runs ``decode(c) n``,
 whose value and steps depend on (c, n) alone.  A run of a coded term on a
 numeral, the term ``apply(c, n)`` builds, is the same sub-run without the
-unquote's step, so fuel only decides how long it is watched.  A ``_DONE``
-marker under the unquote, or under the whole run, records both when the
-value comes back to it, in a table of ``_SUBRUNS_MAX`` entries, oldest
-evicted first.  The next unquote or apply of c on n, at any fuel, is charged
-those steps and takes the value, or, if they do not fit the fuel, ends the
-run at ``steps == fuel``.  So charged steps are exact, and executed
-contractions can be fewer.  A jetted ``fix F x`` drops the markers above its
-pending second argument, so its jet fires and those sub-runs go unrecorded.
-``SUBRUN_HITS`` counts the runs and unquotes the table answered.  The table
-holds 16,384 entries.  On the search benchmark (seed 0, two runs each on
-two cores), 8,192 entries left the CPU per query where 4,096 had it, about
-23 ms, and 16,384 brought it to 19-20 ms; 65,536 took peak RSS from
-45.6 MB to 59 MB, 13 MB more.
+unquote's step, so fuel only decides how long it is watched.  Most codes
+never look at their argument, they only move it around with K, S and fix,
+so they take the same steps and build the same value, up to the numeral,
+on every input (parametricity: Wadler, "Theorems for free!", FPCA 1989).
+So a sub-run the table cannot answer runs on ``HOLE``, an opaque value of
+room 1, in place of n.  The hole is read where a numeral is: by
+``_as_nat`` (the coercions of ifz, succ, pred, cons, len and proj) on the
+hole or on a spine that holds it, by the hole firing as a function (an
+unquote), and by a jetted ``fix F x`` whose x, or pending y, is the hole.
+At the first read, n goes in place of the hole in the current term, the
+firing function and every stack entry above the sub-run's marker, marker
+keys included, and that firing is done again on n at the same step count,
+so no contraction runs twice.  One hole is out at a time; a sub-run that
+starts while it is out runs on its own numeral.  A ``_DONE`` marker under
+each sub-run records it when the value comes back to it, in a table of
+``_SUBRUNS_MAX`` entries, oldest evicted first: a run that never read the
+hole as the template ``(c, HOLE) -> (steps, value)``, its hole-free parts
+encoded so that filling it in and encoding the result walk only the path
+to the hole, and any other as ``(c, n) -> (steps, value)``.  A run that
+runs out of fuel with markers pending records, for each, that it needs
+more than the F steps it had left, as ``(F + 1, None)``.  The next unquote
+or apply of c on n, at any fuel, looks up (c, n) and then (c, HOLE).  An
+entry's steps are charged, and if they do not fit the fuel the run ends at
+``steps == fuel``; a value is taken, a template's with n in the hole; a
+bound that fits lets the sub-run run.  So charged steps are exact, and
+executed contractions can be fewer.  A jetted ``fix F x`` drops the markers
+above its pending second argument, so its jet fires and those sub-runs go
+unrecorded.  ``SUBRUN_HITS`` counts the runs and unquotes the table
+answered with a value.  The table holds 16,384 entries.  On the search
+benchmark (seed 0, two runs each on two cores), 8,192 entries left the CPU
+per query where 4,096 had it, about 23 ms, and 16,384 brought it to
+19-20 ms; 65,536 took peak RSS from 45.6 MB to 59 MB, 13 MB more.
 
 Cycles: a run is deterministic, so once it comes back to a configuration
 it has been in, it repeats forever.  Past ``_CYCLE_AFTER`` steps, every
@@ -62,12 +81,13 @@ non-jetted ``fix a t`` firing compares (a, t, stack) with a snapshot taken
 at the first such firing at or past a step count that doubles after each
 snapshot (Brent, "An improved Monte Carlo factorization algorithm", BIT
 1980); a match ends the run at ``steps == fuel``, where it would have ended.
-Terms compare structurally and markers by identity.  The step counts in
-``_DONE`` entries differ between iterations, so a cycle through a pending
-sub-run goes unseen; neither sub-run answers nor jets change a charged
-step, so equal configurations have equal futures.  A comparison too deep
-for Python's recursion limit ends the watch for that run.  ``CYCLES``
-counts the runs ended this way.
+Terms compare structurally and markers by identity; the hole equals no
+numeral, so a snapshot taken before a fill matches nothing after it.  The
+step counts in ``_DONE`` entries differ between iterations, so a cycle
+through a pending sub-run goes unseen; neither sub-run answers nor jets
+change a charged step, so equal configurations have equal futures.  A
+comparison too deep for Python's recursion limit ends the watch for that
+run.  ``CYCLES`` counts the runs ended this way.
 """
 
 from __future__ import annotations
@@ -112,11 +132,99 @@ class NotClosedAtRuntime(ValueError):
     pass
 
 
+class _Hole:
+    """The opaque argument of a sub-run (see the module docstring): a value
+    of room 1, as a numeral is, that no primitive reads."""
+
+    __slots__ = ()
+    room = 1
+
+    def __repr__(self) -> str:
+        return "HOLE"
+
+
+HOLE = _Hole()
+# a table key pairs a code with a numeral's value, or with the hole
+_Hole.value = HOLE
+
+
+class _Read(Exception):
+    """The hole was read where a numeral is needed."""
+
+
 def _as_nat(t: Term) -> int:
-    """The number a value denotes: numerals directly, spines via their code."""
+    """The number a value denotes: numerals directly, spines via their code.
+    The hole, or a spine that holds it, raises _Read."""
     if isinstance(t, Num):
         return t.value
-    return encode_term(t)
+    try:
+        return encode_term(t)
+    except TypeError:  # encode_term's answer to an atom it does not know
+        raise _Read from None
+
+
+def _fill(t: Term, num: Num, memo: dict[int, Term]) -> Term:
+    """t with num in place of the hole.  An application that has a code
+    holds no hole; memo maps the id of each application done to its
+    result, so a shared node is rebuilt once."""
+    if t is HOLE:
+        return num
+    if type(t) is not App or t.code is not None:
+        return t
+    fn = t.fn
+    if t.arg is HOLE and (type(fn) is Prim
+                          or type(fn) is App and fn.code is not None):
+        return App(fn, num)  # a primitive or a coded spine on the hole
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        if id(u) in memo:
+            todo.pop()
+            continue
+        fn = u.fn
+        arg = u.arg
+        waiting = len(todo)
+        if type(arg) is App and arg.code is None and id(arg) not in memo:
+            todo.append(arg)
+        if type(fn) is App and fn.code is None and id(fn) not in memo:
+            todo.append(fn)
+        if len(todo) > waiting:
+            continue
+        todo.pop()
+        fn2 = num if fn is HOLE else memo.get(id(fn), fn)
+        arg2 = num if arg is HOLE else memo.get(id(arg), arg)
+        memo[id(u)] = u if fn2 is fn and arg2 is arg else App(fn2, arg2)
+    return memo[id(t)]
+
+
+def _fill_from(stack: list, base: int, num: Num) -> None:
+    """Put num in place of the hole in stack[base:], marker keys included."""
+    old = stack[base:]  # keeps every replaced node alive, and its id its own
+    memo: dict[int, Term] = {}
+    for i, e in enumerate(old, base):
+        if type(e) is tuple:
+            key, s0 = e
+            if key[1] is HOLE:
+                stack[i] = ((key[0], num.value), s0)
+        elif type(e) is App or e is HOLE:
+            stack[i] = _fill(e, num, memo)
+
+
+def _encode_around_hole(t: Term) -> None:
+    """Give every application of the template t that holds no hole its
+    code, so that filling t in and encoding the result walk only the path
+    to the hole."""
+    memo: dict[int, Term] = {}
+    if _fill(t, Num(0), memo) is t:  # no hole
+        if type(t) is App:
+            encode_term(t)
+        return
+    # a node that holds no hole is its own fill; the others are rebuilt
+    for w in memo.values():
+        if memo.get(id(w)) is not w:
+            for v in (w.fn, w.arg):
+                if type(v) is App and v.code is None and memo.get(id(v)) is v:
+                    encode_term(v)
 
 
 _ARG = object()
@@ -149,9 +257,10 @@ for _jet in (_MONUS, _ADD):
 # calls answered by each jet, over the life of the process
 JET_HITS = {_MONUS.name: 0, _ADD.name: 0}
 
-# (c, n) -> (steps, value) of the run of decode(c) on numeral n
+# (c, n) -> (steps, value) of the run of decode(c) on numeral n, or on
+# the hole for n = HOLE; (steps, None) where it needs at least that many
 _SUBRUNS_MAX = 16384
-_subruns: OrderedDict[tuple[int, int], tuple[int, Term]] = OrderedDict()
+_subruns: OrderedDict[tuple, tuple[int, Term | None]] = OrderedDict()
 # runs and unquotes answered from _subruns, over the life of the process
 SUBRUN_HITS = 0
 
@@ -159,6 +268,32 @@ SUBRUN_HITS = 0
 _CYCLE_AFTER = 32
 # runs ended by a repeated configuration, over the life of the process
 CYCLES = 0
+
+
+def _known(c: int, x: Num | _Hole, room: int) -> tuple[int, Term | None] | None:
+    """The table's answer to the sub-run of c on x, a numeral or the hole,
+    with room steps of fuel left: (steps, value), where steps past room end
+    the run and any others come with the value; or None when it must run."""
+    known = _subruns.get((c, x.value))
+    if known is not None and (known[1] is not None or known[0] > room):
+        return known
+    if x is not HOLE and (known := _subruns.get((c, HOLE))) is not None:
+        if known[1] is not None:
+            return known[0], _fill(known[1], x, {})
+        if known[0] > room:
+            return known
+    return None
+
+
+def _bound(stack: list, fuel: int) -> None:
+    """Record every sub-run pending on the stack of a run that ran out as
+    needing more steps than the fuel left it."""
+    for i, e in enumerate(stack):
+        if e is _DONE:
+            key, s0 = stack[i - 1]
+            _subruns[key] = (fuel - s0 + 1, None)
+            if len(_subruns) > _SUBRUNS_MAX:
+                _subruns.popitem(last=False)
 
 
 class Machine:
@@ -180,15 +315,22 @@ class Machine:
         # function to the value.  The head of a firing function is f, f.fn
         # or f.fn.fn for arity 1, 2 or 3.  A Jet entry over a numeral takes
         # the value of a jetted call's second argument; a _DONE entry over
-        # ((c, n), steps) records the value of a sub-run.  snap holds the
+        # ((c, n), steps) records the value of a sub-run.  hole is the
+        # numeral the hole stands for while a sub-run on it is pending, and
+        # None otherwise; base is the stack index of the outermost such
+        # sub-run's marker.  A firing that reads the hole raises _Read
+        # before it changes anything but the markers a jet drops, which
+        # the firing done again drops as well.  snap holds the
         # configuration a fix firing is compared with, snap_len its stack's
         # length, and due the step count of the next snapshot.  Steps are
         # counted in a local and written back on every exit, returns and
-        # raises alike.
+        # raises alike; a run that runs out bounds the sub-runs pending.
         global SUBRUN_HITS, CYCLES
         fuel = self.fuel
         steps = self.steps
         stack: list = []
+        hole = None
+        base = 0
         snap = None
         snap_len = -1
         due = _CYCLE_AFTER
@@ -198,18 +340,24 @@ class Machine:
         add_fn = _ADD.fn
         try:
             # a coded term on a numeral, as apply builds it, is a sub-run
-            if (type(t) is App and type(t.fn) is App and type(t.arg) is Num
-                    and t.fn.code is not None):
-                key = (t.fn.code, t.arg.value)
-                if (known := _subruns.get(key)) is not None:
-                    steps += known[0]
-                    if steps > fuel:
-                        steps = fuel
-                        return None
-                    SUBRUN_HITS += 1
-                    return known[1]
-                push((key, steps))
-                push(_DONE)
+            if type(t) is App and type(t.arg) is Num:
+                u = t.fn
+                if type(u) is App:
+                    c = u.code
+                else:  # a primitive or a numeral is coded at once
+                    c = None if type(u) is Var else encode_term(u)
+                if c is not None:
+                    if (known := _known(c, t.arg, fuel - steps)) is not None:
+                        steps += known[0]
+                        if steps > fuel:
+                            steps = fuel
+                            return None
+                        SUBRUN_HITS += 1
+                        return known[1]
+                    hole = t.arg
+                    push(((c, HOLE), steps))
+                    push(_DONE)
+                    t = App(u, HOLE)
             while True:
                 while not t.room:
                     if type(t) is App:
@@ -239,7 +387,14 @@ class Machine:
                         f = pop()
                     elif top is _DONE:
                         key, s0 = pop()
-                        _subruns[key] = (steps - s0, t)
+                        if key[1] is HOLE:
+                            _encode_around_hole(t)
+                            _subruns[key] = (steps - s0, t)
+                            if len(stack) == base:  # the hole is n again
+                                t = _fill(t, hole, {})
+                                hole = None
+                        else:
+                            _subruns[key] = (steps - s0, t)
                         if len(_subruns) > _SUBRUNS_MAX:
                             _subruns.popitem(last=False)
                         continue
@@ -252,6 +407,12 @@ class Machine:
                                 return None
                             JET_HITS[top.name] += 1
                             t = Num(top.op(x.value, t.value))
+                            continue
+                        if t is HOLE:  # read: the entry takes n instead
+                            push(x)
+                            push(top)
+                            _fill_from(stack, base, hole)
+                            t, hole = hole, None
                             continue
                         # not a numeral: give the pre steps back and unfold
                         # fix fn x after all, then apply it to this value
@@ -270,102 +431,136 @@ class Machine:
                     if steps >= fuel:
                         return None
                     steps += 1
-                    if type(f) is Num:
-                        if type(t) is Num:
-                            key = (f.value, t.value)
-                            if (known := _subruns.get(key)) is not None:
-                                steps += known[0]
-                                if steps > fuel:
-                                    steps = fuel
-                                    return None
-                                SUBRUN_HITS += 1
-                                t = known[1]
-                                continue
-                            push((key, steps))
-                            push(_DONE)
-                        push(t)
-                        push(_ARG)
-                        t = decode_term_cached(f.value)
-                        break
-                    # spine arguments of a value are values, so K and ifz
-                    # return them without re-evaluation
-                    if type(f) is Prim:
-                        tag = f.tag
-                    elif type(g := f.fn) is Prim:
-                        tag = g.tag
-                        a = f.arg
-                    else:
-                        tag = g.fn.tag
-                        a = g.arg
-                        b = f.arg
-                    if tag == 0:  # K a t -> a
-                        t = a
-                    elif tag == 1:  # S a b t -> a t (b t), t goes to a next
-                        push(App(b, t))
-                        push(_ARG)
-                        push(a)
-                        push(_APP)
-                    elif tag == 5:  # fix a t -> a (fix a) t
-                        # a jet over x takes the place of the pending y,
-                        # which is handed to it at once or evaluated first;
-                        # the sub-runs this call ends are not remembered
-                        if (a is monus_fn or a is add_fn) and type(t) is Num:
-                            while stack and stack[-1] is _DONE:
-                                del stack[-2:]
-                            if (stack and stack[-1] is _ARG and
-                                    (type(y := stack[-2]) is Num or not y.room)):
-                                jet = _MONUS if a is monus_fn else _ADD
-                                steps += jet.pre - 1
-                                if steps > fuel:
-                                    steps = fuel
-                                    return None
-                                stack[-2] = t
-                                stack[-1] = jet
-                                t = y
-                                if y.room:
+                    try:
+                        if type(f) is Num:
+                            if type(t) is Num or t is HOLE:
+                                c = f.value
+                                known = _known(c, t, fuel - steps)
+                                if known is None and t is HOLE and _known(
+                                        c, hole, fuel - steps) is not None:
+                                    raise _Read  # the table knows c on n
+                                if known is not None:
+                                    steps += known[0]
+                                    if steps > fuel:
+                                        steps = fuel
+                                        return None
+                                    SUBRUN_HITS += 1
+                                    t = known[1]
                                     continue
-                                break
-                        # a configuration met before repeats forever
-                        if steps > _CYCLE_AFTER:
-                            if len(stack) == snap_len:
-                                try:
-                                    same = (a, t, stack) == snap
-                                except RecursionError:  # watch no more
-                                    same = False
-                                    snap_len, due = -1, fuel + 1
-                                if same:
-                                    CYCLES += 1
-                                    steps = fuel
-                                    return None
-                            if steps >= due:
-                                snap = (a, t, stack.copy())
-                                snap_len = len(stack)
-                                due = 2 * steps
-                        push(t)
-                        push(_ARG)
-                        push(a)
+                                if hole is None:  # run it on the hole
+                                    hole = t
+                                    base = len(stack)
+                                    t = HOLE
+                                push(((c, t.value), steps))
+                                push(_DONE)
+                            push(t)
+                            push(_ARG)
+                            t = decode_term_cached(f.value)
+                            break
+                        # spine arguments of a value are values, so K and ifz
+                        # return them without re-evaluation
+                        if type(f) is Prim:
+                            tag = f.tag
+                        elif f is HOLE:  # an unquote of the hole
+                            raise _Read
+                        elif type(g := f.fn) is Prim:
+                            tag = g.tag
+                            a = f.arg
+                        else:
+                            tag = g.fn.tag
+                            a = g.arg
+                            b = f.arg
+                        if tag == 0:  # K a t -> a
+                            t = a
+                        elif tag == 1:  # S a b t -> a t (b t), t goes to a next
+                            push(App(b, t))
+                            push(_ARG)
+                            push(a)
+                            push(_APP)
+                        elif tag == 5:  # fix a t -> a (fix a) t
+                            # a jet over x takes the place of the pending y,
+                            # which is handed to it at once or evaluated first;
+                            # the sub-runs this call ends are not remembered,
+                            # and a jet reads the hole as x or as y
+                            if a is monus_fn or a is add_fn:
+                                if t is HOLE:
+                                    raise _Read
+                                if type(t) is Num:
+                                    while stack and stack[-1] is _DONE:
+                                        del stack[-2:]
+                                    if hole is not None and len(stack) <= base:
+                                        hole = None  # gone with its sub-run
+                                    if stack and stack[-1] is _ARG:
+                                        if (y := stack[-2]) is HOLE:
+                                            raise _Read
+                                        if type(y) is Num or not y.room:
+                                            jet = (_MONUS if a is monus_fn
+                                                   else _ADD)
+                                            steps += jet.pre - 1
+                                            if steps > fuel:
+                                                steps = fuel
+                                                return None
+                                            stack[-2] = t
+                                            stack[-1] = jet
+                                            t = y
+                                            if y.room:
+                                                continue
+                                            break
+                            # a configuration met before repeats forever
+                            if steps > _CYCLE_AFTER:
+                                if len(stack) == snap_len:
+                                    try:
+                                        same = (a, t, stack) == snap
+                                    except RecursionError:  # watch no more
+                                        same = False
+                                        snap_len, due = -1, fuel + 1
+                                    if same:
+                                        CYCLES += 1
+                                        steps = fuel
+                                        return None
+                                if steps >= due:
+                                    snap = (a, t, stack.copy())
+                                    snap_len = len(stack)
+                                    due = 2 * steps
+                            push(t)
+                            push(_ARG)
+                            push(a)
+                            push(_APP)
+                            t = App(FIX, a)
+                        elif tag == 4:  # ifz a b t -> b if a is 0, else t
+                            if _as_nat(a) == 0:
+                                t = b
+                        elif tag == 2:  # succ
+                            t = Num(_as_nat(t) + 1)
+                        elif tag == 3:  # pred
+                            n = _as_nat(t)
+                            t = Num(n - 1 if n > 0 else 0)
+                        elif tag == 7:  # cons
+                            t = Num(coding.seq_cons(_as_nat(a), _as_nat(t)))
+                        elif tag == 8:  # len
+                            t = Num(coding.seq_len(_as_nat(t)))
+                        elif tag == 9:  # proj
+                            t = Num(coding.seq_proj(_as_nat(a), _as_nat(t)))
+                        else:
+                            raise AssertionError(f)
+                    except _Read:
+                        # n goes in place of the hole, and the firing is
+                        # done again on n at the same step count
+                        if hole is None:  # a hole that no sub-run put out
+                            raise AssertionError(f) from None
+                        steps -= 1
+                        push(f)
                         push(_APP)
-                        t = App(FIX, a)
-                    elif tag == 4:  # ifz a b t -> b if a is 0, else t
-                        if _as_nat(a) == 0:
-                            t = b
-                    elif tag == 2:  # succ
-                        t = Num(_as_nat(t) + 1)
-                    elif tag == 3:  # pred
-                        n = _as_nat(t)
-                        t = Num(n - 1 if n > 0 else 0)
-                    elif tag == 7:  # cons
-                        t = Num(coding.seq_cons(_as_nat(a), _as_nat(t)))
-                    elif tag == 8:  # len
-                        t = Num(coding.seq_len(_as_nat(t)))
-                    elif tag == 9:  # proj
-                        t = Num(coding.seq_proj(_as_nat(a), _as_nat(t)))
-                    else:
-                        raise AssertionError(f)
+                        push(t)
+                        _fill_from(stack, base, hole)
+                        t = pop()
+                        hole = None
                 else:
                     return t
         finally:
             self.steps = steps
+            if stack and steps == fuel:
+                _bound(stack, fuel)
 
 
 def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term | None, int]:
@@ -386,8 +581,8 @@ def apply(e: int, n: int, fuel: int = DEFAULT_FUEL) -> EvalResult:
     """Kleene-style application of code e to input n under a fuel budget.
 
     The run is the sub-run (e, n) of the machine's table (see the module
-    docstring): a repeat at any fuel is charged the remembered steps, or
-    ends at the fuel when they do not fit.
+    docstring): a repeat at any fuel, or any n when e never reads it, is
+    charged the remembered steps, or ends at the fuel when they do not fit.
     """
     m = Machine(fuel)
     out = m.eval(App(decode_term_cached(e), Num(n)))

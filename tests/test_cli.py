@@ -35,6 +35,8 @@ CASES = {
     "asm-track-untagged": (["asm", "track", TWO, "--map", "p:p,q:q",
                             "--tracker", "7"], 1),
     "asm-exp": (["asm", "exp", TWO, TWO, "--bound", "1024", "--fuel", "400"], 2),
+    "asm-exp-fuel200": (["asm", "exp", TWO, TWO, "--bound", "1024",
+                         "--fuel", "200"], 2),
     "asm-exp-none": (["asm", "exp", TWO, PAIR, "--bound", "512",
                       "--fuel", "300"], 2),
     "doctrine-laws-d4": (["doctrine", "laws", "doctrines/d4.doc"], 0),

@@ -480,9 +480,118 @@ def test_applications_answered_from_the_table_match_the_reference(e, n):
     for fuel in range(total + 4):
         want = Value(machine._as_nat(value)) if fuel >= total else OutOfFuel(fuel)
         assert apply(e, n, fuel) == want, fuel
-    # a run that recorded nothing (a bare primitive, or a jetted call that
-    # drops the marker) has nothing to answer
+    # a run that recorded nothing (a jetted call that drops the marker) has
+    # nothing to answer
     assert (machine.SUBRUN_HITS > before) == recorded
+
+
+# ---------------------------------------------------------------------------
+# templates: a sub-run that never reads its numeral runs once, on the hole
+
+
+def _holds_hole(t):
+    seen, todo = set(), [t]
+    while todo:
+        u = todo.pop()
+        if u is machine.HOLE:
+            return True
+        if isinstance(u, App) and id(u) not in seen:
+            seen.add(id(u))
+            todo += (u.fn, u.arg)
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(encode_term(p) for p in SUBRUN_PROGRAMS.values()))
+       | st.integers(min_value=0, max_value=4095),
+       st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=2,
+                unique=True))
+def test_templates_and_bounds_match_the_reference(e, ns):
+    # the first numeral runs cold at every fuel from 0 up, leaving bounds,
+    # and a template where the code never reads it; the second is answered
+    # warm from what the first left.  A run past APPLY_CAP reference steps
+    # is checked at sampled fuels up to the cap
+    machine._subruns.clear()
+    for n in ns:
+        t = App(terms.decode_term_cached(e), Num(n))
+        kind, value, total = _run(ReferenceMachine, t, APPLY_CAP)
+        fuels = range(total + 4) if kind == "value" else range(0, total + 1, 37)
+        for fuel in fuels:
+            want = ("value", value, total) if fuel >= total else ("fuel", None, fuel)
+            got = _run(Machine, t, fuel)
+            assert not _holds_hole(got[1]), (e, n, fuel)
+            assert got == want, (e, n, fuel)
+
+
+def test_a_jet_reads_the_hole_and_still_fires():
+    # MONUS 9 x is a jetted call whose pending y is the hole: it is read,
+    # n goes in, and the jet fires on it, cold and with the table warm
+    e = encode_term(ap(prog.MONUS, Num(9)))
+    machine._subruns.clear()
+    for n, want in ((4, 5), (6, 3)):
+        before = _hits()
+        assert apply(e, n, UNBOUNDED) == Value(want)
+        assert _hits()["MONUS"] == before["MONUS"] + 1
+        assert (e, n) in machine._subruns
+    assert (e, machine.HOLE) not in machine._subruns
+    before, hits = _hits(), machine.SUBRUN_HITS
+    assert apply(e, 4, UNBOUNDED) == Value(5)
+    assert _hits() == before and machine.SUBRUN_HITS == hits + 1
+
+
+def test_a_template_may_nest_the_hole_past_the_recursion_limit():
+    # \x. K (K (... x)), 5,000 deep: applied, it builds its body around the
+    # hole without reading it; the template is filled in on explicit stacks
+    body = Var("x")
+    for _ in range(5_000):
+        body = App(K, body)
+    e = encode_term(lam("x", body))
+    machine._subruns.clear()
+    hits = machine.SUBRUN_HITS
+    for n in (3, 8):
+        code = phi_join([], 10 + n)
+        for _ in range(5_000):
+            code = phi_join([code], 0)
+        assert apply(e, n, UNBOUNDED) == Value(code)
+    assert list(machine._subruns) == [(e, machine.HOLE)]
+    assert machine.SUBRUN_HITS == hits + 1
+
+
+def test_a_run_that_ran_out_ends_every_lower_fuel_at_once(monkeypatch):
+    # this loop counts x up forever, reading it: the bound is (e, 3)'s alone
+    e = encode_term(prog.fixlam("f", "x", ap(Var("f"), ap(SUCC, Var("x")))))
+    machine._subruns.clear()
+    assert apply(e, 3, 500) == OutOfFuel(500)
+    assert machine._subruns[(e, 3)] == (501, None)
+    reads = 0
+    as_nat = machine._as_nat
+
+    def counted(t):
+        nonlocal reads
+        reads += 1
+        return as_nat(t)
+
+    monkeypatch.setattr(machine, "_as_nat", counted)
+    for fuel in (500, 200, 0):
+        assert apply(e, 3, fuel) == OutOfFuel(fuel)
+    assert reads == 0
+    assert apply(e, 3, 501) == OutOfFuel(501)
+    assert apply(e, 4, 100) == OutOfFuel(100)
+    assert reads > 0
+    assert machine._subruns[(e, 3)] == (502, None)
+
+
+def test_a_run_on_the_hole_that_ran_out_bounds_every_numeral():
+    # OMEGA never reads its argument and repeats: the bound is the hole's
+    e = encode_term(OMEGA)
+    machine._subruns.clear()
+    cycles = machine.CYCLES
+    assert apply(e, 0, 1000) == OutOfFuel(1000)
+    assert machine._subruns[(e, machine.HOLE)] == (1001, None)
+    assert apply(e, 7, 1000) == OutOfFuel(1000)
+    assert machine.CYCLES == cycles + 1
+    assert apply(e, 7, 1001) == OutOfFuel(1001)
+    assert machine.CYCLES == cycles + 2
 
 
 # ---------------------------------------------------------------------------
