@@ -287,7 +287,7 @@ class PartialResult:
     note: str
 
 
-def partial_apply(rep: Representation, x: int, fuel: int = DEFAULT_FUEL) -> PartialResult:
+def partial_apply(rep: Representation, x: int, fuel: int) -> PartialResult:
     res = apply(rep.code, x, fuel)
     if isinstance(res, Value):
         return PartialResult(PartialOutcome.VALUE, res.value, "converged")

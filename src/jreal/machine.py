@@ -42,38 +42,38 @@ counts the calls each jet answered.
 Sub-runs: an unquote of a numeral c on a numeral n runs ``decode(c) n``,
 whose value and steps depend on (c, n) alone.  A run of a coded term on a
 numeral, the term ``apply(c, n)`` builds, is the same sub-run without the
-unquote's step, so fuel only decides how long it is watched.  Most codes
-never look at their argument, they only move it around with K, S and fix,
-so they take the same steps and build the same value, up to the numeral,
-on every input (parametricity: Wadler, "Theorems for free!", FPCA 1989).
-So a sub-run the table cannot answer runs on ``HOLE``, an opaque value of
-room 1, in place of n.  The hole is read where a numeral is: by
-``_as_nat`` (the coercions of ifz, succ, pred, cons, len and proj) on the
-hole or on a spine that holds it, by the hole firing as a function (an
-unquote), and by a jetted ``fix F x`` whose x, or pending y, is the hole.
-At the first read, n goes in place of the hole in the current term, the
-firing function and every stack entry above the sub-run's marker, marker
-keys included, and that firing is done again on n at the same step count,
-so no contraction runs twice.  One hole is out at a time; a sub-run that
-starts while it is out runs on its own numeral.  A ``_DONE`` marker under
-each sub-run records it when the value comes back to it, in a table of
-``_SUBRUNS_MAX`` entries, oldest evicted first: a run that never read the
-hole as the template ``(c, HOLE) -> (steps, value)``, its hole-free parts
-encoded so that filling it in and encoding the result walk only the path
-to the hole, and any other as ``(c, n) -> (steps, value)``.  A run that
-runs out of fuel with markers pending records, for each, that it needs
-more than the F steps it had left, as ``(F + 1, None)``.  The next unquote
-or apply of c on n, at any fuel, looks up (c, n) and then (c, HOLE).  An
-entry's steps are charged, and if they do not fit the fuel the run ends at
-``steps == fuel``; a value is taken, a template's with n in the hole; a
-bound that fits lets the sub-run run.  So charged steps are exact, and
-executed contractions can be fewer.  A jetted ``fix F x`` drops the markers
-above its pending second argument, so its jet fires and those sub-runs go
-unrecorded.  ``SUBRUN_HITS`` counts the runs and unquotes the table
-answered with a value.  The table holds 16,384 entries.  On the search
-benchmark (seed 0, two runs each on two cores), 8,192 entries left the CPU
-per query where 4,096 had it, about 23 ms, and 16,384 brought it to
-19-20 ms; 65,536 took peak RSS from 45.6 MB to 59 MB, 13 MB more.
+unquote's step, so fuel only decides how long it is watched.  A ``_DONE``
+marker under each sub-run records it as ``(c, n) -> (steps, value)`` when
+the value comes back to it, in a table of ``_SUBRUNS_MAX`` entries, oldest
+evicted first; a run that runs out with F steps left records each marker
+pending as needing more, ``(F + 1, None)``.  Most codes never look at
+their argument, they only move it around with K, S and fix, so they take
+the same steps and build the same value, up to the numeral, on every
+input (parametricity: Wadler, "Theorems for free!", FPCA 1989).  So a run
+of a coded term on n that the table cannot answer runs on ``HOLE``, an
+opaque value of room 1, in place of n, its marker at the bottom of the
+stack; an unquote never puts out a hole.  The hole is read where a
+numeral is: by ``_as_nat`` (the coercions of ifz, succ, pred, cons, len
+and proj) on the hole or on a spine that holds it, by the hole firing as
+a function, by a jetted ``fix F x`` whose x, or pending y, is the hole,
+and by an unquote on the hole that the table answers on n but not on the
+hole.  At the first read, n goes in place of the hole in the current
+term, the firing function and the whole stack, marker keys included, and
+that firing is done again on n at the same step count, so no contraction
+runs twice.  A run that never read the hole is recorded as the template
+``(c, HOLE) -> (steps, value)``, and so is an unquote on the hole inside
+it.  The next unquote or apply of c on n, at any fuel, looks up (c, n)
+and then (c, HOLE).  An entry's steps are charged, and if they do not fit
+the fuel the run ends at ``steps == fuel``; a value is taken, a
+template's with n in the hole; a bound that fits lets the sub-run run.
+So charged steps are exact, and executed contractions can be fewer.  A
+jetted ``fix F x`` drops the markers above its pending second argument,
+so its jet fires and those sub-runs go unrecorded.  ``SUBRUN_HITS``
+counts the runs and unquotes the table answered with a value.  The table
+holds 16,384 entries.  On the search benchmark (seed 0, two runs each on
+two cores), 8,192 entries left the CPU per query where 4,096 had it,
+about 23 ms, and 16,384 brought it to 19-20 ms; 65,536 took peak RSS from
+45.6 MB to 59 MB, 13 MB more.
 
 Cycles: a run is deterministic, so once it comes back to a configuration
 it has been in, it repeats forever.  Past ``_CYCLE_AFTER`` steps, every
@@ -102,7 +102,9 @@ from . import coding
 from .prog import ADD, MONUS
 from .terms import (
     FIX,
+    HOLE,
     App,
+    Hole,
     Num,
     Prim,
     Term,
@@ -130,22 +132,6 @@ EvalResult = Value | OutOfFuel
 
 class NotClosedAtRuntime(ValueError):
     pass
-
-
-class _Hole:
-    """The opaque argument of a sub-run (see the module docstring): a value
-    of room 1, as a numeral is, that no primitive reads."""
-
-    __slots__ = ()
-    room = 1
-
-    def __repr__(self) -> str:
-        return "HOLE"
-
-
-HOLE = _Hole()
-# a table key pairs a code with a numeral's value, or with the hole
-_Hole.value = HOLE
 
 
 class _Read(Exception):
@@ -197,34 +183,17 @@ def _fill(t: Term, num: Num, memo: dict[int, Term]) -> Term:
     return memo[id(t)]
 
 
-def _fill_from(stack: list, base: int, num: Num) -> None:
-    """Put num in place of the hole in stack[base:], marker keys included."""
-    old = stack[base:]  # keeps every replaced node alive, and its id its own
+def _fill_from(stack: list, num: Num) -> None:
+    """Put num in place of the hole in the stack, marker keys included."""
+    old = stack.copy()  # keeps every replaced node alive, and its id its own
     memo: dict[int, Term] = {}
-    for i, e in enumerate(old, base):
+    for i, e in enumerate(old):
         if type(e) is tuple:
             key, s0 = e
             if key[1] is HOLE:
                 stack[i] = ((key[0], num.value), s0)
         elif type(e) is App or e is HOLE:
             stack[i] = _fill(e, num, memo)
-
-
-def _encode_around_hole(t: Term) -> None:
-    """Give every application of the template t that holds no hole its
-    code, so that filling t in and encoding the result walk only the path
-    to the hole."""
-    memo: dict[int, Term] = {}
-    if _fill(t, Num(0), memo) is t:  # no hole
-        if type(t) is App:
-            encode_term(t)
-        return
-    # a node that holds no hole is its own fill; the others are rebuilt
-    for w in memo.values():
-        if memo.get(id(w)) is not w:
-            for v in (w.fn, w.arg):
-                if type(v) is App and v.code is None and memo.get(id(v)) is v:
-                    encode_term(v)
 
 
 _ARG = object()
@@ -270,7 +239,7 @@ _CYCLE_AFTER = 32
 CYCLES = 0
 
 
-def _known(c: int, x: Num | _Hole, room: int) -> tuple[int, Term | None] | None:
+def _known(c: int, x: Num | Hole, room: int) -> tuple[int, Term | None] | None:
     """The table's answer to the sub-run of c on x, a numeral or the hole,
     with room steps of fuel left: (steps, value), where steps past room end
     the run and any others come with the value; or None when it must run."""
@@ -285,15 +254,20 @@ def _known(c: int, x: Num | _Hole, room: int) -> tuple[int, Term | None] | None:
     return None
 
 
+def _remember(key: tuple, entry: tuple[int, Term | None]) -> None:
+    """Write one entry of the table, evicting the oldest past its size."""
+    _subruns[key] = entry
+    if len(_subruns) > _SUBRUNS_MAX:
+        _subruns.popitem(last=False)
+
+
 def _bound(stack: list, fuel: int) -> None:
     """Record every sub-run pending on the stack of a run that ran out as
     needing more steps than the fuel left it."""
     for i, e in enumerate(stack):
         if e is _DONE:
             key, s0 = stack[i - 1]
-            _subruns[key] = (fuel - s0 + 1, None)
-            if len(_subruns) > _SUBRUNS_MAX:
-                _subruns.popitem(last=False)
+            _remember(key, (fuel - s0 + 1, None))
 
 
 class Machine:
@@ -316,21 +290,20 @@ class Machine:
         # or f.fn.fn for arity 1, 2 or 3.  A Jet entry over a numeral takes
         # the value of a jetted call's second argument; a _DONE entry over
         # ((c, n), steps) records the value of a sub-run.  hole is the
-        # numeral the hole stands for while a sub-run on it is pending, and
-        # None otherwise; base is the stack index of the outermost such
-        # sub-run's marker.  A firing that reads the hole raises _Read
-        # before it changes anything but the markers a jet drops, which
-        # the firing done again drops as well.  snap holds the
-        # configuration a fix firing is compared with, snap_len its stack's
-        # length, and due the step count of the next snapshot.  Steps are
-        # counted in a local and written back on every exit, returns and
-        # raises alike; a run that runs out bounds the sub-runs pending.
+        # numeral that the hole under the bottom marker stands for, until
+        # its first read.  A firing that reads the hole raises _Read before
+        # it changes anything but the markers a jet drops, which the firing
+        # done again drops as well.  snap holds the configuration a fix
+        # firing is compared with, snap_len its stack's length, and due the
+        # step count of the next snapshot.  Steps are counted in a local and
+        # written back, no further than the fuel, on every exit, returns and
+        # raises alike, so an overdrawn charge just returns; a run that runs
+        # out bounds the sub-runs pending.
         global SUBRUN_HITS, CYCLES
         fuel = self.fuel
         steps = self.steps
         stack: list = []
         hole = None
-        base = 0
         snap = None
         snap_len = -1
         due = _CYCLE_AFTER
@@ -339,7 +312,8 @@ class Machine:
         monus_fn = _MONUS.fn
         add_fn = _ADD.fn
         try:
-            # a coded term on a numeral, as apply builds it, is a sub-run
+            # a coded term on a numeral, as apply builds it, is the one
+            # sub-run that runs on the hole
             if type(t) is App and type(t.arg) is Num:
                 u = t.fn
                 if type(u) is App:
@@ -350,7 +324,6 @@ class Machine:
                     if (known := _known(c, t.arg, fuel - steps)) is not None:
                         steps += known[0]
                         if steps > fuel:
-                            steps = fuel
                             return None
                         SUBRUN_HITS += 1
                         return known[1]
@@ -387,23 +360,15 @@ class Machine:
                         f = pop()
                     elif top is _DONE:
                         key, s0 = pop()
-                        if key[1] is HOLE:
-                            _encode_around_hole(t)
-                            _subruns[key] = (steps - s0, t)
-                            if len(stack) == base:  # the hole is n again
-                                t = _fill(t, hole, {})
-                                hole = None
-                        else:
-                            _subruns[key] = (steps - s0, t)
-                        if len(_subruns) > _SUBRUNS_MAX:
-                            _subruns.popitem(last=False)
+                        _remember(key, (steps - s0, t))
+                        if not stack and key[1] is HOLE:  # the run's own
+                            t = _fill(t, hole, {})
                         continue
                     else:  # a jet, over its first argument
                         x = pop()
                         if type(t) is Num:
                             steps += top.base - top.pre + top.slope * t.value
                             if steps > fuel:
-                                steps = fuel
                                 return None
                             JET_HITS[top.name] += 1
                             t = Num(top.op(x.value, t.value))
@@ -411,7 +376,7 @@ class Machine:
                         if t is HOLE:  # read: the entry takes n instead
                             push(x)
                             push(top)
-                            _fill_from(stack, base, hole)
+                            _fill_from(stack, hole)
                             t, hole = hole, None
                             continue
                         # not a numeral: give the pre steps back and unfold
@@ -442,15 +407,10 @@ class Machine:
                                 if known is not None:
                                     steps += known[0]
                                     if steps > fuel:
-                                        steps = fuel
                                         return None
                                     SUBRUN_HITS += 1
                                     t = known[1]
                                     continue
-                                if hole is None:  # run it on the hole
-                                    hole = t
-                                    base = len(stack)
-                                    t = HOLE
                                 push(((c, t.value), steps))
                                 push(_DONE)
                             push(t)
@@ -488,8 +448,6 @@ class Machine:
                                 if type(t) is Num:
                                     while stack and stack[-1] is _DONE:
                                         del stack[-2:]
-                                    if hole is not None and len(stack) <= base:
-                                        hole = None  # gone with its sub-run
                                     if stack and stack[-1] is _ARG:
                                         if (y := stack[-2]) is HOLE:
                                             raise _Read
@@ -498,7 +456,6 @@ class Machine:
                                                    else _ADD)
                                             steps += jet.pre - 1
                                             if steps > fuel:
-                                                steps = fuel
                                                 return None
                                             stack[-2] = t
                                             stack[-1] = jet
@@ -546,38 +503,40 @@ class Machine:
                     except _Read:
                         # n goes in place of the hole, and the firing is
                         # done again on n at the same step count
-                        if hole is None:  # a hole that no sub-run put out
+                        if hole is None:  # a hole that this run did not put out
                             raise AssertionError(f) from None
                         steps -= 1
                         push(f)
                         push(_APP)
                         push(t)
-                        _fill_from(stack, base, hole)
+                        _fill_from(stack, hole)
                         t = pop()
                         hole = None
                 else:
                     return t
         finally:
+            if steps > fuel:  # an overdrawn charge ends the run at the fuel
+                steps = fuel
             self.steps = steps
             if stack and steps == fuel:
                 _bound(stack, fuel)
 
 
-def eval_term(t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term | None, int]:
+def eval_term(t: Term, fuel: int) -> tuple[Term | None, int]:
     """Reduce a term to a value term; (None, steps) on fuel exhaustion."""
     m = Machine(fuel)
     out = m.eval(t)
     return out, m.steps
 
 
-def eval_to_nat(t: Term, fuel: int = DEFAULT_FUEL) -> EvalResult:
+def eval_to_nat(t: Term, fuel: int) -> EvalResult:
     out, steps = eval_term(t, fuel)
     if out is None:
         return OutOfFuel(steps)
     return Value(_as_nat(out))
 
 
-def apply(e: int, n: int, fuel: int = DEFAULT_FUEL) -> EvalResult:
+def apply(e: int, n: int, fuel: int) -> EvalResult:
     """Kleene-style application of code e to input n under a fuel budget.
 
     The run is the sub-run (e, n) of the machine's table (see the module
@@ -591,7 +550,7 @@ def apply(e: int, n: int, fuel: int = DEFAULT_FUEL) -> EvalResult:
     return Value(_as_nat(out))
 
 
-def apply_many(e: int, ns: list[int], fuel: int = DEFAULT_FUEL) -> EvalResult:
+def apply_many(e: int, ns: list[int], fuel: int) -> EvalResult:
     """Curried application e n1 n2 ... nk, reifying between steps."""
     cur = e
     for n in ns:
@@ -605,5 +564,5 @@ def apply_many(e: int, ns: list[int], fuel: int = DEFAULT_FUEL) -> EvalResult:
 # evaluation is deterministic, so replays of the same application can share;
 # certificate checks re-run exactly the applications the mirrors just ran
 @lru_cache(maxsize=1 << 16)
-def apply_cached(e: int, n: int, fuel: int = DEFAULT_FUEL) -> EvalResult:
+def apply_cached(e: int, n: int, fuel: int) -> EvalResult:
     return apply(e, n, fuel)

@@ -7,7 +7,9 @@ phi bijection from ``coding``.  Every natural therefore decodes to a closed
 term, and codes grow linearly with term size.
 
 Variables exist only at build time (for the bracket abstractor); encoding a
-term containing a variable raises ``NotClosed``.
+term containing a variable raises ``NotClosed``.  ``HOLE`` is an atom that
+only the machine builds, for a numeral it has not read; it has no code
+either, and encoding a term that holds it raises ``TypeError``.
 
 Each node fixes, when it is built, whether it is a value (no contraction can
 fire inside it).  Its ``room`` is how many more arguments it takes before it
@@ -68,6 +70,22 @@ class Var:
 
     def __repr__(self) -> str:
         return self.name
+
+
+class Hole:
+    """The machine's opaque argument of a run (see ``machine``): a value of
+    room 1, as a numeral is, that has no code and prints as ``HOLE``."""
+
+    __slots__ = ()
+    room = 1
+
+    def __repr__(self) -> str:
+        return "HOLE"
+
+
+HOLE = Hole()
+# the machine keys its table by a code and a numeral's value, or the hole
+Hole.value = HOLE
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,6 +363,8 @@ def show_term(t: Term) -> str:
             base = show_nat(value)
         case Var(name):
             base = name
+        case Hole():
+            base = "HOLE"
         case _:
             raise TypeError(head)
     parts = [base]

@@ -4,7 +4,7 @@ import random
 
 from jreal import prog
 from jreal.bracket import compile_lambda, lam
-from jreal.machine import OutOfFuel, Value, apply, apply_many, eval_to_nat
+from jreal.machine import DEFAULT_FUEL, OutOfFuel, Value, apply, apply_many, eval_to_nat
 from jreal.terms import (
     App,
     CONS,
@@ -66,7 +66,7 @@ def test_long_application_under_a_lambda_compiles():
 
 def test_two_level_abstraction():
     swap = lam("x", "y", ap(CONS, Var("y"), ap(CONS, Var("x"), Num(0))))
-    got = apply_many(encode_term(swap), [3, 8])
+    got = apply_many(encode_term(swap), [3, 8], DEFAULT_FUEL)
     from jreal.coding import decode_seq
 
     assert isinstance(got, Value)
@@ -80,7 +80,7 @@ def test_closure_value_is_the_substituted_template():
     inner = compile_lambda("y", body)
     outer = lam("x", "y", body)
     for v in [0, 3, 41]:
-        got = apply(encode_term(outer), v)
+        got = apply(encode_term(outer), v, DEFAULT_FUEL)
         want = encode_term(subst(inner, {"x": Num(v)}))
         assert got == Value(want)
 
@@ -90,7 +90,7 @@ def test_template_prediction_through_embedded_programs():
     body = ap(CONS, ap(prog.ADD, Var("x"), Num(0)), ap(CONS, Var("y"), Num(0)))
     inner = compile_lambda("y", body)
     outer = lam("x", "y", body)
-    got = apply(encode_term(outer), 9)
+    got = apply(encode_term(outer), 9, DEFAULT_FUEL)
     assert got == Value(encode_term(subst(inner, {"x": Num(9)})))
 
 

@@ -25,7 +25,7 @@ from jreal.deciders import (
     show_dec,
 )
 from jreal.jsets import Singleton
-from jreal.machine import Value, apply
+from jreal.machine import DEFAULT_FUEL, Value, apply
 from jreal.text import MAX_DEPTH, InputError
 from support import random_tree
 
@@ -33,20 +33,20 @@ from support import random_tree
 def test_singleton_decider_values():
     code = decider_code(One(5))
     for x in range(8):
-        res = apply(code, x)
+        res = apply(code, x, DEFAULT_FUEL)
         assert res == Value(coding.pair(0, 0 if x == 5 else 1))
 
 
 def test_complement_swaps_the_bit():
     code = decider_code(Not(One(5)))
     for x in range(8):
-        assert apply(code, x) == Value(coding.pair(0, 1 if x == 5 else 0))
+        assert apply(code, x, DEFAULT_FUEL) == Value(coding.pair(0, 1 if x == 5 else 0))
 
 
 def test_double_complement_restores_the_bit():
     code = decider_code(Not(Not(One(2))))
     for x in range(5):
-        assert apply(code, x) == Value(coding.pair(0, 0 if x == 2 else 1))
+        assert apply(code, x, DEFAULT_FUEL) == Value(coding.pair(0, 0 if x == 2 else 1))
 
 
 def test_union_run_matches_truth_and_certs_verify():
@@ -118,11 +118,11 @@ def test_out_of_fuel_is_unknown():
 def test_partial_function_representation():
     rep = represent_from_graph({1: 5, 3: 7, 4: 0})
     for x, want in ((1, 5), (3, 7), (4, 0)):
-        got = partial_apply(rep, x)
+        got = partial_apply(rep, x, DEFAULT_FUEL)
         assert got.outcome == PartialOutcome.VALUE and got.value == want
     for x in (0, 2, 9):
-        assert partial_apply(rep, x).outcome == PartialOutcome.NOT_IN_DOMAIN
-    assert apply(rep.scan_code, 2).value == 3  # scan length when absent
+        assert partial_apply(rep, x, DEFAULT_FUEL).outcome == PartialOutcome.NOT_IN_DOMAIN
+    assert apply(rep.scan_code, 2, DEFAULT_FUEL).value == 3  # scan length when absent
 
 
 def test_partial_function_fuel_shortage_is_unknown():
@@ -133,7 +133,7 @@ def test_partial_function_fuel_shortage_is_unknown():
 
 def test_empty_graph_is_nowhere_defined():
     rep = represent_from_graph({})
-    assert partial_apply(rep, 0).outcome == PartialOutcome.NOT_IN_DOMAIN
+    assert partial_apply(rep, 0, DEFAULT_FUEL).outcome == PartialOutcome.NOT_IN_DOMAIN
 
 
 def test_duplicate_keys_rejected():

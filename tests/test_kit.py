@@ -36,7 +36,7 @@ from jreal.kit import (
     mirror_lifted,
     wedge_target,
 )
-from jreal.machine import Value, apply, apply_many
+from jreal.machine import DEFAULT_FUEL, Value, apply, apply_many
 from jreal.terms import FIX, K, App, Num, SUCC, Var, ap, encode_term
 
 P = CheckPolicy(depth=6, window=3, fuel=40000)
@@ -54,7 +54,7 @@ def accepted(x, target, cert):
 def test_unit_mirror():
     for x in (0, 5, 41):
         out, cert = mirror_a(x)
-        assert apply(A_CODE, x) == Value(out)
+        assert apply(A_CODE, x, DEFAULT_FUEL) == Value(out)
         accepted(out, Singleton(x), cert)
 
 
@@ -117,8 +117,8 @@ def test_scanners_match_hosts():
     for _ in range(40):
         seq = tuple(rng.randrange(0, 4) for _ in range(rng.randrange(0, 5)))
         s = coding.encode_seq(seq)
-        assert apply(ANYZERO_CODE, s) == Value(host_anyzero(seq))
-        assert apply(LEASTZERO_CODE, s) == Value(host_leastzero(seq))
+        assert apply(ANYZERO_CODE, s, DEFAULT_FUEL) == Value(host_anyzero(seq))
+        assert apply(LEASTZERO_CODE, s, DEFAULT_FUEL) == Value(host_leastzero(seq))
 
 
 def test_sequence_surgery_matches_python():

@@ -43,40 +43,40 @@ OMEGA = ap(FIX, lam("f", "x", ap(Var("f"), Var("x"))))  # diverges on anything
 
 
 def test_partial_application_reifies_and_resumes():
-    r1 = apply(encode_term(K), 3)
+    r1 = apply(encode_term(K), 3, DEFAULT_FUEL)
     assert isinstance(r1, Value)
-    assert apply(r1.value, 8) == Value(3)
-    assert apply_many(encode_term(K), [3, 8]) == Value(3)
+    assert apply(r1.value, 8, DEFAULT_FUEL) == Value(3)
+    assert apply_many(encode_term(K), [3, 8], DEFAULT_FUEL) == Value(3)
 
 
 def test_skk_is_identity():
     skk = encode_term(ap(S, K, K))
     for n in [0, 1, 7, 1000]:
-        assert apply(skk, n) == Value(n)
+        assert apply(skk, n, DEFAULT_FUEL) == Value(n)
 
 
 def test_numeral_in_head_position_unquotes():
     skk_code = encode_term(ap(S, K, K))
     quoted = encode_term(Num(skk_code))
-    assert apply(quoted, 5) == Value(5)
+    assert apply(quoted, 5, DEFAULT_FUEL) == Value(5)
 
 
 def test_arith_prims():
-    assert eval_to_nat(ap(SUCC, Num(4))) == Value(5)
-    assert eval_to_nat(ap(PRED, Num(4))) == Value(3)
-    assert eval_to_nat(ap(PRED, Num(0))) == Value(0)
-    assert eval_to_nat(ap(IFZ, Num(0), Num(7), Num(8))) == Value(7)
-    assert eval_to_nat(ap(IFZ, Num(2), Num(7), Num(8))) == Value(8)
+    assert eval_to_nat(ap(SUCC, Num(4)), DEFAULT_FUEL) == Value(5)
+    assert eval_to_nat(ap(PRED, Num(4)), DEFAULT_FUEL) == Value(3)
+    assert eval_to_nat(ap(PRED, Num(0)), DEFAULT_FUEL) == Value(0)
+    assert eval_to_nat(ap(IFZ, Num(0), Num(7), Num(8)), DEFAULT_FUEL) == Value(7)
+    assert eval_to_nat(ap(IFZ, Num(2), Num(7), Num(8)), DEFAULT_FUEL) == Value(8)
 
 
 def test_sequence_prims():
     s = encode_seq([4, 5, 6])
-    assert eval_to_nat(ap(LEN, Num(s))) == Value(3)
-    assert eval_to_nat(ap(PROJ, Num(s), Num(1))) == Value(5)
-    assert eval_to_nat(ap(PROJ, Num(s), Num(9))) == Value(0)
-    got = eval_to_nat(ap(CONS, Num(9), Num(s)))
+    assert eval_to_nat(ap(LEN, Num(s)), DEFAULT_FUEL) == Value(3)
+    assert eval_to_nat(ap(PROJ, Num(s), Num(1)), DEFAULT_FUEL) == Value(5)
+    assert eval_to_nat(ap(PROJ, Num(s), Num(9)), DEFAULT_FUEL) == Value(0)
+    got = eval_to_nat(ap(CONS, Num(9), Num(s)), DEFAULT_FUEL)
     assert isinstance(got, Value) and decode_seq(got.value) == (9, 4, 5, 6)
-    assert eval_to_nat(NIL) == Value(0)
+    assert eval_to_nat(NIL, DEFAULT_FUEL) == Value(0)
 
 
 def test_divergence_is_out_of_fuel():
@@ -592,6 +592,44 @@ def test_a_run_on_the_hole_that_ran_out_bounds_every_numeral():
     assert machine.CYCLES == cycles + 1
     assert apply(e, 7, 1001) == OutOfFuel(1001)
     assert machine.CYCLES == cycles + 2
+
+
+def test_the_table_evicts_its_oldest_entry_past_its_size(monkeypatch):
+    # each run records one entry: K builds a template on the hole, succ
+    # reads its numeral and records a value, and the counting loop of the
+    # test above records a bound; in a table of two, each write past the
+    # second pushes out the oldest entry, whatever its kind
+    monkeypatch.setattr(machine, "_SUBRUNS_MAX", 2)
+    k, succ = encode_term(K), encode_term(SUCC)
+    loop = encode_term(prog.fixlam("f", "x", ap(Var("f"), ap(SUCC, Var("x")))))
+    machine._subruns.clear()
+    hole = machine.HOLE
+    k3 = Value(encode_term(ap(K, Num(3))))
+    runs = [  # e, n, fuel, result, the entry written, the table's keys
+        (k, 3, 10, k3, (0, App(K, hole)), [(k, hole)]),
+        (succ, 4, 10, Value(5), (1, Num(5)), [(k, hole), (succ, 4)]),
+        (loop, 3, 500, OutOfFuel(500), (501, None), [(succ, 4), (loop, 3)]),
+        (succ, 5, 10, Value(6), (1, Num(6)), [(loop, 3), (succ, 5)]),
+        (k, 3, 10, k3, (0, App(K, hole)), [(succ, 5), (k, hole)]),
+    ]
+    for e, n, fuel, want, entry, keys in runs:
+        assert apply(e, n, fuel) == want
+        assert len(machine._subruns) <= machine._SUBRUNS_MAX
+        assert list(machine._subruns) == keys
+        assert machine._subruns[keys[-1]] == entry
+
+
+def test_a_term_that_holds_the_hole_prints_it_by_name():
+    assert repr(App(K, machine.HOLE)) == "K HOLE"
+    machine._subruns.clear()
+    assert apply(16, 7, 300) == Value(encode_term(ap(K, Num(7))))
+    assert repr(dict(machine._subruns)) == "{(16, HOLE): (2, K HOLE)}"
+
+    class Atom:  # a head that is no term
+        room = 2
+
+    with pytest.raises(TypeError):
+        terms.show_term(App(Atom(), Num(0)))
 
 
 # ---------------------------------------------------------------------------

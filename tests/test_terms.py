@@ -267,10 +267,10 @@ def test_parse_application_is_left_associative():
 
 
 def test_parse_lambda_compiles_and_runs():
-    from jreal.machine import Value, apply
+    from jreal.machine import DEFAULT_FUEL, Value, apply
 
     t = parse_term(r"\x. cons 0 (cons x nil)")
-    got = apply(encode_term(t), 9)
+    got = apply(encode_term(t), 9, DEFAULT_FUEL)
     assert isinstance(got, Value)
     from jreal.coding import decode_seq
 
