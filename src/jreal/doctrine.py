@@ -16,10 +16,13 @@ row e (-1 where e is undefined somewhere on A), and ``pair_images[a][B]``,
 the defined pair codes ``pair(a, b)`` for b in B.  ``arrow(d, A, B)`` is the
 rows whose image of A is defined and inside B; ``wedge(d, A, B)`` is the OR
 of ``pair_images[a][B]`` over the members a of A.  Neither builds anything.
-The arrow row of A, ``arrow(d, A, B)`` for every B, sets row e's bit at every
-superset of its image of A.  Every law mask is one fold, ``_uniform``: it
-meets the targets of each source set first, so it makes one ``arrow`` call
-per distinct source, at most 2^N per law.
+The arrow row of A, ``arrow(d, A, B)`` for every B, is built by doubling over
+the carrier: a row defined on A lands in B unless its image of A meets the
+complement of B.  The wedge row of B, ``wedge(d, A, B)`` for every A, doubles
+the same way over the members a.  Every law mask is one fold, ``_uniform``,
+over the law's distinct (source, target) pairs, collected with ``zip`` and
+``map`` over whole rows: it meets the targets of each source set first, so
+it makes one ``arrow`` call per distinct source, at most 2^N per law.
 
 File format, read through ``text.Cursor`` ('#' lines are comments):
 ``file := 'doctrine' nat (('app' | 'pair') nat nat '=' nat)*``, as in
@@ -146,14 +149,20 @@ def arrow(d: Doctrine, A: int, B: int) -> int:
 
 
 def _arrow_row(d: Doctrine, A: int) -> list[int]:
-    """``arrow(d, A, B)`` for every B, by a superset walk from each image."""
-    full = d.full
-    out = [0] * (full + 1)
+    """``arrow(d, A, B)`` for every B, by doubling over the carrier: a row
+    defined on A lands in B unless its image of A meets the complement of B,
+    so each x outside B takes away the rows whose image holds x."""
+    defined = 0
+    hits = [0] * d.size  # hits[x]: the defined rows whose image of A holds x
     for e, image in enumerate(d.images):
-        B = img = image[A]
-        while 0 <= B <= full:  # an image of -1: e is undefined on A
-            out[B] |= 1 << e
-            B = (B + 1) | img
+        img = image[A]
+        if img >= 0:  # an image of -1: e is undefined on A
+            defined |= 1 << e
+            for x in bits(img):
+                hits[x] |= 1 << e
+    out = [defined]  # indexed by B's bits below x; the bits from x up are in B
+    for hit in hits:
+        out = [rows & ~hit for rows in out] + out
     return out
 
 
@@ -165,13 +174,23 @@ def wedge(d: Doctrine, A: int, B: int) -> int:
     return mask
 
 
+def _wedge_row(d: Doctrine, B: int) -> list[int]:
+    """``wedge(d, A, B)`` for every A, by doubling over the carrier: a set
+    holding a has the pairs of the set without a, and a's pairs into B."""
+    out = [0]  # over A's bits below a
+    for pim in d.pair_images:
+        pairs = pim[B]
+        out += [w | pairs for w in out] if pairs else out
+    return out
+
+
 # ---------------------------------------------------------------------------
 # witnesses and laws
 
 
 def preorder_witness(d: Doctrine, F: MonoOp, G: MonoOp) -> int | None:
     """An element sending every F-stage into the matching G-stage, if any."""
-    return _least(_uniform(d, ((F[A], G[A]) for A in range(1 << d.size))))
+    return _least(_uniform(d, zip(F, G)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,8 +214,10 @@ def _least(mask: int) -> int | None:
 
 
 def _uniform(d: Doctrine, pairs) -> int:
-    """The rows sending A into B for every (A, B) of ``pairs``: one ``arrow``
-    call per distinct A, and none after the mask runs empty."""
+    """The rows sending A into B for every (A, B) of ``pairs``: the targets
+    of each source are met first, so there is one ``arrow`` call per
+    distinct A, and none after the mask runs empty.  The folds over every
+    pair of sets hand in a set of distinct pairs built over whole rows."""
     need: dict[int, int] = {}
     for A, B in pairs:
         need[A] = need.get(A, B) & B
@@ -210,22 +231,23 @@ def _uniform(d: Doctrine, pairs) -> int:
 
 def _e2_mask(d: Doctrine, J: MonoOp) -> int:
     """The rows sending every set into its closure."""
-    return _uniform(d, ((A, J[A]) for A in range(1 << d.size)))
+    return _uniform(d, enumerate(J))
 
 
 def local_laws(d: Doctrine, J: MonoOp) -> LawReport:
     n = range(1 << d.size)
     rows = [_arrow_row(d, A) for A in n]  # rows[A][B] = arrow(d, A, B)
-    wedges = [[0] * len(n) for _ in n]  # wedges[B][A] = wedge(d, A, B)
-    for B, row in enumerate(wedges):
-        for A in n[1:]:
-            low = A & -A
-            row[A] = row[A ^ low] | d.pair_images[low.bit_length() - 1][B]
-    w1 = _least(_uniform(d, ((rows[A][B], rows[J[A]][J[B]])
-                             for A in n for B in n)))
-    w3 = _least(_uniform(d, ((J[J[A]], J[A]) for A in n)))
-    m4 = _uniform(d, ((wedges[J[B]][J[A]], J[wedges[B][A]])
-                      for A in n for B in n))
+    wedges = [_wedge_row(d, B) for B in n]  # wedges[B][A] = wedge(d, A, B)
+    # each law's distinct pairs, collected a whole row at a time
+    e1_pairs, e4_pairs = set(), set()
+    for A in n:  # (arrow(A, B), arrow(J A, J B)) for every B
+        e1_pairs.update(zip(rows[A], map(rows[J[A]].__getitem__, J)))
+    # (wedge(J A, J B), wedge(A, B)) for every A; J maps the distinct targets
+    for B in n:
+        e4_pairs.update(zip(map(wedges[J[B]].__getitem__, J), wedges[B]))
+    w1 = _least(_uniform(d, e1_pairs))
+    w3 = _least(_uniform(d, zip(map(J.__getitem__, J), J)))
+    m4 = _uniform(d, ((src, J[tgt]) for src, tgt in e4_pairs))
     derived, note = derive_e4(d, w1, w3, m4)
     return LawReport(w1, _least(_e2_mask(d, J)), w3, _least(m4), derived, note)
 

@@ -300,7 +300,8 @@ def transfer_check(model: Model, phi: Formula, asn: dict[str, QuasiPoly],
                    window: int) -> TransferReport:
     """Compare limit truth, truth at selector points, and truth at the
     embedded naturals.  Exact for quantifier-free input; quantified input
-    gets a sampled consistency report only."""
+    gets a sampled consistency report only.  The standard verdict at a
+    selector point depends only on the assignment's values there."""
     missing = free_vars(phi) - set(asn)
     if missing:
         raise InputError(f"unassigned free variables: {sorted(missing)}")
@@ -334,11 +335,21 @@ def _transfer_qf(model: Model, phi: Formula, asn, window: int) -> TransferReport
 
 def _at_selector(model: Model, holds, asn, window: int):
     """The window's first selector index, the selector, and the standard
-    verdict at each selector point of the window."""
+    verdict at each selector point of the window.  The verdict depends only
+    on the assignment's values there, so it is computed once for each
+    distinct tuple of values: once in all for a closed sentence or for
+    standard constants."""
     n0 = model.state.k
     psi = model.ensure(n0 + window).psi
-    return n0, psi, [holds({v: e.value(psi[n]) for v, e in asn.items()})
-                     for n in range(n0, n0 + window)]
+    names, elems = tuple(asn), tuple(asn.values())
+    verdict: dict[tuple[int, ...], bool] = {}
+    out = []
+    for n in range(n0, n0 + window):
+        values = tuple(e.value(psi[n]) for e in elems)
+        if values not in verdict:
+            verdict[values] = holds(dict(zip(names, values)))
+        out.append(verdict[values])
+    return n0, psi, out
 
 
 _QUANT_SAMPLE = 48

@@ -177,9 +177,35 @@ def encode_term(t: Term) -> int:
     # `codes` the codes of finished arguments in order.  An application
     # that tops a spine gets its code written when its frame closes, and
     # one that has a code is not walked again.
-    if type(t) is App and t.code is not None:
-        return t.code
-    codes: list[int] = []
+    if type(t) is App:
+        if t.code is not None:
+            return t.code
+        # a one-level spine, a primitive or numeral head over arguments
+        # whose codes are at hand, is coded without the walk; any other
+        # argument, a hole or a variable too, leaves it to the walk
+        codes: list[int] = []
+        head = t
+        while type(head) is App:
+            arg = head.arg
+            kind = type(arg)
+            if kind is Num:
+                codes.append(phi_join((), 10 + arg.value))
+            elif kind is Prim:
+                codes.append(_PRIM_CODES[arg.tag])
+            elif kind is App and arg.code is not None:
+                codes.append(arg.code)
+            else:
+                break
+            head = head.fn
+        else:
+            kind = type(head)
+            if kind is Prim or kind is Num:
+                codes.reverse()
+                code = phi_join(codes, _atom(head))
+                _set_code(t, code)
+                _remember(code, t)
+                return code
+    codes = []
     push = codes.append
     todo: list = [t]
     pop = todo.pop

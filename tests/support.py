@@ -377,3 +377,29 @@ def tagged_by_full_decode(v: int) -> tuple[int, int] | None:
     if len(parts) == 2 and parts[0] < 2:
         return parts
     return None
+
+
+# ---------------------------------------------------------------------------
+# the coder that ``terms.encode_term`` must match: the frame walk over every
+# spine, which reads no code an application keeps and writes none
+
+
+def encode_by_walk(t: Term) -> int:
+    codes: list[int] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:  # a spine's (atom, argument count) frame
+            atom, n = u
+            k = len(codes) - n
+            codes[k:] = [coding.phi_join(codes[k:], atom)]
+        elif type(u) is App:
+            head, args = spine(u)
+            todo.append((head.tag if type(head) is Prim else 10 + head.value,
+                         len(args)))
+            todo.extend(reversed(args))
+        elif type(u) is Prim:
+            codes.append(coding.phi_join((), u.tag))
+        else:
+            codes.append(coding.phi_join((), 10 + u.value))
+    return codes[0]

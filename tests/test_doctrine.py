@@ -162,6 +162,21 @@ def test_local_laws_on_shipped():
         assert report.e4_derivation_note == "derived and verified"
 
 
+# the doubled rows against arrow and wedge one set pair at a time; a
+# partial doctrine has rows undefined on some sets, which no arrow row may
+# let land
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 6), st.booleans())
+def test_doubled_rows_match_arrow_and_wedge(seed, size, partial):
+    rng = Random(seed)
+    d = partial_doctrine(rng, size) if partial else random_doctrine(rng, size)
+    sets = range(1 << size)
+    for A in sets:
+        assert doctrine._arrow_row(d, A) == [arrow(d, A, B) for B in sets]
+    for B in sets:
+        assert doctrine._wedge_row(d, B) == [wedge(d, A, B) for A in sets]
+
+
 # the arrow rows and the reduced fold against the arrow-by-arrow oracle in
 # tests/support.py, on doctrines with undefined cells and pairs off row 0,
 # for F, its least closed operator J and every candidate operator

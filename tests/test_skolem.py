@@ -274,9 +274,48 @@ TRANSFER = pathlib.Path(__file__).resolve().parent.parent / "corpus" / "transfer
 def _shipped_case(name: str):
     fields = dict(line.split(": ", 1)
                   for line in (TRANSFER / f"{name}.case").read_text().splitlines())
+    pieces = fields["args"].split("|") if "args" in fields else ()
     asn = {v.strip(): parse_elem(text) for v, text in
-           (piece.split("=", 1) for piece in fields["args"].split("|"))}
+           (piece.split("=", 1) for piece in pieces)}
     return parse_formula(fields["formula"]), asn
+
+
+def _window_calls(monkeypatch) -> list[dict]:
+    """The assignments at which the standard formula runs over the selector
+    window, recorded by wrapping the compiled formula."""
+    calls: list[dict] = []
+    real = skolem._at_selector
+
+    def counted(model, holds, asn, window):
+        def wrapped(env):
+            calls.append(dict(env))
+            return holds(env)
+        return real(model, wrapped, asn, window)
+    monkeypatch.setattr(skolem, "_at_selector", counted)
+    return calls
+
+
+# closed sentences and a standard constant take one value tuple at all 24
+# points; x = n takes 24
+@pytest.mark.parametrize("name, runs", [("quant_pair", 1), ("quant_succ", 1),
+                                        ("qf_const", 1), ("qf_square", 24)])
+def test_transfer_runs_the_formula_once_per_value_tuple(name, runs, monkeypatch):
+    phi, asn = _shipped_case(name)
+    calls = _window_calls(monkeypatch)
+    rep = transfer_check(Model(), phi, asn, 24)
+    assert rep.consistent
+    assert len(calls) == runs
+
+
+def test_transfer_reports_flips_of_a_sampled_verdict(monkeypatch):
+    # 5 < x < 20 holds at the selector values 6 .. 18, indices 5 .. 11 of a
+    # fresh model's window; y's value is the same at every point
+    calls = _window_calls(monkeypatch)
+    rep = transfer_check(Model(), parse_formula("exists z < 20 . y < x /\\ x < z"),
+                         {"x": ident(), "y": const(5)}, 24)
+    assert rep.mode == "sampled"
+    assert rep.disagreements == ("sampled verdict flips at selector indices [5, 12]",)
+    assert len(calls) == 24 and all(env["y"] == 5 for env in calls)
 
 
 def _flip_limit_order(monkeypatch):

@@ -1,15 +1,18 @@
 """Term syntax, Godel numbering, and the text reader/printer."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import support
 from jreal import prog, terms
 from jreal.terms import (
     App,
     CONS,
     FIX,
+    HOLE,
     IFZ,
     K,
     NIL,
@@ -214,6 +217,46 @@ def _subst_by_rebuild(t, env):
     if isinstance(t, Var):
         return env.get(t.name, t)
     return t
+
+
+def _one_level(rng, depth):
+    """A primitive or numeral head over numerals, primitives and spines,
+    some of them coded already and some not."""
+    head = rng.choice((Prim(rng.randrange(10)), Num(rng.randrange(40))))
+    args = []
+    for _ in range(rng.randrange(5)):
+        kind = rng.randrange(4 if depth else 2)
+        if kind == 0:
+            args.append(Num(rng.choice((0, 1, 9, 2**70))))
+        elif kind == 1:
+            args.append(Prim(rng.randrange(10)))
+        else:
+            arg = _one_level(rng, depth - 1)
+            if kind == 2:
+                encode_term(arg)
+            args.append(arg)
+    return ap(head, *args)
+
+
+# the spine coded without the walk against the walk kept in tests/support.py
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_one_level_spines_code_as_the_walk_does(seed):
+    rng = random.Random(seed)
+    t = _one_level(rng, 2)
+    code = encode_term(t)
+    assert code == support.encode_by_walk(t)
+    if isinstance(t, App):
+        assert t.code == code and decode_term_cached(code) is t
+    assert _same_tree(decode_term(code), t)
+
+
+@pytest.mark.parametrize("bad, error", [(Var("x"), NotClosed), (HOLE, TypeError)])
+def test_a_variable_or_hole_argument_still_raises(bad, error):
+    for t in (ap(K, Num(1), bad), ap(K, bad, Num(1)), ap(Num(3), Prim(0), bad)):
+        with pytest.raises(error):
+            encode_term(t)
+        assert t.code is None
 
 
 def test_open_terms_have_no_code():
