@@ -148,6 +148,8 @@ TRACK_THRESHOLD = 3
 # raw candidate codes; threshold 1 keeps each one short (3 costs extra machine
 # runs on the same candidates).
 SCAN_THRESHOLD = 1
+# search_cert, a search on its own, looks one threshold past tracking
+SEARCH_THRESHOLD = 4
 
 
 class CertSearch:
@@ -161,7 +163,7 @@ class CertSearch:
     shared cache, whose hit counts the benchmark pins.
     """
 
-    def __init__(self, policy: CheckPolicy, max_threshold: int = 4):
+    def __init__(self, policy: CheckPolicy, max_threshold: int):
         self.policy = policy
         self.max_threshold = max_threshold
         self._memo: dict[tuple[int, JSet, int], Cert | None] = {}
@@ -233,7 +235,7 @@ class CertSearch:
 
 
 def search_cert(x: int, target: JSet, policy: CheckPolicy) -> Cert | None:
-    return CertSearch(policy).search(x, target)
+    return CertSearch(policy, SEARCH_THRESHOLD).search(x, target)
 
 
 def lifted_constant(x: int, cert: Cert, threshold: int, policy: CheckPolicy) -> tuple[int, Cert]:

@@ -452,12 +452,13 @@ def _cmd_skolem_extend(args, policy: CheckPolicy) -> Report:
     steps = _nat("--steps", args.steps)
     if steps < 1:
         raise InputError("--steps must be at least 1")
-    states = [skolem.initial_chain()]
+    # each state holds its whole selector prefix, so only two are kept
+    final = skolem.initial_chain()
+    nested = True
     for _ in range(steps):
-        states.append(skolem.extend_chain(states[-1]))
-    final = states[-1]
+        prev, final = final, skolem.extend_chain(final)
+        nested = nested and final.live.subset_of(prev.live)
     mono = all(a < b for a, b in zip(final.psi, final.psi[1:]))
-    nested = all(b.live.subset_of(a.live) for a, b in zip(states, states[1:]))
     live = final.live
     cases = (
         (case_pass if mono else case_fail)(

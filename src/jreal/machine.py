@@ -52,28 +52,28 @@ the same steps and build the same value, up to the numeral, on every
 input (parametricity: Wadler, "Theorems for free!", FPCA 1989).  So a run
 of a coded term on n that the table cannot answer runs on ``HOLE``, an
 opaque value of room 1, in place of n, its marker at the bottom of the
-stack; an unquote never puts out a hole.  The hole is read where a
-numeral is: by ``_as_nat`` (the coercions of ifz, succ, pred, cons, len
-and proj) on the hole or on a spine that holds it, by the hole firing as
-a function, by a jetted ``fix F x`` whose x, or pending y, is the hole,
-and by an unquote on the hole that the table answers on n but not on the
-hole.  At the first read, n goes in place of the hole in the current
-term, the firing function and the whole stack, marker keys included, and
-that firing is done again on n at the same step count, so no contraction
-runs twice.  A run that never read the hole is recorded as the template
-``(c, HOLE) -> (steps, value)``, and so is an unquote on the hole inside
-it.  The next unquote or apply of c on n, at any fuel, looks up (c, n)
-and then (c, HOLE).  An entry's steps are charged, and if they do not fit
-the fuel the run ends at ``steps == fuel``; a value is taken, a
-template's with n in the hole; a bound that fits lets the sub-run run.
-So charged steps are exact, and executed contractions can be fewer.  A
-jetted ``fix F x`` drops the markers above its pending second argument,
-so its jet fires and those sub-runs go unrecorded.  ``SUBRUN_HITS``
-counts the runs and unquotes the table answered with a value.  The table
-holds 16,384 entries.  On the search benchmark (seed 0, two runs each on
-two cores), 8,192 entries left the CPU per query where 4,096 had it,
-about 23 ms, and 16,384 brought it to 19-20 ms; 65,536 took peak RSS from
-45.6 MB to 59 MB, 13 MB more.
+stack.  One rule reads the hole: every firing that needs a numeral's value
+reads it, and no other does.  Those are ``_as_nat`` (the coercions of ifz,
+succ, pred, cons, len and proj) on the hole or on a spine that holds it,
+the hole firing as a function, and an unquote applied to it.  A jet takes
+no hole for a numeral: a hole as x, or as y, is one more value that is
+not a numeral, and the program reads it itself.  At the read, n goes in
+place of the hole in the current term, the firing function and the whole
+stack, marker keys included, and that firing is done again on n at the
+same step count, so no contraction runs twice.  A run that never read the
+hole is recorded as the template ``(c, HOLE) -> (steps, value)``, the one
+kind of entry keyed by the hole.  The next unquote or apply of c on n, at
+any fuel, looks up (c, n) and then (c, HOLE).  An entry's steps are
+charged, and if they do not fit the fuel the run ends at ``steps ==
+fuel``; a value is taken, a template's with n in the hole; a bound that
+fits lets the sub-run run.  So charged steps are exact, and executed
+contractions can be fewer.  A jetted ``fix F x`` drops the markers above
+its pending second argument, so its jet fires and those sub-runs go
+unrecorded.  ``SUBRUN_HITS`` counts the runs and unquotes the table
+answered with a value.  The table holds 16,384 entries.  On the search
+benchmark (seed 0, two runs each on two cores), 8,192 entries left the CPU
+per query where 4,096 had it, about 23 ms, and 16,384 brought it to 19-20
+ms; 65,536 took peak RSS from 45.6 MB to 59 MB, 13 MB more.
 
 Cycles: a run is deterministic, so once it comes back to a configuration
 it has been in, it repeats forever.  Past ``_CYCLE_AFTER`` steps, every
@@ -103,8 +103,8 @@ from .prog import ADD, MONUS
 from .terms import (
     FIX,
     HOLE,
+    PRIM_CODES,
     App,
-    Hole,
     Num,
     Prim,
     Term,
@@ -139,13 +139,18 @@ class _Read(Exception):
 
 
 def _as_nat(t: Term) -> int:
-    """The number a value denotes: numerals directly, spines via their code.
-    The hole, or a spine that holds it, raises _Read."""
-    if isinstance(t, Num):
+    """The number a value denotes: numerals directly, primitives and spines
+    via their code.  The hole, or a spine that holds it, raises _Read."""
+    kind = type(t)
+    if kind is Num:
         return t.value
+    if kind is Prim:
+        return PRIM_CODES[t.tag]
+    if t is HOLE:
+        raise _Read
     try:
         return encode_term(t)
-    except TypeError:  # encode_term's answer to an atom it does not know
+    except TypeError:  # encode_term's answer to the hole inside a spine
         raise _Read from None
 
 
@@ -226,8 +231,9 @@ for _jet in (_MONUS, _ADD):
 # calls answered by each jet, over the life of the process
 JET_HITS = {_MONUS.name: 0, _ADD.name: 0}
 
-# (c, n) -> (steps, value) of the run of decode(c) on numeral n, or on
-# the hole for n = HOLE; (steps, None) where it needs at least that many
+# (c, n) -> (steps, value) of the run of decode(c) on numeral n, or the
+# template of its run on the hole for n = HOLE; (steps, None) where it
+# needs at least that many
 _SUBRUNS_MAX = 16384
 _subruns: OrderedDict[tuple, tuple[int, Term | None]] = OrderedDict()
 # runs and unquotes answered from _subruns, over the life of the process
@@ -239,14 +245,14 @@ _CYCLE_AFTER = 32
 CYCLES = 0
 
 
-def _known(c: int, x: Num | Hole, room: int) -> tuple[int, Term | None] | None:
-    """The table's answer to the sub-run of c on x, a numeral or the hole,
-    with room steps of fuel left: (steps, value), where steps past room end
-    the run and any others come with the value; or None when it must run."""
+def _known(c: int, x: Num, room: int) -> tuple[int, Term | None] | None:
+    """The table's answer to the sub-run of c on the numeral x, with room
+    steps of fuel left: (steps, value), where steps past room end the run
+    and any others come with the value; or None when it must run."""
     known = _subruns.get((c, x.value))
     if known is not None and (known[1] is not None or known[0] > room):
         return known
-    if x is not HOLE and (known := _subruns.get((c, HOLE))) is not None:
+    if (known := _subruns.get((c, HOLE))) is not None:
         if known[1] is not None:
             return known[0], _fill(known[1], x, {})
         if known[0] > room:
@@ -291,11 +297,10 @@ class Machine:
         # the value of a jetted call's second argument; a _DONE entry over
         # ((c, n), steps) records the value of a sub-run.  hole is the
         # numeral that the hole under the bottom marker stands for, until
-        # its first read.  A firing that reads the hole raises _Read before
-        # it changes anything but the markers a jet drops, which the firing
-        # done again drops as well.  snap holds the configuration a fix
-        # firing is compared with, snap_len its stack's length, and due the
-        # step count of the next snapshot.  Steps are counted in a local and
+        # it is read.  A firing that reads the hole raises _Read before it
+        # changes anything.  snap holds the configuration a fix firing is
+        # compared with, snap_len its stack's length, and due the step
+        # count of the next snapshot.  Steps are counted in a local and
         # written back, no further than the fuel, on every exit, returns and
         # raises alike, so an overdrawn charge just returns; a run that runs
         # out bounds the sub-runs pending.
@@ -361,7 +366,7 @@ class Machine:
                     elif top is _DONE:
                         key, s0 = pop()
                         _remember(key, (steps - s0, t))
-                        if not stack and key[1] is HOLE:  # the run's own
+                        if key[1] is HOLE:  # the run's own, at the bottom
                             t = _fill(t, hole, {})
                         continue
                     else:  # a jet, over its first argument
@@ -372,12 +377,6 @@ class Machine:
                                 return None
                             JET_HITS[top.name] += 1
                             t = Num(top.op(x.value, t.value))
-                            continue
-                        if t is HOLE:  # read: the entry takes n instead
-                            push(x)
-                            push(top)
-                            _fill_from(stack, hole)
-                            t, hole = hole, None
                             continue
                         # not a numeral: give the pre steps back and unfold
                         # fix fn x after all, then apply it to this value
@@ -398,12 +397,11 @@ class Machine:
                     steps += 1
                     try:
                         if type(f) is Num:
-                            if type(t) is Num or t is HOLE:
+                            if t is HOLE:  # an unquote on the hole
+                                raise _Read
+                            if type(t) is Num:
                                 c = f.value
                                 known = _known(c, t, fuel - steps)
-                                if known is None and t is HOLE and _known(
-                                        c, hole, fuel - steps) is not None:
-                                    raise _Read  # the table knows c on n
                                 if known is not None:
                                     steps += known[0]
                                     if steps > fuel:
@@ -440,29 +438,22 @@ class Machine:
                         elif tag == 5:  # fix a t -> a (fix a) t
                             # a jet over x takes the place of the pending y,
                             # which is handed to it at once or evaluated first;
-                            # the sub-runs this call ends are not remembered,
-                            # and a jet reads the hole as x or as y
-                            if a is monus_fn or a is add_fn:
-                                if t is HOLE:
-                                    raise _Read
-                                if type(t) is Num:
-                                    while stack and stack[-1] is _DONE:
-                                        del stack[-2:]
-                                    if stack and stack[-1] is _ARG:
-                                        if (y := stack[-2]) is HOLE:
-                                            raise _Read
-                                        if type(y) is Num or not y.room:
-                                            jet = (_MONUS if a is monus_fn
-                                                   else _ADD)
-                                            steps += jet.pre - 1
-                                            if steps > fuel:
-                                                return None
-                                            stack[-2] = t
-                                            stack[-1] = jet
-                                            t = y
-                                            if y.room:
-                                                continue
-                                            break
+                            # the sub-runs this call ends are not remembered
+                            if (a is monus_fn or a is add_fn) and type(t) is Num:
+                                while stack and stack[-1] is _DONE:
+                                    del stack[-2:]
+                                if stack and stack[-1] is _ARG and (
+                                        type(y := stack[-2]) is Num or not y.room):
+                                    jet = _MONUS if a is monus_fn else _ADD
+                                    steps += jet.pre - 1
+                                    if steps > fuel:
+                                        return None
+                                    stack[-2] = t
+                                    stack[-1] = jet
+                                    t = y
+                                    if y.room:
+                                        continue
+                                    break
                             # a configuration met before repeats forever
                             if steps > _CYCLE_AFTER:
                                 if len(stack) == snap_len:

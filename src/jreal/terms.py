@@ -84,8 +84,6 @@ class Hole:
 
 
 HOLE = Hole()
-# the machine keys its table by a code and a numeral's value, or the hole
-Hole.value = HOLE
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +189,7 @@ def encode_term(t: Term) -> int:
             if kind is Num:
                 codes.append(phi_join((), 10 + arg.value))
             elif kind is Prim:
-                codes.append(_PRIM_CODES[arg.tag])
+                codes.append(PRIM_CODES[arg.tag])
             elif kind is App and arg.code is not None:
                 codes.append(arg.code)
             else:
@@ -222,7 +220,7 @@ def encode_term(t: Term) -> int:
         elif kind is Num:
             push(phi_join((), 10 + u.value))
         elif kind is Prim:
-            push(_PRIM_CODES[u.tag])
+            push(PRIM_CODES[u.tag])
         elif kind is App:
             code = u.code
             if code is not None:
@@ -245,7 +243,7 @@ def encode_term(t: Term) -> int:
     return code
 
 
-_PRIM_CODES = tuple(phi_join((), tag) for tag in range(len(PRIM_NAMES)))
+PRIM_CODES = tuple(phi_join((), tag) for tag in range(len(PRIM_NAMES)))
 
 
 def _atom(head: Term) -> int:

@@ -16,6 +16,7 @@ from jreal.certs import (
     LIFT_CAVEAT,
     Lift,
     Rejected,
+    SEARCH_THRESHOLD,
     check_cert,
     lifted_constant,
     parse_cert,
@@ -221,7 +222,7 @@ def test_policy_bounds_validated():
 
 
 def test_search_finds_base_and_lift_chains():
-    searcher = CertSearch(P)
+    searcher = CertSearch(P, SEARCH_THRESHOLD)
     x, cert = pair(0, 2), Base(2)
     for depth in range(3):
         found = searcher.search(x, finite(0, 2))
@@ -231,7 +232,8 @@ def test_search_finds_base_and_lift_chains():
 
 
 def test_search_empty_target_finds_nothing():
-    searcher = CertSearch(CheckPolicy(depth=3, window=2, fuel=400))
+    searcher = CertSearch(CheckPolicy(depth=3, window=2, fuel=400),
+                          SEARCH_THRESHOLD)
     for x in range(100):
         assert searcher.search(x, finite()) is None
 
@@ -304,7 +306,7 @@ def _mutants(x, target, cert, policy, a):
 @given(full_depth_chains())
 def test_every_single_mutation_is_rejected(chain):
     x, target, built, policy, a = chain
-    found = CertSearch(policy).search(x, target)
+    found = CertSearch(policy, SEARCH_THRESHOLD).search(x, target)
     assert found is not None
     for cert in (built, found):
         assert check_cert(x, target, cert, policy) == Accepted((LIFT_CAVEAT,))

@@ -417,6 +417,23 @@ def test_huge_set_member_allocates_nothing(capsysbinary):
     assert peak < 1 << 20
 
 
+def test_skolem_extend_keeps_two_chain_states(capsysbinary):
+    # state k holds a selector prefix of k + 1 entries, so keeping all N
+    # states holds N (N + 1) / 2 tuple slots, 4 MB of pointers at N = 1,000
+    # (10.6 MB peak measured); two states and the final prefix take about
+    # a quarter of that
+    steps = 1_000
+    tracemalloc.start()
+    try:
+        code, out, _ = run(["skolem", "extend", "--steps", str(steps)],
+                           capsysbinary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "Nested" in out and "Increasing" in out
+    assert peak < steps * (steps + 1) // 2 * 8
+
+
 def test_oversize_element_error_is_short(capsysbinary):
     err = _usage_error(BAD_INPUTS["skolem-modulus-above-rows"][0], capsysbinary)
     assert "999999 of 1000000 residues, the first 1" in err

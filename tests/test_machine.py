@@ -523,9 +523,11 @@ def test_templates_and_bounds_match_the_reference(e, ns):
             assert got == want, (e, n, fuel)
 
 
-def test_a_jet_reads_the_hole_and_still_fires():
-    # MONUS 9 x is a jetted call whose pending y is the hole: it is read,
-    # n goes in, and the jet fires on it, cold and with the table warm
+def test_a_jet_leaves_the_hole_to_its_program():
+    # MONUS 9 x: the outer call's pending y is the hole, which the jet does
+    # not take for a numeral; the call unfolds, its ifz reads the hole, n
+    # goes in, and the jet fires on the recursive call, cold and with the
+    # table warm
     e = encode_term(ap(prog.MONUS, Num(9)))
     machine._subruns.clear()
     for n, want in ((4, 5), (6, 3)):
@@ -537,6 +539,48 @@ def test_a_jet_reads_the_hole_and_still_fires():
     before, hits = _hits(), machine.SUBRUN_HITS
     assert apply(e, 4, UNBOUNDED) == Value(5)
     assert _hits() == before and machine.SUBRUN_HITS == hits + 1
+
+
+# the one rule: every firing that needs the hole's numeral reads it.  Each
+# case runs a code on several numerals at every fuel, against the
+# reference, so an answer that leaves the hole unread where the numeral
+# decides the value is kept as a template and then given for the wrong n
+
+# codes unquoted on the hole: succ reads its argument, K 7 and K do not
+UNQUOTED = {"succ": SUCC, "K 7": ap(K, Num(7)), "K": K}
+
+
+@pytest.mark.parametrize("name", UNQUOTED)
+def test_an_unquote_on_the_hole_reads_it(name):
+    # \x. c x: the unquote of c on the hole reads it, whether or not the
+    # table knows c on n (an unquote inside a run warms it on 3 first),
+    # and leaves no entry keyed by the hole for c
+    c = encode_term(UNQUOTED[name])
+    e = encode_term(lam("x", ap(Num(c), Var("x"))))
+    machine._subruns.clear()
+    _run(Machine, ap(K, ap(Num(c), Num(3)), Num(0)), UNBOUNDED)
+    assert (c, 3) in machine._subruns
+    for n in (3, 5, 3):
+        _agrees_at_every_fuel(App(terms.decode_term_cached(e), Num(n)))
+    assert (c, machine.HOLE) not in machine._subruns
+
+
+# MONUS with the hole as its second argument, y, or as its first, x
+HOLE_IN_MONUS = {
+    "y": ap(prog.MONUS, Num(9)),
+    "x": lam("x", ap(prog.MONUS, Var("x"), Num(2))),
+}
+
+
+@pytest.mark.parametrize("where", HOLE_IN_MONUS)
+def test_a_jet_takes_the_hole_for_no_numeral(where):
+    e = encode_term(HOLE_IN_MONUS[where])
+    machine._subruns.clear()
+    for n in (4, 6, 4):
+        _agrees_at_every_fuel(App(terms.decode_term_cached(e), Num(n)))
+    # a run that ran out before the read may bound the hole; none of them
+    # finished without reading it
+    assert machine._subruns.get((e, machine.HOLE), (0, None))[1] is None
 
 
 def test_a_template_may_nest_the_hole_past_the_recursion_limit():

@@ -55,7 +55,7 @@ def test_module_imports_no_private_name(path):
 
 # defaults and keyword defaults over every def in src/jreal; a default is an
 # option each caller may set, so a change that adds one says so here
-DEFAULTED_PARAMS = 9
+DEFAULTED_PARAMS = 8
 
 
 def defaulted_params(text: str) -> int:
@@ -81,7 +81,7 @@ def test_defaulted_parameters_are_pinned():
 
 # newline characters over every module in src/jreal, as ``cat *.py | wc -l``
 # counts them; a change that grows or shrinks the package re-pins this
-SOURCE_LINES = 6502
+SOURCE_LINES = 6494
 
 
 def source_lines(texts: list[str]) -> int:
