@@ -368,11 +368,13 @@ def exponent_finite(A: FiniteAssembly, B: FiniteAssembly, search_bound: int,
     src_elems = {x: elems for x, (elems, _) in listed.items()}
     all_rs = sorted({r for es in src_elems.values() for r in es})
     outputs: dict[int, dict[int, int]] = {}
+    # codes share few output values, so each value's tag is read once
+    tag_of = cache(tagged)
     for e in range(search_bound):
         row: dict[int, int] = {}
         for r in all_rs:
             res = apply_cached(e, r, policy.fuel)
-            if not isinstance(res, Value) or tagged(res.value) is None:
+            if not isinstance(res, Value) or tag_of(res.value) is None:
                 break
             row[r] = res.value
         else:

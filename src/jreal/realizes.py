@@ -37,6 +37,10 @@ clause's note, and every caveat the verdict rests on.  ``Checker.memo``
 stays for nested implications: each level tries every antecedent candidate
 against the level below, so without it the checks multiply with the depth.
 Checks recurse on strict subformulas only, so it holds no provisional entry.
+An atom's truth does not depend on its realizer, so it is interpreted once
+per (atom, scope) in a session, and a false atom's ``Refuted`` verdict is
+formatted once.  Both tables key a formula by its identity, not its whole
+tree, and each entry holds its formula, so no other takes that identity.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class Checker:
         self.relations = dict(env.relations)
         self.memo: dict = {}
         self.searcher = CertSearch(self.policy, TRACK_THRESHOLD)
-        self._atoms: dict = {}  # an atom's two terms, compiled
+        self._atoms: dict = {}  # (id, scope) -> (atom, _interpret's answer)
 
     # -- membership -------------------------------------------------------
 
@@ -156,28 +160,34 @@ class Checker:
     def check(self, e: int, phi: Formula, scope: tuple = ()) -> Verdict3:
         # without the memo, nested implications re-check every level below
         # for each antecedent candidate (see the module docstring)
-        key = (e, phi, scope)
+        key = (e, id(phi), scope)
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = self._check(e, phi, scope)
-        return out
+            out = self.memo[key] = (phi, self._check(e, phi, scope))
+        return out[1]
+
+    def _interpret(self, phi: Eq | Less, scope: tuple) -> Refuted | None:
+        """The verdict of every realizer of a false atom; None if it holds."""
+        asn = dict(scope)
+        lv = compile_term(phi.left, NATURALS)(asn)
+        rv = compile_term(phi.right, NATURALS)(asn)
+        holds = lv == rv if isinstance(phi, Eq) else lv < rv
+        if holds:
+            return None
+        op = "=" if isinstance(phi, Eq) else "<"
+        return Refuted(f"interpretation fails: {show_nat(lv)} {op} {show_nat(rv)}")
 
     def _check(self, e: int, phi: Formula, scope: tuple) -> Verdict3:
-        asn = {name: pt for name, pt in scope}
         match phi:
-            case Eq(l, r) | Less(l, r):
+            case Eq() | Less():
                 # the interpretation decides refutation outright; only an
                 # accepted atom needs its prefix certified
-                terms = self._atoms.get(phi)
-                if terms is None:
-                    terms = self._atoms[phi] = (compile_term(l, NATURALS),
-                                                compile_term(r, NATURALS))
-                lv, rv = terms[0](asn), terms[1](asn)
-                holds = lv == rv if isinstance(phi, Eq) else lv < rv
-                if not holds:
-                    op = "=" if isinstance(phi, Eq) else "<"
-                    return Refuted(f"interpretation fails: "
-                                   f"{show_nat(lv)} {op} {show_nat(rv)}")
+                key = (id(phi), scope)
+                got = self._atoms.get(key)
+                if got is None:
+                    got = self._atoms[key] = (phi, self._interpret(phi, scope))
+                if got[1] is not None:
+                    return got[1]
                 ok, note, cavs = self.prefix_ok(e, scope)
                 if ok is False:
                     return Refuted(note)
@@ -187,6 +197,7 @@ class Checker:
             case Rel(name, args):
                 if name not in self.relations:
                     return Unknown(f"relation {name} not interpreted")
+                asn = dict(scope)
                 pts = tuple(compile_term(a, NATURALS)(asn) for a in args)
                 S = self.relations[name](pts)
                 got = member(S, e)

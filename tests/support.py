@@ -2,7 +2,7 @@
 across test modules, the quasi-polynomial evaluators, the reference machine
 loop, the reference formula interpreters, the reference doctrine law
 checker, the reference per-map pass of finite exponents, and the reference
-unpairing and closure-tag reader.
+pairing, unpairing and closure-tag reader.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -352,18 +352,33 @@ def per_map_listing(codes, rows, elems, lands):
 
 
 # ---------------------------------------------------------------------------
-# the unpairing that ``coding._unpair`` must match, scanning down from
-# n's bit length, and the tag reader that ``certs.tagged`` must match,
-# decoding the whole sequence
+# the pairing and unpairing that ``coding._pair`` and ``coding._unpair`` must
+# match, written with the offset off(L) of the first code whose payloads
+# total L bits and full-width sums, the unpairing scanning down from n's bit
+# length; and the tag reader that ``certs.tagged`` must match, decoding the
+# whole sequence
+
+
+def off(L: int) -> int:
+    return 1 + ((L - 1) << L) if L else 0
+
+
+def pair_by_offset(a: int, b: int) -> int:
+    la = (a + 1).bit_length() - 1
+    lb = (b + 1).bit_length() - 1
+    L = la + lb
+    pa = a + 1 - (1 << la)
+    pb = b + 1 - (1 << lb)
+    return off(L) + (la << L) + (pa << lb) + pb
 
 
 def unpair_by_scan(n: int) -> tuple[int, int]:
     if n == 0:
         return 0, 0
     L = n.bit_length()  # off(bitlen(n)) > n, so scan downward
-    while coding._off(L) > n:
+    while off(L) > n:
         L -= 1
-    r = n - coding._off(L)
+    r = n - off(L)
     la = r >> L
     rest = r - (la << L)
     lb = L - la

@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from jreal.coding import (
-    _off,
+    _pair,
     _unpair,
     decode_seq,
     encode_seq,
@@ -18,7 +18,7 @@ from jreal.coding import (
     seq_proj,
     unpair,
 )
-from support import unpair_by_scan
+from support import off, pair_by_offset, unpair_by_scan
 
 
 def test_empty_sequence_is_zero():
@@ -108,13 +108,43 @@ def test_unpair_matches_the_scan_at_every_length_boundary():
     # the length scan starts near the answer; where off(L) is crossed it
     # must still land on the largest L with off(L) <= n
     for L in range(4097):
-        for n in (_off(L) - 1, _off(L), _off(L) + 1):
+        for n in (off(L) - 1, off(L), off(L) + 1):
             if n >= 0:
                 assert _unpair(n) == unpair_by_scan(n), n
 
 
 @given(st.integers(min_value=0, max_value=2**300))
 def test_unpair_matches_the_scan(n):
+    assert _unpair(n) == unpair_by_scan(n)
+
+
+def test_pair_matches_the_offset_form_on_small_pairs():
+    for a in range(64):
+        for b in range(64):
+            assert _pair(a, b) == pair_by_offset(a, b), (a, b)
+
+
+# codes as long as the ones certificates and kit mirrors carry; a drawn
+# integer stays short, so the bits come from a seeded random, and half the
+# lengths are long
+def _bits(top: int):
+    lengths = st.integers(min_value=0, max_value=64) | st.integers(
+        min_value=top // 5, max_value=top)
+    return st.builds(lambda k, rnd: rnd.getrandbits(k), lengths,
+                     st.randoms(use_true_random=False))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bits(50_000), _bits(50_000))
+def test_long_pairs_match_the_offset_form(a, b):
+    p = _pair(a, b)
+    assert p == pair_by_offset(a, b)
+    assert _unpair(p) == (a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bits(100_000))
+def test_long_codes_unpair_as_the_scan_does(n):
     assert _unpair(n) == unpair_by_scan(n)
 
 

@@ -1,5 +1,6 @@
 """Clause checker and realizer builders, including the brute-force cross-check."""
 
+import collections
 import itertools
 
 import pytest
@@ -10,7 +11,7 @@ from jreal.bracket import lam
 from jreal.certs import CheckPolicy
 from jreal.formulas import (
     NATURALS, All, And, Eq, Ex, Imp, Less, Lit, NVar, Or,
-    compile_formula, parse_formula,
+    compile_formula, parse_formula, show_formula,
 )
 from jreal.jsets import Cofinite, Finite, UpFrom
 from jreal.kit import A_CODE
@@ -437,3 +438,52 @@ def test_verdict_memo_keeps_nested_implications_polynomial(monkeypatch):
     assert isinstance(jrealizes(build_delta0(phi), phi, nat_env(), POL),
                       Realized)
     assert calls <= 1_000
+
+
+def test_each_atom_is_interpreted_once_per_scope(monkeypatch):
+    # every antecedent candidate and every map output meets the two atoms;
+    # each (atom, scope) is interpreted once, and where x < 2 fails, at
+    # x = 2, its one verdict refutes them all and ends the check
+    seen = collections.Counter()
+    interpret = Checker._interpret
+
+    def counted(self, phi, scope):
+        seen[show_formula(phi), scope] += 1
+        return interpret(self, phi, scope)
+
+    monkeypatch.setattr(Checker, "_interpret", counted)
+    e = build_delta0(parse_formula("forall x < 3. x < 3"))
+    got = jrealizes(e, parse_formula("forall x < 3. x < 2"), nat_env(), POL)
+    assert got == Refuted("universal map leaves the closure at 2")
+    assert set(seen.values()) == {1}
+    points = collections.defaultdict(set)
+    for atom, ((_, x),) in seen:
+        points[atom].add(x)
+    assert points == {"x < 3": {0, 1, 2}, "x < 2": {0, 1, 2}}
+
+
+REALIZED_ON_WINDOW = Realized("universal map lands for 50 realizers",
+                              ("carrier sampled on a 50-point window",))
+
+
+@pytest.mark.parametrize("built, want", [
+    ("(x < 2 -> x < 2) /\\ (x < 2 -> x < 2)", REALIZED_ON_WINDOW),
+    ("(x < 2 -> 0 = 0) /\\ (x < 2 -> x < 2)", REALIZED_ON_WINDOW),
+    ("(x < 2 -> x < 2) /\\ 0 = 0",
+     Refuted("universal map leaves the closure at 0")),
+    ("0 = 0 /\\ (x < 2 -> x < 2)",
+     Refuted("universal map leaves the closure at 0")),
+    ("(x < 2 -> x < 2) /\\ (x < 1 -> x < 1)",
+     Refuted("universal map leaves the closure at 1")),
+])
+def test_equal_subformulas_at_two_positions_keep_their_verdicts(built, want):
+    # the memo keys subformulas by identity: two equal conjuncts parsed apart
+    # are checked apart, and one object in both positions is checked once;
+    # either way each realizer gets the one verdict pinned here
+    phi = parse_formula("forall x < 3. (x < 2 -> x < 2) /\\ (x < 2 -> x < 2)")
+    guard, conj = phi.body.left, phi.body.right
+    assert conj.left == conj.right and conj.left is not conj.right
+    shared = All("x", Imp(guard, And(conj.left, conj.left)))
+    e = build_delta0(parse_formula(f"forall x < 3. {built}"))
+    assert jrealizes(e, phi, nat_env(), POL) == want
+    assert jrealizes(e, shared, nat_env(), POL) == want
