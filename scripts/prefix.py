@@ -20,8 +20,9 @@ It prints:
   - the sha256 over every query's exit code and report, with the input
     directory written as ``<work>``, as ``tests/test_report_digest.py``
     hashes them;
-  - ``Machine.eval`` runs and the steps they charged, and ``apply_cached``
-    hits and misses.
+  - ``Machine.eval`` runs and the steps they charged, ``apply_cached``
+    hits and misses, ``certs.tagged`` hits, misses and distinct values
+    held, and the entries in the machine's sub-run table at the end.
 The counts come from one more run that wraps ``Machine.eval``, so the
 wrapper costs no timed run anything.  Every run must give the same digest.
 """
@@ -65,7 +66,7 @@ def one_run(workload: str, seed: int, count: bool) -> dict:
     set, the machine's counts."""
     os.chdir(ROOT)  # the queries name their inputs relative to the checkout
     sys.path.insert(0, str(ROOT / "src"))
-    from jreal import cli, machine
+    from jreal import certs, cli, machine
 
     workloads = _load("workloads")
     run = _load("run")
@@ -90,6 +91,7 @@ def one_run(workload: str, seed: int, count: bool) -> dict:
 
             machine.Machine.eval = counted
         info0 = machine.apply_cached.cache_info()
+        tags0 = certs.tagged.cache_info()
         cpu: dict[str, float] = collections.defaultdict(float)
         kinds: collections.Counter = collections.Counter()
         h = hashlib.sha256()
@@ -110,12 +112,16 @@ def one_run(workload: str, seed: int, count: bool) -> dict:
             text = text.replace(str(work), "<work>").replace(rel, "<work>")
             h.update(f"exit {rc}\n{text}".encode())
         info1 = machine.apply_cached.cache_info()
+        tags1 = certs.tagged.cache_info()
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return {"queries": len(queries), "kinds": dict(kinds), "cpu": dict(cpu),
             "sha256": h.hexdigest(), "runs": runs, "steps": steps,
             "hits": info1.hits - info0.hits,
-            "misses": info1.misses - info0.misses}
+            "misses": info1.misses - info0.misses,
+            "tag_hits": tags1.hits - tags0.hits,
+            "tag_misses": tags1.misses - tags0.misses,
+            "tag_held": tags1.currsize, "subruns": len(machine._subruns)}
 
 
 def spawn(workload: str, seed: int, mode: str) -> dict:
@@ -160,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"sha256 {counted['sha256']}")
     print(f"Machine.eval runs {counted['runs']}, charged steps {counted['steps']}")
     print(f"apply_cached hits {counted['hits']}, misses {counted['misses']}")
+    print(f"certs.tagged hits {counted['tag_hits']}, misses "
+          f"{counted['tag_misses']}, held {counted['tag_held']}")
+    print(f"machine sub-run table entries {counted['subruns']}")
     return 0
 
 

@@ -69,26 +69,12 @@ def encode_seq(xs: list[int] | tuple[int, ...]) -> int:
     return s
 
 
-def _decode_seq(s: int) -> tuple[int, ...]:
+def decode_seq(s: int) -> tuple[int, ...]:
     out: list[int] = []
     while s:
         h, s = _unpair(s - 1)
         out.append(h)
     return tuple(out)
-
-
-_decode_cache: dict[int, tuple[int, ...]] = {}
-DECODE_CACHE_MAX = 4096
-
-
-def decode_seq(s: int) -> tuple[int, ...]:
-    if s < DECODE_CACHE_MAX:
-        hit = _decode_cache.get(s)
-        if hit is None:
-            hit = _decode_seq(s)
-            _decode_cache[s] = hit
-        return hit
-    return _decode_seq(s)
 
 
 def seq_prefix(s: int, k: int) -> tuple[int, ...]:

@@ -5,6 +5,9 @@ Clause conventions pinned here:
   - The scope is the ambient variable tuple, newest binding first; the
     membership prefix for atoms, implications, and universals covers the
     whole tuple, not just the variables the subformula mentions.
+  - A variable bound twice reads its newest binding, as in
+    ``compile_formula``; ``_assignment`` is the one place a scope becomes
+    the values its terms read.
   - An empty scope makes the prefix vacuous; builders then put a dummy 0
     in the prefix slot.
   - A one-variable prefix is the bare component; longer prefixes are flat
@@ -98,6 +101,11 @@ def nat_env() -> Env:
     return Env(NatAssembly())
 
 
+def _assignment(scope: tuple) -> dict:
+    """Each scope variable's value; the newest binding, listed first, wins."""
+    return dict(reversed(scope))
+
+
 class Checker:
     """One checking session; memoizes subformula verdicts across the run."""
 
@@ -168,7 +176,7 @@ class Checker:
 
     def _interpret(self, phi: Eq | Less, scope: tuple) -> Refuted | None:
         """The verdict of every realizer of a false atom; None if it holds."""
-        asn = dict(scope)
+        asn = _assignment(scope)
         lv = compile_term(phi.left, NATURALS)(asn)
         rv = compile_term(phi.right, NATURALS)(asn)
         holds = lv == rv if isinstance(phi, Eq) else lv < rv
@@ -197,7 +205,7 @@ class Checker:
             case Rel(name, args):
                 if name not in self.relations:
                     return Unknown(f"relation {name} not interpreted")
-                asn = dict(scope)
+                asn = _assignment(scope)
                 pts = tuple(compile_term(a, NATURALS)(asn) for a in args)
                 S = self.relations[name](pts)
                 got = member(S, e)
@@ -376,7 +384,7 @@ def build_delta0(phi: Formula) -> int:
 
 
 def _build(phi: Formula, scope: tuple) -> int:
-    asn = {name: k for name, k in scope}
+    asn = _assignment(scope)
     match phi:
         case Eq(_, _) | Less(_, _):
             return _prefix_int(scope)

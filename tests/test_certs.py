@@ -67,9 +67,11 @@ def test_tagged_matches_the_inline_tag_test(v):
         assert pair(*got) == v
 
 
-def test_tagged_matches_the_full_decode_across_the_cache_bound():
-    # below 4,096 tagged reads decode_seq's cache, from there at most three
-    # entries
+def test_tagged_matches_the_full_decode_on_every_small_code():
+    # every code below 5,000, with tagged's cache emptied first, so each
+    # answer is read from the code's first three entries, not from a table
+    # that earlier tests filled
+    tagged.cache_clear()
     for v in range(5000):
         assert tagged(v) == tagged_by_full_decode(v), v
 
@@ -249,6 +251,31 @@ def test_search_handles_self_referential_codes():
     quine_like = encode_term(lam("m", prog.tag1(Num(0))))
     x = pair(1, quine_like)
     assert search_cert(x, Singleton(5), CheckPolicy(depth=3, window=2, fuel=500)) is None
+
+
+def test_search_memo_answers_overlapping_windows(monkeypatch):
+    # the tail code sends 2 to 0, which is no tagged pair, and every other
+    # point to the same chain of two lifted constants; windows 0, 1 and 2
+    # stop at point 2, window 1 after meeting point 1 again, and window 3
+    # meets the chain at all four points, so only the memo keeps it to one
+    # search per (value, depth): 19 calls of search here, 151 without it
+    g, cert = pair(0, 3), Base(3)
+    for _ in range(2):
+        g, cert = lifted_constant(g, cert, 0, P)
+    x = pair(1, encode_term(lam("m", prog.ite_table(Var("m"), [(2, 0)], Num(g)))))
+    calls = 0
+    search = CertSearch.search
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(CertSearch, "search", counted)
+    found = CertSearch(P, SEARCH_THRESHOLD).search(x, Singleton(3))
+    assert isinstance(found, Lift) and found.threshold == 3
+    assert check_cert(x, Singleton(3), found, P) == Accepted((LIFT_CAVEAT,))
+    assert calls <= 19
 
 
 def test_inclusion_reverification():

@@ -272,6 +272,47 @@ def test_correspondence_on_small_corpus():
 
 
 # ---------------------------------------------------------------------------
+# a variable bound twice reads its newest binding
+
+
+def test_a_rebound_variable_reads_the_inner_binding():
+    # forall x < 1. forall x < 3. x < 2 fails at the inner x = 2, outer
+    # x = 0; the scope lists the inner binding first, and the prefix is the
+    # one build_delta0 gives that instance of the bound-3 sentence
+    scope = (("x", 2), ("x", 0))
+    e = coding.encode_seq([coding.pair(0, 2), coding.pair(0, 0)])
+    v = Checker(nat_env(), POL).check(e, parse_formula("x < 2"), scope)
+    assert v == Refuted("interpretation fails: 2 < 2")
+    # a relation reads its arguments by the same rule
+    env = Env(NatAssembly(), (("P", lambda pts: Finite(frozenset(pts))),))
+    assert Checker(env, POL).check(2, parse_formula("P(x)"), scope) == \
+        Realized("P(2,) holds of 2", ())
+
+
+def test_renaming_a_shadowed_binder_keeps_the_verdict():
+    # the witness 0 for the outer x, then a map sending each realizer r of
+    # the inner x to <0, <<0,r>, <0,0>>>: a prefix for x < 1 at every inner
+    # point, which holds only where the atom reads the outer x
+    track = encode_term(lam("r", tag0(seq2(tag0(Var("r")),
+                                            Num(coding.pair(0, 0))))))
+    e = coding.pair(coding.pair(0, 0),
+                    coding.pair(coding.pair(0, 0), track))
+    env = Env(tri_assembly())
+    shadowed = jrealizes(e, parse_formula("exists x. forall x. x < 1"), env, POL)
+    fresh = jrealizes(e, parse_formula("exists z. forall x. x < 1"), env, POL)
+    assert fresh == Refuted("no carrier point admits this realizer as witness")
+    assert shadowed == fresh
+
+
+def test_renaming_a_shadowed_binder_keeps_the_built_realizer():
+    # the disjunct is chosen by the inner x, which is always 0
+    shadowed = "forall x < 2. forall x < 1. x = 1 \\/ x = 0"
+    fresh = "forall z < 2. forall x < 1. x = 1 \\/ x = 0"
+    assert (build_delta0(parse_formula(shadowed))
+            == build_delta0(parse_formula(fresh)))
+
+
+# ---------------------------------------------------------------------------
 # fidelity against an independent brute-force reading of the clauses
 
 W = POL.window
@@ -325,7 +366,7 @@ class Oracle:
                    for p, s in zip(parts, sets))
 
     def _holds(self, e, phi, scope) -> bool:
-        asn = dict(scope)
+        asn = dict(reversed(scope))  # newest binding first, and it wins
         match phi:
             case Eq(l, r):
                 return (eval_term(l, asn) == eval_term(r, asn)
@@ -398,6 +439,8 @@ def fidelity_formulas():
         out.extend([And(a, b), Or(a, b), Imp(a, b)])
     out.append(Imp(And(atoms[0], atoms[2]), Or(atoms[1], atoms[0])))
     out.append(And(depth1[5], Or(atoms[0], atoms[1])))
+    # a rebound variable, which the inner quantifier binds
+    out.append(All("x", All("x", Less(x, Lit(2)))))
     return out
 
 

@@ -81,7 +81,7 @@ def test_defaulted_parameters_are_pinned():
 
 # newline characters over every module in src/jreal, as ``cat *.py | wc -l``
 # counts them; a change that grows or shrinks the package re-pins this
-SOURCE_LINES = 6504
+SOURCE_LINES = 6499
 
 
 def source_lines(texts: list[str]) -> int:
