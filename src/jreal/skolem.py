@@ -11,6 +11,15 @@ two representatives name the same element exactly when they agree along the
 selector's tail, and the chain keeps the enumerated functions as an
 ascending list of such equality classes.
 
+Every ``ChainState`` comes from ``initial_chain()`` through ``extend_chain``,
+so state k is the same in every chain of the process, and the refinement of
+step k (the newcomer compared with every class, and the cell and live set
+that survive) is computed once and kept in a table keyed by k.  Only the
+refinement is kept, one live set a step, so the table grows linearly in the
+deepest step where whole states would grow as its square; ``extend_chain``
+still enumerates the newcomer and builds each state itself, so its callers
+see the same calls and states as with an empty table.
+
 Elements are quasi-polynomials: wherever an element is taken or returned,
 a plain ``QuasiPoly`` stands for its class, and ``const(n)`` is the embedded
 natural n.
@@ -144,8 +153,13 @@ def _reduce(ds: DefinableSet) -> DefinableSet:
     return ds
 
 
-def extend_chain(state: ChainState) -> ChainState:
-    new = enumerate_qp(state.k + 1)
+# k -> (live set, chosen cell) of the step from state k
+_steps: dict[int, tuple[DefinableSet, int]] = {}
+
+
+def _refine(state: ChainState, new: QuasiPoly) -> tuple[DefinableSet, int]:
+    """The live set after comparing the newcomer with every class of state,
+    and the cell of the displayed union it chose."""
     betas = tuple(state.reps[g[0]] for g in state.classes)
     modulus, residues = _live_classes(state.live, new, *betas)
 
@@ -158,7 +172,15 @@ def extend_chain(state: ChainState) -> ChainState:
 
     chosen = min(cells)
     res, thr = cells[chosen]
-    live = _reduce(DefinableSet(modulus, frozenset(res), thr))
+    return _reduce(DefinableSet(modulus, frozenset(res), thr)), chosen
+
+
+def extend_chain(state: ChainState) -> ChainState:
+    new = enumerate_qp(state.k + 1)
+    step = _steps.get(state.k)
+    if step is None:
+        step = _steps[state.k] = _refine(state, new)
+    live, chosen = step
 
     # an odd cell ties the newcomer with class j, an even one opens a new
     # class at position j

@@ -1,8 +1,9 @@
 """Builders for random certified closure members and decision trees, shared
 across test modules, the quasi-polynomial evaluators, the reference machine
 loop, the reference formula interpreters, the reference doctrine law
-checker, the reference per-map pass of finite exponents, and the reference
-pairing, unpairing and closure-tag reader.
+checker, the reference per-map pass of finite exponents, the reference
+pairing, unpairing and closure-tag reader, and the Skolem chain step without
+its table.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -19,7 +20,8 @@ from jreal.doctrine import Doctrine, LawReport, MonoOp, arrow, derive_e4, wedge
 from jreal.formulas import (All, And, Eq, Ex, Formula, Imp, Less, Lit, NVar, Or,
                             Plus, Rel, Succ, TermAst, Times, bound_of)
 from jreal.machine import NotClosedAtRuntime, _as_nat
-from jreal.quasipoly import const, qp_add, qp_mul
+from jreal.quasipoly import DefinableSet, const, enumerate_qp, qp_add, qp_mul
+from jreal.skolem import ChainState, _live_classes, _position, _reduce
 from jreal.terms import (App, K, Num, PROJ, Prim, Term, Var, ap, decode_term_cached,
                          encode_term, spine)
 from jreal.text import InputError
@@ -418,3 +420,32 @@ def encode_by_walk(t: Term) -> int:
         else:
             codes.append(coding.phi_join((), 10 + u.value))
     return codes[0]
+
+
+# ---------------------------------------------------------------------------
+# the chain step that ``skolem.extend_chain`` must match: the newcomer
+# compared with every class on every step, with no table of refinements
+
+
+def extend_unmemoized(state: ChainState) -> ChainState:
+    new = enumerate_qp(state.k + 1)
+    betas = tuple(state.reps[g[0]] for g in state.classes)
+    modulus, residues = _live_classes(state.live, new, *betas)
+    cells: dict[int, tuple[list[int], int]] = {}
+    for r in residues:
+        cell, thr = _position(new, betas, modulus, r, state.live.threshold)
+        res, t = cells.get(cell, ([], state.live.threshold))
+        res.append(r)
+        cells[cell] = (res, max(t, thr))
+    chosen = min(cells)
+    res, thr = cells[chosen]
+    live = _reduce(DefinableSet(modulus, frozenset(res), thr))
+    j = chosen // 2
+    classes = list(state.classes)
+    if chosen % 2:
+        classes[j] += (state.k + 1,)
+    else:
+        classes.insert(j, (state.k + 1,))
+    return ChainState(state.k + 1, live,
+                      state.psi + (live.least_above(state.psi[-1]),),
+                      tuple(classes), state.reps + (new,))

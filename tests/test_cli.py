@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from jreal import cli, machine
+from jreal import cli, machine, quasipoly, skolem
 from jreal.kit import A_CODE
 from jreal.report import Report, case_pass, emit_report
 
@@ -90,6 +90,27 @@ def test_doctrine_reports_say_the_lift_rule_is_unreachable(name, capsysbinary):
     assert code == 0
     assert out.splitlines()[-1] == (
         "APPROX lift rule unreachable: pair(1, b) is undefined for every b")
+
+
+@pytest.mark.parametrize("first", ["cold", "warm"])
+@pytest.mark.parametrize("name", ["skolem-extend", "skolem-sign", "skolem-transfer"])
+def test_skolem_reports_ignore_the_step_table(name, first, monkeypatch,
+                                              capsysbinary):
+    # the chain's step table outlives a call; each report runs once on an
+    # empty table and once on one walked past every step the report needs
+    argv, want_code = CASES[name]
+    steps = {}
+    monkeypatch.setattr(skolem, "_steps", steps)
+    for table in (first, {"cold": "warm", "warm": "cold"}[first]):
+        steps.clear()
+        if table == "warm":
+            skolem.Model().ensure(200)
+        code = cli.main(argv)
+        assert capsysbinary.readouterr().out == (GOLDEN / f"{name}.txt").read_bytes()
+        assert code == want_code
+        assert len(steps) == (200 if table == "warm" else
+                              {"skolem-extend": 12, "skolem-sign": 6,
+                               "skolem-transfer": 120}[name])
 
 
 @pytest.mark.parametrize("argv", [
@@ -432,6 +453,24 @@ def test_skolem_extend_keeps_two_chain_states(capsysbinary):
         tracemalloc.stop()
     assert code == 0 and "Nested" in out and "Increasing" in out
     assert peak < steps * (steps + 1) // 2 * 8
+
+
+def test_skolem_step_table_grows_linearly(monkeypatch, capsysbinary):
+    # one live set per step stays behind; whole states would keep the
+    # N (N + 1) / 2 selector slots above, 4 MB of pointers at N = 1,000
+    # (about 0.63 MB kept measured)
+    steps = 1_000
+    monkeypatch.setattr(skolem, "_steps", {})
+    quasipoly.enumerate_qp(steps + 1)
+    tracemalloc.start()
+    try:
+        code, _, _ = run(["skolem", "extend", "--steps", str(steps)],
+                         capsysbinary)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(skolem._steps) == steps
+    assert kept < steps * 1024
 
 
 def test_oversize_element_error_is_short(capsysbinary):

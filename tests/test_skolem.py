@@ -35,7 +35,7 @@ from jreal.skolem import (
     truth_qf,
 )
 from jreal.terms import encode_term
-from support import QPEVAL
+from support import QPEVAL, extend_unmemoized
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,30 @@ def test_sign_requires_extension():
 
 def test_show_chain_mentions_live_set():
     assert "mod" in show_chain(initial_chain())
+
+
+def _walk(step, k: int) -> list:
+    states = [initial_chain()]
+    while states[-1].k < k:
+        states.append(step(states[-1]))
+    return states
+
+
+def test_step_table_matches_a_walk_without_it(monkeypatch):
+    monkeypatch.setattr(skolem, "_steps", {})
+    _walk(extend_chain, 160)
+    want = _walk(extend_unmemoized, 200)
+    assert _walk(extend_chain, 200) == want
+    # the step from state k is kept under k, for every k walked
+    assert sorted(skolem._steps) == list(range(200))
+    for prev, cur in zip(want, want[1:]):
+        assert skolem._steps[prev.k][0] == cur.live
+    refined = []
+    real = skolem._refine
+    monkeypatch.setattr(skolem, "_refine",
+                        lambda state, new: refined.append(state.k) or real(state, new))
+    assert _walk(extend_chain, 160) == want[:161]
+    assert refined == []
 
 
 # ---------------------------------------------------------------------------
