@@ -25,7 +25,11 @@ It prints:
     hits and misses, ``certs.tagged`` hits, misses and distinct values
     held, the entries in the machine's sub-run table at the end, how many
     entries it evicted, and how many of the evicted keys were written
-    again later.
+    again later;
+  - how many runs the machine's cycle check ended, how many runs and
+    unquotes its sub-run table answered, and how many calls each jet
+    answered (``machine.CYCLES``, ``SUBRUN_HITS`` and ``JET_HITS``, the
+    prefix's share of each).
 The counts come from one more run that wraps ``Machine.eval`` and
 ``machine._remember``, so the wrappers cost no timed run anything.  Every
 run must give the same digest.
@@ -121,6 +125,7 @@ def one_run(root: pathlib.Path, workload: str, seed: int, count: bool) -> dict:
             machine.Machine.eval = counted
         info0 = machine.apply_cached.cache_info()
         tags0 = certs.tagged.cache_info()
+        fast0 = _fast_path_counts(machine)
         cpu: dict[str, float] = collections.defaultdict(float)
         kinds: collections.Counter = collections.Counter()
         h = hashlib.sha256()
@@ -142,6 +147,7 @@ def one_run(root: pathlib.Path, workload: str, seed: int, count: bool) -> dict:
             h.update(f"exit {rc}\n{text}".encode())
         info1 = machine.apply_cached.cache_info()
         tags1 = certs.tagged.cache_info()
+        fast = {k: v - fast0[k] for k, v in _fast_path_counts(machine).items()}
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return {"queries": len(queries), "kinds": dict(kinds), "cpu": dict(cpu),
@@ -151,7 +157,14 @@ def one_run(root: pathlib.Path, workload: str, seed: int, count: bool) -> dict:
             "tag_hits": tags1.hits - tags0.hits,
             "tag_misses": tags1.misses - tags0.misses,
             "tag_held": tags1.currsize, "subruns": len(machine._subruns),
-            "evictions": evictions, "rewritten": len(rewritten)}
+            "evictions": evictions, "rewritten": len(rewritten), "fast": fast}
+
+
+def _fast_path_counts(machine) -> dict[str, int]:
+    """The machine's process-wide counts of runs ended by a repeat, of
+    sub-runs answered from its table, and of each jet's answers."""
+    return {"cycles": machine.CYCLES, "sub-run answers": machine.SUBRUN_HITS,
+            **{f"{name} jet hits": n for name, n in machine.JET_HITS.items()}}
 
 
 def spawn(root: pathlib.Path, workload: str, seed: int, mode: str) -> dict:
@@ -235,6 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"machine sub-run table entries {counted['subruns']}, evictions "
           f"{counted['evictions']}, evicted keys written again "
           f"{counted['rewritten']}")
+    print("machine " + ", ".join(f"{k} {v}" for k, v in counted["fast"].items()))
     if base and digests["base"] != digests["head"]:
         print("the base and this checkout disagree on the digest", file=sys.stderr)
         return 1

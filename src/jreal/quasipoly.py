@@ -9,8 +9,10 @@ change.  That decidability is what lets the model construction downstream
 run without any oracle.
 
 Coefficient tuples are low-to-high and never carry trailing zeros; the
-zero polynomial is the empty tuple.  Canonical form also minimizes the
-modulus, so equality of canonical values is plain structural equality.
+zero polynomial is the empty tuple.  A quasi-polynomial's polynomials and
+a definable set's classes are residue tables, canonical at their least
+period: the least divisor d of the modulus that shifting the table by d
+gives back.  A set's ``lift`` lists its classes modulo a multiple of that.
 """
 
 from __future__ import annotations
@@ -132,14 +134,22 @@ class QuasiPoly:
         return all(len(cs) <= 1 for cs in self.residues)
 
 
+@cache
+def _divisors(m: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, m + 1) if m % d == 0)
+
+
+def least_period(modulus: int, shifts_back) -> int:
+    """The least divisor d of the modulus for which ``shifts_back(d)`` holds."""
+    return next(d for d in _divisors(modulus) if shifts_back(d))
+
+
 def canon(modulus: int, residues) -> QuasiPoly:
     rs = tuple(_trim(tuple(cs)) for cs in residues)
     if len(rs) != modulus:
         raise ValueError("one residue polynomial per class")
-    for d in range(1, modulus + 1):
-        if modulus % d == 0 and all(rs[r] == rs[r % d] for r in range(modulus)):
-            return QuasiPoly(d, rs[:d])
-    raise AssertionError("the full modulus always qualifies")
+    d = least_period(modulus, lambda d: rs[d:] == rs[:-d])
+    return QuasiPoly(d, rs[:d])
 
 
 def const(c: int) -> QuasiPoly:
@@ -220,22 +230,18 @@ class DefinableSet:
         if not self.residues:
             raise ValueError("empty set has no elements")
         start = max(self.threshold, x + 1)
-        for n in range(start, start + self.modulus):
-            if n % self.modulus in self.residues:
-                return n
-        raise AssertionError("a nonempty residue set meets every window")
+        return start + min((r - start) % self.modulus for r in self.residues)
+
+    def lift(self, modulus: int) -> list[int]:
+        """The set's classes modulo a multiple of its modulus, ascending."""
+        rs = sorted(self.residues)
+        return [k + r for k in range(0, modulus, self.modulus) for r in rs]
 
     def subset_of(self, other: "DefinableSet") -> bool:
         m = lcm(self.modulus, other.modulus)
-        for r in range(m):
-            if r % self.modulus not in self.residues:
-                continue
-            if r % other.modulus not in other.residues:
-                return False
-        # a member below the other threshold would be lost
-        if self.residues and self.least_above(-1) < other.threshold:
-            return False
-        return True
+        # every class in one of the other's, and no member below its threshold
+        return (all(r % other.modulus in other.residues for r in self.lift(m))
+                and all(n >= other.threshold for n in self.elements(1)))
 
     def elements(self, k: int) -> tuple[int, ...]:
         out = []
@@ -244,6 +250,12 @@ class DefinableSet:
             n = self.least_above(n)
             out.append(n)
         return tuple(out)
+
+
+def canon_set(m: int, rs: frozenset[int], threshold: int) -> DefinableSet:
+    """The classes rs modulo m above the threshold, at their least period."""
+    d = least_period(m, lambda d: rs == {(r + d) % m for r in rs})
+    return DefinableSet(d, frozenset(r % d for r in rs), threshold)
 
 
 FULL_SET = DefinableSet(1, frozenset({0}), 0)
@@ -287,9 +299,8 @@ def of_weight(w: int) -> tuple[QuasiPoly, ...]:
                 for rows in _rows_for(split, d):
                     if max((len(cs) - 1 for cs in rows if cs), default=0) != d:
                         continue
-                    qp = QuasiPoly(m, rows)
-                    if canon(m, rows) == qp:
-                        out.append(qp)
+                    if canon(m, rows).modulus == m:
+                        out.append(QuasiPoly(m, rows))
     out.sort(key=lambda q: (q.modulus, q.degree, q.coeff_sum, q.residues))
     return tuple(out)
 

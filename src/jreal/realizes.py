@@ -36,7 +36,10 @@ bounds.
 
 A verdict is ``Realized(note, caveats)``, ``Refuted(reason)`` or
 ``Unknown(diagnostics)``, and holds what a report prints: the deciding
-clause's note, and every caveat the verdict rests on.  ``Checker.memo``
+clause's note, and every caveat the verdict rests on.  A verdict read
+through ``realizer_jset``, as the target of a map, counts there as a bool,
+so the session keeps the caveats of every ``Realized`` read that way and
+``jrealizes`` adds them to a ``Realized`` result.  ``Checker.memo``
 stays for nested implications: each level tries every antecedent candidate
 against the level below, so without it the checks multiply with the depth.
 Checks recurse on strict subformulas only, so it holds no provisional entry.
@@ -117,6 +120,7 @@ class Checker:
         self.memo: dict = {}
         self.searcher = CertSearch(self.policy, TRACK_THRESHOLD)
         self._atoms: dict = {}  # (id, scope) -> (atom, _interpret's answer)
+        self.read_caveats: dict[str, None] = {}  # in the order first read
 
     # -- membership -------------------------------------------------------
 
@@ -150,14 +154,15 @@ class Checker:
         return True, "prefix certified", _lift_caveat(parts)
 
     def realizer_jset(self, phi: Formula, scope: tuple) -> JSet:
-        """The realizers of a formula as a membership test, any magnitude."""
+        """The realizers of a formula as a membership test, any magnitude;
+        the caveats of each realizer it accepts go to ``read_caveats``."""
         return ByPredicate(lambda m: self._bool(self.check(m, phi, scope)),
                            f"realizes[{show_formula(phi)}]")
 
-    @staticmethod
-    def _bool(v: Verdict3) -> bool | None:
+    def _bool(self, v: Verdict3) -> bool | None:
         match v:
-            case Realized():
+            case Realized(_, cavs):
+                self.read_caveats.update(dict.fromkeys(cavs))
                 return True
             case Refuted(_):
                 return False
@@ -331,7 +336,12 @@ def jrealizes(e: int, phi: Formula, env: Env, policy: CheckPolicy) -> Verdict3:
     missing = free_vars(phi)
     if missing:
         raise InputError(f"unassigned free variables: {sorted(missing)}")
-    return Checker(env, policy).check(e, phi)
+    checker = Checker(env, policy)
+    v = checker.check(e, phi)
+    if isinstance(v, Realized):
+        read = tuple(c for c in checker.read_caveats if c not in v.caveats)
+        return Realized(v.note, v.caveats + read)
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,7 @@ from .quasipoly import (
     QP_TOKENS,
     DefinableSet,
     QuasiPoly,
+    canon_set,
     compare_on_class,
     const,
     enumerate_qp,
@@ -116,11 +117,9 @@ def initial_chain() -> ChainState:
 
 def _live_classes(live: DefinableSet,
                   *qps: QuasiPoly) -> tuple[int, list[int]]:
-    """The joint modulus of the live set and qps, with the live residues
-    modulo it."""
+    """The joint modulus of the live set and qps, and the set's lift to it."""
     modulus = lcm(live.modulus, *(qp.modulus for qp in qps))
-    return modulus, [r for r in range(modulus)
-                     if r % live.modulus in live.residues]
+    return modulus, live.lift(modulus)
 
 
 def _position(new: QuasiPoly, betas: tuple[QuasiPoly, ...], modulus: int,
@@ -142,17 +141,6 @@ def _position(new: QuasiPoly, betas: tuple[QuasiPoly, ...], modulus: int,
     return 2 * lo, thr
 
 
-def _reduce(ds: DefinableSet) -> DefinableSet:
-    for d in range(1, ds.modulus + 1):
-        if ds.modulus % d:
-            continue
-        base = frozenset(r % d for r in ds.residues)
-        if ds.residues == frozenset(
-                r for r in range(ds.modulus) if r % d in base):
-            return DefinableSet(d, base, ds.threshold)
-    return ds
-
-
 # k -> (live set, chosen cell) of the step from state k
 _steps: dict[int, tuple[DefinableSet, int]] = {}
 
@@ -172,7 +160,7 @@ def _refine(state: ChainState, new: QuasiPoly) -> tuple[DefinableSet, int]:
 
     chosen = min(cells)
     res, thr = cells[chosen]
-    return _reduce(DefinableSet(modulus, frozenset(res), thr)), chosen
+    return canon_set(modulus, frozenset(res), thr), chosen
 
 
 def extend_chain(state: ChainState) -> ChainState:

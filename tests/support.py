@@ -2,14 +2,15 @@
 across test modules, the quasi-polynomial evaluators, the reference machine
 loop, the reference formula interpreters, the reference doctrine law
 checker, the reference per-map pass of finite exponents, the reference
-pairing, unpairing and closure-tag reader, and the Skolem chain step without
-its table.
+pairing, unpairing and closure-tag reader, the scans that read a definable
+set over its whole modulus, and the Skolem chain step without its table.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
 so tail certificates genuinely differ per sample point.
 """
 
+import math
 import random
 
 from jreal import coding, prog
@@ -21,7 +22,7 @@ from jreal.formulas import (All, And, Eq, Ex, Formula, Imp, Less, Lit, NVar, Or,
                             Plus, Rel, Succ, TermAst, Times, bound_of)
 from jreal.machine import NotClosedAtRuntime, _as_nat
 from jreal.quasipoly import DefinableSet, const, enumerate_qp, qp_add, qp_mul
-from jreal.skolem import ChainState, _live_classes, _position, _reduce
+from jreal.skolem import ChainState, _position
 from jreal.terms import (App, K, Num, PROJ, Prim, Term, Var, ap, decode_term_cached,
                          encode_term, spine)
 from jreal.text import InputError
@@ -423,23 +424,62 @@ def encode_by_walk(t: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the readings of a definable set that ``quasipoly`` must match, each a scan
+# over a whole modulus: the least period by rebuilding the residues at every
+# divisor, the lift and the subset test by filtering every class of the
+# joint modulus, and the next member by walking a modulus-long window
+
+
+def reduce_by_scan(ds: DefinableSet) -> DefinableSet:
+    for d in range(1, ds.modulus + 1):
+        if ds.modulus % d:
+            continue
+        base = frozenset(r % d for r in ds.residues)
+        if ds.residues == frozenset(
+                r for r in range(ds.modulus) if r % d in base):
+            return DefinableSet(d, base, ds.threshold)
+    return ds
+
+
+def lift_by_scan(ds: DefinableSet, modulus: int) -> list[int]:
+    return [r for r in range(modulus) if r % ds.modulus in ds.residues]
+
+
+def least_above_by_scan(ds: DefinableSet, x: int) -> int:
+    start = max(ds.threshold, x + 1)
+    for n in range(start, start + ds.modulus):
+        if n % ds.modulus in ds.residues:
+            return n
+    raise ValueError("empty set has no elements")
+
+
+def subset_by_scan(a: DefinableSet, b: DefinableSet) -> bool:
+    m = math.lcm(a.modulus, b.modulus)
+    if any(r % b.modulus not in b.residues for r in lift_by_scan(a, m)):
+        return False
+    return not a.residues or least_above_by_scan(a, -1) >= b.threshold
+
+
+# ---------------------------------------------------------------------------
 # the chain step that ``skolem.extend_chain`` must match: the newcomer
-# compared with every class on every step, with no table of refinements
+# compared with every class on every step, with no table of refinements,
+# and the live set read by the scans above
 
 
 def extend_unmemoized(state: ChainState) -> ChainState:
     new = enumerate_qp(state.k + 1)
     betas = tuple(state.reps[g[0]] for g in state.classes)
-    modulus, residues = _live_classes(state.live, new, *betas)
+    modulus = math.lcm(state.live.modulus, new.modulus,
+                       *(b.modulus for b in betas))
     cells: dict[int, tuple[list[int], int]] = {}
-    for r in residues:
+    for r in lift_by_scan(state.live, modulus):
         cell, thr = _position(new, betas, modulus, r, state.live.threshold)
         res, t = cells.get(cell, ([], state.live.threshold))
         res.append(r)
         cells[cell] = (res, max(t, thr))
     chosen = min(cells)
     res, thr = cells[chosen]
-    live = _reduce(DefinableSet(modulus, frozenset(res), thr))
+    live = reduce_by_scan(DefinableSet(modulus, frozenset(res), thr))
     j = chosen // 2
     classes = list(state.classes)
     if chosen % 2:
@@ -447,5 +487,5 @@ def extend_unmemoized(state: ChainState) -> ChainState:
     else:
         classes.insert(j, (state.k + 1,))
     return ChainState(state.k + 1, live,
-                      state.psi + (live.least_above(state.psi[-1]),),
+                      state.psi + (least_above_by_scan(live, state.psi[-1]),),
                       tuple(classes), state.reps + (new,))

@@ -9,6 +9,7 @@ from jreal.quasipoly import (
     MAX_POWER,
     QuasiPoly,
     canon,
+    canon_set,
     compare_on_class,
     const,
     enumerate_qp,
@@ -22,6 +23,8 @@ from jreal.quasipoly import (
     show_qp,
 )
 from jreal.text import InputError
+from support import (least_above_by_scan, lift_by_scan, reduce_by_scan,
+                     subset_by_scan)
 
 polys = st.lists(st.integers(0, 4), max_size=3).map(
     lambda cs: tuple(cs[:len(cs) - next(
@@ -174,6 +177,32 @@ def test_subset_matches_brute_force(m1, m2, data):
     b = DefinableSet(m2, r2, t2)
     brute = all(b.member(n) for n in range(200) if a.member(n))
     assert a.subset_of(b) == brute
+
+
+@st.composite
+def residue_sets(draw):
+    """A modulus and a set of its residues, often a union of the classes of
+    a proper divisor, sometimes with one residue flipped."""
+    m = draw(st.integers(1, 48))
+    d = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    base = draw(st.sets(st.integers(0, d - 1), max_size=d))
+    rs = {r for r in range(m) if r % d in base}
+    if draw(st.booleans()):
+        rs ^= {draw(st.integers(0, m - 1))}
+    return m, frozenset(rs)
+
+
+@given(residue_sets(), residue_sets(), st.integers(0, 60), st.integers(0, 60),
+       st.integers(1, 4), st.integers(-1, 150))
+@settings(max_examples=300)
+def test_set_readings_match_the_modulus_scans(a, b, t1, t2, mult, x):
+    (m1, r1), (m2, r2) = a, b
+    s1, s2 = DefinableSet(m1, r1, t1), DefinableSet(m2, r2, t2)
+    assert canon_set(m1, r1, t1) == reduce_by_scan(s1)
+    assert s1.lift(mult * m1) == lift_by_scan(s1, mult * m1)
+    assert s1.subset_of(s2) == subset_by_scan(s1, s2)
+    if r1:
+        assert s1.least_above(x) == least_above_by_scan(s1, x)
 
 
 def test_empty_set_has_no_least_element():

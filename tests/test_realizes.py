@@ -505,8 +505,11 @@ def test_each_atom_is_interpreted_once_per_scope(monkeypatch):
     assert points == {"x < 3": {0, 1, 2}, "x < 2": {0, 1, 2}}
 
 
+# each instance's implication was read as the universal's target, so its
+# caveat is the result's too
 REALIZED_ON_WINDOW = Realized("universal map lands for 50 realizers",
-                              ("carrier sampled on a 50-point window",))
+                              ("carrier sampled on a 50-point window",
+                               "antecedent realizers sampled below 64"))
 
 
 @pytest.mark.parametrize("built, want", [
@@ -530,3 +533,17 @@ def test_equal_subformulas_at_two_positions_keep_their_verdicts(built, want):
     e = build_delta0(parse_formula(f"forall x < 3. {built}"))
     assert jrealizes(e, phi, nat_env(), POL) == want
     assert jrealizes(e, shared, nat_env(), POL) == want
+
+
+def test_a_verdict_read_as_a_realizer_set_keeps_its_caveats():
+    # the inner universal is read through realizer_jset as the outer one's
+    # target.  Its implications try antecedent realizers below CAND_BOUND,
+    # and at x = 2 none of them realizes the guard (the two-variable prefix
+    # is 232), so the false x < 2 is checked on nothing: Realized stands
+    # only with the sampling caveat
+    e = build_delta0(parse_formula("forall x < 1. forall x < 3. x < 3"))
+    phi = parse_formula("forall z < 1. forall x < 3. x < 2")
+    got = jrealizes(e, phi, nat_env(), CheckPolicy(4, 4, 200000))
+    assert got == Realized("universal map lands for 50 realizers",
+                           ("carrier sampled on a 50-point window",
+                            f"antecedent realizers sampled below {CAND_BOUND}"))
