@@ -452,7 +452,7 @@ def _cmd_skolem_extend(args, policy: CheckPolicy) -> Report:
     steps = _nat("--steps", args.steps)
     if steps < 1:
         raise InputError("--steps must be at least 1")
-    # each state holds its whole selector prefix, so only two are kept
+    # a state holds only its step; each reads the chain's one record
     final = skolem.initial_chain()
     nested = True
     for _ in range(steps):

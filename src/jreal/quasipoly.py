@@ -65,13 +65,6 @@ def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _trim(tuple(out))
 
 
-def _pcompose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-    acc: tuple[int, ...] = ()
-    for c in reversed(outer):
-        acc = _padd(_pmul(acc, inner), (c,) if c else ())
-    return acc
-
-
 def _sign_tail(diff: tuple[int, ...]) -> int:
     """The sign the difference settles on for large arguments."""
     if not diff:
@@ -168,22 +161,6 @@ def qp_add(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
 def qp_mul(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
     m = lcm(f.modulus, g.modulus)
     return canon(m, (_pmul(f.poly_at(r), g.poly_at(r)) for r in range(m)))
-
-
-def qp_compose(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
-    """f after g; the modulus lifts to make g's value class constant."""
-    m = lcm(f.modulus, g.modulus)
-    rows = []
-    for r in range(m):
-        inner = g.poly_at(r)
-        outer = f.poly_at(_peval(inner, r))
-        rows.append(_pcompose(outer, inner))
-    out = canon(m, rows)
-    span = 3 * m
-    bad = [n for n in range(span) if out.value(n) != f.value(g.value(n))]
-    if bad:
-        raise AssertionError(f"composition drifts at {bad[:3]}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ verdict carries ``LIFT_CAVEAT``.
 Checks against an infinite carrier range over a window of
 ``QUANT_WINDOW`` points and say so in the verdict's caveats; they never
 silently claim certainty.  An implication tries the antecedent's
-realizers below ``CAND_BOUND``.  On finite carriers with finite realizer
-shapes the checker commits to definite verdicts at its declared policy
-bounds.
+realizers below ``CAND_BOUND`` and says so, except that an interpreted
+relation whose set lists its elements (finite or a singleton) is tried on
+exactly those.  On finite carriers with finite realizer shapes the checker
+commits to definite verdicts at its declared policy bounds.
 
 A verdict is ``Realized(note, caveats)``, ``Refuted(reason)`` or
 ``Unknown(diagnostics)``, and holds what a report prints: the deciding
@@ -62,7 +63,7 @@ from .formulas import (
     NATURALS, All, And, Eq, Ex, Formula, Imp, Less, Or, Rel,
     bound_of, compile_formula, compile_term, free_vars, is_delta0, show_formula,
 )
-from .jsets import ByPredicate, JSet, Singleton, member
+from .jsets import ByPredicate, JSet, Singleton, elements, member
 from .prog import LT01, ite, ite_table, seq2, tag0
 from .terms import App, CONS, K, Num, Var, ap, encode_term
 from .text import InputError, show_nat
@@ -207,12 +208,10 @@ class Checker:
                 if ok is None:
                     return Unknown(note)
                 return Realized(note, cavs)
-            case Rel(name, args):
+            case Rel(name, _):
                 if name not in self.relations:
                     return Unknown(f"relation {name} not interpreted")
-                asn = _assignment(scope)
-                pts = tuple(compile_term(a, NATURALS)(asn) for a in args)
-                S = self.relations[name](pts)
+                pts, S = self._rel_set(phi, scope)
                 got = member(S, e)
                 if got is True:
                     return Realized(f"{name}{pts} holds of {e}", ())
@@ -251,13 +250,16 @@ class Checker:
             case Imp(a, b):
                 # rows carry (target, sure) for lands; see the module docstring
                 target = self.realizer_jset(b, scope)
+                cands = (elements(self._rel_set(a, scope)[1])
+                         if isinstance(a, Rel) and a.name in self.relations
+                         else None)
+                caveats = () if cands is not None else (
+                    f"antecedent realizers sampled below {CAND_BOUND}",)
                 rows = ((m, Singleton(m),
                          (target, self.exact or not got.caveats))
-                        for m in range(CAND_BOUND)
+                        for m in (range(CAND_BOUND) if cands is None else cands)
                         if isinstance(got := self.check(m, a, scope), Realized))
-                return self._check_map(
-                    e, scope, "implication", rows,
-                    (f"antecedent realizers sampled below {CAND_BOUND}",))
+                return self._check_map(e, scope, "implication", rows, caveats)
             case Ex(var, body):
                 return self._check_ex(e, var, body, scope)
             case All(var, body):
@@ -268,6 +270,12 @@ class Checker:
                 return self._check_map(e, scope, "universal", rows,
                                        (caveat,) if caveat else ())
         raise TypeError(phi)
+
+    def _rel_set(self, phi: Rel, scope: tuple) -> tuple[tuple, JSet]:
+        """An interpreted relation's arguments at the scope, and its set."""
+        asn = _assignment(scope)
+        pts = tuple(compile_term(a, NATURALS)(asn) for a in phi.args)
+        return pts, self.relations[phi.name](pts)
 
     def _points(self) -> tuple[tuple[Point, ...], str | None]:
         if self.env.assembly.finite:

@@ -11,14 +11,14 @@ two representatives name the same element exactly when they agree along the
 selector's tail, and the chain keeps the enumerated functions as an
 ascending list of such equality classes.
 
-Every ``ChainState`` comes from ``initial_chain()`` through ``extend_chain``,
-so state k is the same in every chain of the process, and the refinement of
-step k (the newcomer compared with every class, and the cell and live set
-that survive) is computed once and kept in a table keyed by k.  Only the
-refinement is kept, one live set a step, so the table grows linearly in the
-deepest step where whole states would grow as its square; ``extend_chain``
-still enumerates the newcomer and builds each state itself, so its callers
-see the same calls and states as with an empty table.
+The process keeps one chain in one append-only record, extended in place:
+per step k the live set and the selector value, per enumerated function its
+class (numbered in the order classes open), the classes in ascending order
+with each one's first function, and the lcm of those functions' moduli.  A
+``ChainState`` holds only k, so it is a prefix of the one chain by
+construction.  Only a step at the record's end compares the newcomer, and
+with the class heads alone; ``extend_chain`` enumerates the newcomer behind
+the end too, so its callers see the same calls as on a fresh record.
 
 Elements are quasi-polynomials: wherever an element is taken or returned,
 a plain ``QuasiPoly`` stands for its class, and ``const(n)`` is the embedded
@@ -100,19 +100,23 @@ from .text import Cursor, InputError
 
 @dataclass(frozen=True, slots=True)
 class ChainState:
-    """Functions 0..k incorporated, with the surviving definable set, the
-    selector prefix, and the settled order: ``classes`` holds the indices
-    0..k grouped by settled equality, the groups in ascending order."""
+    """Functions 0..k incorporated: the record's first k + 1 steps."""
 
     k: int
-    live: DefinableSet
-    psi: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    reps: tuple[QuasiPoly, ...]
+
+    @property
+    def live(self) -> DefinableSet:
+        return _chain.live[self.k]
+
+    @property
+    def psi(self) -> tuple[int, ...]:
+        if self.k >= len(_chain.psi):
+            raise IndexError(f"the chain has no step {self.k} yet")
+        return tuple(_chain.psi[:self.k + 1])
 
 
 def initial_chain() -> ChainState:
-    return ChainState(0, FULL_SET, (0,), ((0,),), (const(0),))
+    return ChainState(0)
 
 
 def _live_classes(live: DefinableSet,
@@ -122,7 +126,7 @@ def _live_classes(live: DefinableSet,
     return modulus, live.lift(modulus)
 
 
-def _position(new: QuasiPoly, betas: tuple[QuasiPoly, ...], modulus: int,
+def _position(new: QuasiPoly, betas: list[QuasiPoly], modulus: int,
               residue: int, t0: int) -> tuple[int, int]:
     """Cell index of the newcomer on one residue class, by binary search
     against the ascending restrictions; even cells are gaps, odd are ties."""
@@ -141,55 +145,59 @@ def _position(new: QuasiPoly, betas: tuple[QuasiPoly, ...], modulus: int,
     return 2 * lo, thr
 
 
-# k -> (live set, chosen cell) of the step from state k
-_steps: dict[int, tuple[DefinableSet, int]] = {}
+class _Record:
+    """The chain of the process (see the module docstring)."""
+
+    def __init__(self):
+        self.live, self.psi = [FULL_SET], [0]   # per step
+        self.cls = [0]                          # per enumerated function
+        self.order, self.heads = [0], [const(0)]  # per class, ascending
+        self.modulus = 1                        # lcm of the heads' moduli
+
+    def append(self, new: QuasiPoly) -> None:
+        """The step from the last state: the live set splits into the cells
+        of the newcomer against the heads, and the first infinite one stays."""
+        live = self.live[-1]
+        modulus = lcm(live.modulus, new.modulus, self.modulus)
+        cells: dict[int, tuple[list[int], int]] = {}
+        for r in live.lift(modulus):
+            cell, thr = _position(new, self.heads, modulus, r, live.threshold)
+            res, t = cells.get(cell, ([], live.threshold))
+            res.append(r)
+            cells[cell] = (res, max(t, thr))
+        chosen = min(cells)
+        res, thr = cells[chosen]
+        live = canon_set(modulus, frozenset(res), thr)
+        self.live.append(live)
+        self.psi.append(live.least_above(self.psi[-1]))
+        # an odd cell ties the newcomer with the class at position j, an
+        # even one opens a new class there
+        j = chosen // 2
+        if chosen % 2:
+            self.cls.append(self.order[j])
+        else:
+            self.cls.append(len(self.order))
+            self.order.insert(j, self.cls[-1])
+            self.heads.insert(j, new)
+            self.modulus = lcm(self.modulus, new.modulus)
 
 
-def _refine(state: ChainState, new: QuasiPoly) -> tuple[DefinableSet, int]:
-    """The live set after comparing the newcomer with every class of state,
-    and the cell of the displayed union it chose."""
-    betas = tuple(state.reps[g[0]] for g in state.classes)
-    modulus, residues = _live_classes(state.live, new, *betas)
-
-    cells: dict[int, tuple[list[int], int]] = {}
-    for r in residues:
-        cell, thr = _position(new, betas, modulus, r, state.live.threshold)
-        res, t = cells.get(cell, ([], state.live.threshold))
-        res.append(r)
-        cells[cell] = (res, max(t, thr))
-
-    chosen = min(cells)
-    res, thr = cells[chosen]
-    return canon_set(modulus, frozenset(res), thr), chosen
+_chain = _Record()
 
 
 def extend_chain(state: ChainState) -> ChainState:
     new = enumerate_qp(state.k + 1)
-    step = _steps.get(state.k)
-    if step is None:
-        step = _steps[state.k] = _refine(state, new)
-    live, chosen = step
-
-    # an odd cell ties the newcomer with class j, an even one opens a new
-    # class at position j
-    j = chosen // 2
-    classes = list(state.classes)
-    if chosen % 2:
-        classes[j] += (state.k + 1,)
-    else:
-        classes.insert(j, (state.k + 1,))
-
-    return ChainState(state.k + 1, live,
-                      state.psi + (live.least_above(state.psi[-1]),),
-                      tuple(classes), state.reps + (new,))
+    if state.k + 1 == len(_chain.psi):
+        _chain.append(new)
+    return ChainState(state.k + 1)
 
 
 def sign(state: ChainState, i: int, j: int) -> str:
     """Settled order of enumerated functions i and j along the selector."""
     if not (0 <= i <= state.k and 0 <= j <= state.k):
         raise ValueError(f"extend the chain to {max(i, j)} first")
-    pos = {n: c for c, g in enumerate(state.classes) for n in g}
-    return "=" if pos[i] == pos[j] else ("<" if pos[i] < pos[j] else ">")
+    pi, pj = (_chain.order.index(_chain.cls[n]) for n in (i, j))
+    return "=" if pi == pj else ("<" if pi < pj else ">")
 
 
 def show_chain(state: ChainState) -> str:
@@ -197,7 +205,7 @@ def show_chain(state: ChainState) -> str:
     res = ",".join(str(r) for r in sorted(live.residues))
     tail = ",".join(str(p) for p in state.psi[-6:])
     return (f"chain k={state.k} live=(mod {live.modulus}: {{{res}}} "
-            f"from {live.threshold}) classes={len(state.classes)} "
+            f"from {live.threshold}) classes={max(_chain.cls[:state.k + 1]) + 1} "
             f"psi tail=[...{tail}]")
 
 
@@ -327,7 +335,7 @@ def _transfer_qf(model: Model, phi: Formula, asn, window: int) -> TransferReport
     t_max = max((model.settle_threshold(compile_term(n.left, limit)(asn),
                                         compile_term(n.right, limit)(asn))
                  for n, _ in nodes(phi) if isinstance(n, Eq | Less)), default=0)
-    while model.state.psi[-1] < t_max:
+    while _chain.psi[model.state.k] < t_max:
         model.ensure(model.state.k + 1)
     holds = compile_formula(phi, NATURALS, None)
     n0, psi, verdicts = _at_selector(model, holds, asn, window)

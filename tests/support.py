@@ -3,7 +3,8 @@ across test modules, the quasi-polynomial evaluators, the reference machine
 loop, the reference formula interpreters, the reference doctrine law
 checker, the reference per-map pass of finite exponents, the reference
 pairing, unpairing and closure-tag reader, the scans that read a definable
-set over its whole modulus, and the Skolem chain step without its table.
+set over its whole modulus, the Skolem chain with every state holding its
+whole prefix, and quasi-polynomial composition.
 
 Chains are grown bottom-up: a 0-tagged base member, then lift steps whose
 tail codes either repeat one member or switch between two at a window split,
@@ -12,6 +13,7 @@ so tail certificates genuinely differ per sample point.
 
 import math
 import random
+from dataclasses import dataclass
 
 from jreal import coding, prog
 from jreal.bracket import lam
@@ -21,8 +23,9 @@ from jreal.doctrine import Doctrine, LawReport, MonoOp, arrow, derive_e4, wedge
 from jreal.formulas import (All, And, Eq, Ex, Formula, Imp, Less, Lit, NVar, Or,
                             Plus, Rel, Succ, TermAst, Times, bound_of)
 from jreal.machine import NotClosedAtRuntime, _as_nat
-from jreal.quasipoly import DefinableSet, const, enumerate_qp, qp_add, qp_mul
-from jreal.skolem import ChainState, _position
+from jreal.quasipoly import (FULL_SET, DefinableSet, QuasiPoly, _padd, _peval, _pmul,
+                             canon, const, enumerate_qp, qp_add, qp_mul)
+from jreal.skolem import _position
 from jreal.terms import (App, K, Num, PROJ, Prim, Term, Var, ap, decode_term_cached,
                          encode_term, spine)
 from jreal.text import InputError
@@ -461,12 +464,33 @@ def subset_by_scan(a: DefinableSet, b: DefinableSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the chain step that ``skolem.extend_chain`` must match: the newcomer
-# compared with every class on every step, with no table of refinements,
-# and the live set read by the scans above
+# the chain that ``skolem.extend_chain`` must match: each state holds its
+# whole prefix, the newcomer is compared with every class on every step,
+# and the live set is read by the scans above
 
 
-def extend_unmemoized(state: ChainState) -> ChainState:
+@dataclass(frozen=True)
+class OracleState:
+    """Functions 0..k incorporated, with the surviving definable set, the
+    selector prefix, and the settled order: ``classes`` holds the indices
+    0..k grouped by settled equality, the groups in ascending order."""
+
+    k: int
+    live: DefinableSet
+    psi: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+    reps: tuple[QuasiPoly, ...]
+
+    def sign(self, i: int, j: int) -> str:
+        pos = {n: c for c, g in enumerate(self.classes) for n in g}
+        return "=" if pos[i] == pos[j] else ("<" if pos[i] < pos[j] else ">")
+
+
+def initial_unmemoized() -> OracleState:
+    return OracleState(0, FULL_SET, (0,), ((0,),), (const(0),))
+
+
+def extend_unmemoized(state: OracleState) -> OracleState:
     new = enumerate_qp(state.k + 1)
     betas = tuple(state.reps[g[0]] for g in state.classes)
     modulus = math.lcm(state.live.modulus, new.modulus,
@@ -486,6 +510,34 @@ def extend_unmemoized(state: ChainState) -> ChainState:
         classes[j] += (state.k + 1,)
     else:
         classes.insert(j, (state.k + 1,))
-    return ChainState(state.k + 1, live,
-                      state.psi + (least_above_by_scan(live, state.psi[-1]),),
-                      tuple(classes), state.reps + (new,))
+    return OracleState(state.k + 1, live,
+                       state.psi + (least_above_by_scan(live, state.psi[-1]),),
+                       tuple(classes), state.reps + (new,))
+
+
+# ---------------------------------------------------------------------------
+# composition of quasi-polynomials, which the package never needs: f after
+# g, checked pointwise over three periods
+
+
+def _pcompose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+    acc: tuple[int, ...] = ()
+    for c in reversed(outer):
+        acc = _padd(_pmul(acc, inner), (c,) if c else ())
+    return acc
+
+
+def qp_compose(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
+    """f after g; the modulus lifts to make g's value class constant."""
+    m = math.lcm(f.modulus, g.modulus)
+    rows = []
+    for r in range(m):
+        inner = g.poly_at(r)
+        outer = f.poly_at(_peval(inner, r))
+        rows.append(_pcompose(outer, inner))
+    out = canon(m, rows)
+    span = 3 * m
+    bad = [n for n in range(span) if out.value(n) != f.value(g.value(n))]
+    if bad:
+        raise AssertionError(f"composition drifts at {bad[:3]}")
+    return out

@@ -92,25 +92,41 @@ def test_doctrine_reports_say_the_lift_rule_is_unreachable(name, capsysbinary):
         "APPROX lift rule unreachable: pair(1, b) is undefined for every b")
 
 
-@pytest.mark.parametrize("first", ["cold", "warm"])
-@pytest.mark.parametrize("name", ["skolem-extend", "skolem-sign", "skolem-transfer"])
-def test_skolem_reports_ignore_the_step_table(name, first, monkeypatch,
-                                              capsysbinary):
-    # the chain's step table outlives a call; each report runs once on an
-    # empty table and once on one walked past every step the report needs
-    argv, want_code = CASES[name]
-    steps = {}
-    monkeypatch.setattr(skolem, "_steps", steps)
-    for table in (first, {"cold": "warm", "warm": "cold"}[first]):
-        steps.clear()
-        if table == "warm":
-            skolem.Model().ensure(200)
-        code = cli.main(argv)
-        assert capsysbinary.readouterr().out == (GOLDEN / f"{name}.txt").read_bytes()
+# every skolem report with a golden: argv, exit code, the step the chain
+# reaches from a fresh record, and the formats it has goldens in
+SKOLEM_GOLDENS = {name: (CASES[name][0], CASES[name][1], steps, tuple(EXT))
+                  for name, steps in (("skolem-extend", 12), ("skolem-sign", 6),
+                                      ("skolem-transfer", 120))}
+SKOLEM_GOLDENS["skolem-extend-20000"] = (
+    ["skolem", "extend", "--steps", "20000"], 0, 20_000, ("text",))
+
+
+def test_every_skolem_golden_is_listed():
+    # the 100,000-step walk, about 11 s cold, is the CI console-script
+    # step's, under a timeout that per-step rebuilds would not meet
+    listed = [f"{name}.{EXT[fmt]}"
+              for name, (*_, fmts) in SKOLEM_GOLDENS.items() for fmt in fmts]
+    assert sorted(listed + ["skolem-extend-100000.txt"]) == \
+        sorted(p.name for p in GOLDEN.glob("skolem-*"))
+
+
+@pytest.mark.parametrize("record", ["fresh", "walked"])
+@pytest.mark.parametrize("name", sorted(SKOLEM_GOLDENS))
+def test_skolem_reports_read_the_chain_record_alike(name, record, monkeypatch,
+                                                    capsysbinary):
+    # the chain's record outlives a call; each report runs on a fresh record,
+    # which it grows, and on one walked past 200 steps, which it reads
+    # behind the end
+    argv, want_code, steps, fmts = SKOLEM_GOLDENS[name]
+    walked = 201 if record == "walked" else 0
+    for fmt in fmts:
+        monkeypatch.setattr(skolem, "_chain", skolem._Record())
+        skolem.Model().ensure(walked)
+        code = cli.main(argv + ["--format", fmt])
+        assert capsysbinary.readouterr().out == \
+            (GOLDEN / f"{name}.{EXT[fmt]}").read_bytes()
         assert code == want_code
-        assert len(steps) == (200 if table == "warm" else
-                              {"skolem-extend": 12, "skolem-sign": 6,
-                               "skolem-transfer": 120}[name])
+        assert len(skolem._chain.psi) == max(steps, walked) + 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -439,10 +455,10 @@ def test_huge_set_member_allocates_nothing(capsysbinary):
 
 
 def test_skolem_extend_keeps_two_chain_states(capsysbinary):
-    # state k holds a selector prefix of k + 1 entries, so keeping all N
-    # states holds N (N + 1) / 2 tuple slots, 4 MB of pointers at N = 1,000
-    # (10.6 MB peak measured); two states and the final prefix take about
-    # a quarter of that
+    # a walk whose every state held its selector prefix would hold N (N +
+    # 1) / 2 tuple slots, 4 MB of pointers at N = 1,000 (10.6 MB peak
+    # measured when states held them); a state now holds only k, so the
+    # peak is the chain's record and the final prefix
     steps = 1_000
     tracemalloc.start()
     try:
@@ -455,22 +471,23 @@ def test_skolem_extend_keeps_two_chain_states(capsysbinary):
     assert peak < steps * (steps + 1) // 2 * 8
 
 
-def test_skolem_step_table_grows_linearly(monkeypatch, capsysbinary):
-    # one live set per step stays behind; whole states would keep the
-    # N (N + 1) / 2 selector slots above, 4 MB of pointers at N = 1,000
-    # (about 0.63 MB kept measured)
-    steps = 1_000
-    monkeypatch.setattr(skolem, "_steps", {})
-    quasipoly.enumerate_qp(steps + 1)
-    tracemalloc.start()
-    try:
-        code, _, _ = run(["skolem", "extend", "--steps", str(steps)],
-                         capsysbinary)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and len(skolem._steps) == steps
-    assert kept < steps * 1024
+def test_skolem_chain_record_grows_linearly(monkeypatch, capsysbinary):
+    # a live set, a selector value and a class a step stay behind, and a
+    # head a class; whole states would keep the N (N + 1) / 2 selector
+    # slots above, 4 MB of pointers at N = 1,000 (about 0.6-0.9 MB kept
+    # measured at 1,000 and 0.7 MB at 2,000)
+    quasipoly.enumerate_qp(2_001)
+    for steps in (1_000, 2_000):
+        monkeypatch.setattr(skolem, "_chain", skolem._Record())
+        tracemalloc.start()
+        try:
+            code, _, _ = run(["skolem", "extend", "--steps", str(steps)],
+                             capsysbinary)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(skolem._chain.psi) == steps + 1
+        assert kept < steps * 1024
 
 
 def test_oversize_element_error_is_short(capsysbinary):

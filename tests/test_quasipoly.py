@@ -18,13 +18,12 @@ from jreal.quasipoly import (
     of_weight,
     parse_qp,
     qp_add,
-    qp_compose,
     qp_mul,
     show_qp,
 )
 from jreal.text import InputError
-from support import (least_above_by_scan, lift_by_scan, reduce_by_scan,
-                     subset_by_scan)
+from support import (least_above_by_scan, lift_by_scan, qp_compose,
+                     reduce_by_scan, subset_by_scan)
 
 polys = st.lists(st.integers(0, 4), max_size=3).map(
     lambda cs: tuple(cs[:len(cs) - next(

@@ -123,6 +123,37 @@ def test_map_leaving_on_a_sampled_antecedent_realizer_not_refuted_on_nat():
     assert "sampled antecedent realizer" in v.diagnostics
 
 
+# <0, map sending k to <0,<0,k>>>: every output lands in a closure
+LANDS = coding.pair(0, encode_term(
+    lam("k", App(Num(A_CODE), App(Num(A_CODE), Var("k"))))))
+
+
+def _on_p(S) -> Env:
+    return Env(NatAssembly(), (("P", lambda pts: S),))
+
+
+def test_finite_relation_antecedent_is_tried_on_exactly_its_elements():
+    # 100 lies past CAND_BOUND, so a sample below it would miss the one
+    # realizer that the untagged map sends outside the closure
+    phi = parse_formula("P(0) -> 0 = 0")
+    assert jrealizes(UNTAGGED, phi, _on_p(Finite(frozenset({100}))), POL) == \
+        Refuted("implication map leaves the closure at 100")
+    v = jrealizes(LANDS, phi, _on_p(Finite(frozenset({3, 100}))), POL)
+    assert v == Realized("implication map lands for 2 realizers", v.caveats)
+    assert f"antecedent realizers sampled below {CAND_BOUND}" not in v.caveats
+    assert jrealizes(UNTAGGED, phi, _on_p(Finite(frozenset())), POL) == \
+        Realized("implication map lands for 0 realizers", ())
+
+
+def test_cofinite_relation_antecedent_is_still_sampled():
+    # the negative control: a set without a list of elements is tried
+    # below CAND_BOUND, and the verdict says so
+    v = jrealizes(LANDS, parse_formula("P(0) -> 0 = 0"),
+                  _on_p(Cofinite(frozenset({1}))), POL)
+    assert v.note == f"implication map lands for {CAND_BOUND - 1} realizers"
+    assert f"antecedent realizers sampled below {CAND_BOUND}" in v.caveats
+
+
 # the checker scope of an open formula: x names the point 2
 X_IS_2 = (("x", 2),)
 

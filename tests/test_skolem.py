@@ -10,9 +10,8 @@ from jreal import cli, coding, skolem
 from jreal.assemblies import TrackStatus
 from jreal.formulas import parse_formula
 from jreal.machine import Value, apply_cached
-from jreal.quasipoly import (canon, const, enumerate_qp, ident, qp_add,
-                             qp_compose, qp_mul)
-from jreal.realizes import CAND_BOUND, Realized
+from jreal.quasipoly import canon, const, enumerate_qp, ident, qp_add, qp_mul
+from jreal.realizes import Realized
 from jreal.skolem import (
     Model,
     decode_elem_code,
@@ -35,7 +34,8 @@ from jreal.skolem import (
     truth_qf,
 )
 from jreal.terms import encode_term
-from support import QPEVAL, extend_unmemoized
+from support import (QPEVAL, extend_unmemoized, initial_unmemoized,
+                     qp_compose)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,8 @@ def test_sign_matrix_trichotomy_and_pointwise_validity():
         ops = {"<": int.__lt__, "=": int.__eq__, ">": int.__gt__}
         for n in range(max(i, j), 71):
             x = s.psi[n]
-            assert ops[rel](s.reps[i].value(x), s.reps[j].value(x)), (i, j, n)
+            assert ops[rel](enumerate_qp(i).value(x),
+                            enumerate_qp(j).value(x)), (i, j, n)
 
 
 def test_sign_requires_extension():
@@ -110,28 +111,48 @@ def test_show_chain_mentions_live_set():
     assert "mod" in show_chain(initial_chain())
 
 
-def _walk(step, k: int) -> list:
-    states = [initial_chain()]
+def _walk(start, step, k: int) -> list:
+    states = [start]
     while states[-1].k < k:
         states.append(step(states[-1]))
     return states
 
 
-def test_step_table_matches_a_walk_without_it(monkeypatch):
-    monkeypatch.setattr(skolem, "_steps", {})
-    _walk(extend_chain, 160)
-    want = _walk(extend_unmemoized, 200)
-    assert _walk(extend_chain, 200) == want
-    # the step from state k is kept under k, for every k walked
-    assert sorted(skolem._steps) == list(range(200))
-    for prev, cur in zip(want, want[1:]):
-        assert skolem._steps[prev.k][0] == cur.live
-    refined = []
-    real = skolem._refine
-    monkeypatch.setattr(skolem, "_refine",
-                        lambda state, new: refined.append(state.k) or real(state, new))
-    assert _walk(extend_chain, 160) == want[:161]
-    assert refined == []
+@pytest.mark.parametrize("record", ["fresh", "walked"])
+def test_chain_matches_a_walk_that_keeps_every_prefix(record, monkeypatch):
+    # a fresh record grows on every step; one walked past 200 steps is read
+    # behind its end
+    monkeypatch.setattr(skolem, "_chain", skolem._Record())
+    if record == "walked":
+        _walk(initial_chain(), extend_chain, 260)
+    want = _walk(initial_unmemoized(), extend_unmemoized, 200)
+    got = _walk(initial_chain(), extend_chain, 200)
+    for w, g in zip(want, got, strict=True):
+        assert (g.k, g.live, g.psi) == (w.k, w.live, w.psi)
+    for s in (got[37], got[-1]):
+        assert all(sign(s, i, j) == want[s.k].sign(i, j)
+                   for i in range(s.k + 1) for j in range(s.k + 1))
+
+
+def test_record_compares_on_the_joint_modulus_of_its_heads():
+    # 2n + 1 + (n mod 3) lies above 0 on every class, so it opens a class
+    # while the live set stays whole, at modulus 1; the next newcomer must
+    # still be compared modulo 3
+    rec = skolem._Record()
+    rec.append(canon(3, [(1, 2), (2, 2), (3, 2)]))
+    assert rec.live[1].modulus == 1 and rec.modulus == 3
+    rec.append(ident())
+    assert rec.cls == [0, 1, 2] and rec.order == [0, 2, 1]
+
+
+def test_a_state_past_the_record_end_raises(monkeypatch):
+    monkeypatch.setattr(skolem, "_chain", skolem._Record())
+    s = skolem.Model().ensure(30)
+    past = skolem.ChainState(s.k + 1)
+    for read in (lambda: past.live, lambda: past.psi,
+                 lambda: sign(past, 0, s.k + 1), lambda: show_chain(past)):
+        with pytest.raises(IndexError):
+            read()
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +181,7 @@ def test_model_comparison_agrees_with_matrix():
     s = m.state
     for i in range(0, 26, 3):
         for j in range(0, 26, 4):
-            assert m.sign_qp(s.reps[i], s.reps[j]) == sign(s, i, j)
+            assert m.sign_qp(enumerate_qp(i), enumerate_qp(j)) == sign(s, i, j)
 
 
 def test_swapped_comparison_is_the_flip():
@@ -399,13 +420,13 @@ def test_assembly_standard_subobject(built):
 
 
 def test_standardness_split_realized(built):
-    # the right disjunct's implication, read as the universal's target,
-    # tries antecedent realizers below CAND_BOUND, and says so; no other
-    # caveat, since the carrier is finite
+    # the split takes the right disjunct's implication only at nonstandard
+    # y, where the antecedent St(y) has the empty set, so the implication is
+    # tried on no realizer and says nothing was sampled; the carrier is
+    # finite, so the universal adds no caveat either
     _, ma = built
     assert ma.split_verdict == Realized(
-        "universal map lands for 21 realizers",
-        (f"antecedent realizers sampled below {CAND_BOUND}",))
+        "universal map lands for 21 realizers", ())
 
 
 def test_realizer_descriptions_replay_on_the_prefix(built):
