@@ -114,9 +114,11 @@ class ProductAssembly:
             raise InputError(f"product point {p}: {exc}") from None
 
     def sample_points(self, k: int) -> tuple[Point, ...]:
+        """Every pair when both factors are finite, else k pairs of a grid."""
         side = max(2, int(k ** 0.5) + 1)
-        grid = iproduct(self.left.sample_points(side), self.right.sample_points(side))
-        return tuple(p for p, _ in zip(grid, range(k)))
+        grid = tuple(iproduct(self.left.sample_points(side),
+                              self.right.sample_points(side)))
+        return grid if self.finite else grid[:k]
 
     @property
     def finite(self) -> bool:
@@ -281,34 +283,32 @@ class ExponentResult:
     caveats: tuple[str, ...]
 
 
-def _exact_meet(sets: Iterable[JSet]) -> set[int] | None:
-    """The elements common to the exact sets among ``sets``, None when no set
-    is exact.  A realizer shared by points must go to one value in the
-    closure of every image's realizer set, and the closure preserves finite
-    meets, so an empty meet defeats every tracker.  Samples of infinite sets
-    are left out: two can look disjoint when the sets meet."""
-    common: set[int] | None = None
-    for S in sets:
-        elems = elements(S)
-        if elems is not None:
-            common = set(elems) if common is None else common.intersection(elems)
-    return common
+def _realizer_meets(rows: Iterable) -> dict[int, set[int] | None]:
+    """Each source realizer of rows (realizers, image set), first seen first,
+    with the meet of its exact image sets, None when none is exact.  A shared
+    realizer must go to one value in the closure of every image's set, and
+    the closure preserves finite meets, so an empty meet defeats every
+    tracker.  Samples of infinite sets, which can look disjoint when the
+    sets meet, are left out."""
+    meets: dict[int, set[int] | None] = {}
+    for elems, S in rows:
+        exact = elements(S)
+        for r in elems:
+            common = meets.setdefault(r, None)
+            if exact is not None:
+                meets[r] = set(exact) if common is None else common.intersection(exact)
+    return meets
 
 
 def _impossible_map(A: FiniteAssembly, B: FiniteAssembly,
                     src_elems: dict, images: tuple[int, ...]) -> str | None:
     """A shared realizer whose images' exact realizer sets have an empty
     meet: no tracker exists, since certificates are value-directed."""
-    owners: dict[int, set[int]] = {}
-    for x, i in zip(A.points, images):
-        for r in src_elems[x]:
-            owners.setdefault(r, set()).add(i)
-    for r, idxs in owners.items():
-        common = _exact_meet(B.realizers[i] for i in idxs)
-        if common is not None and not common:
-            return (f"realizer {r} is shared by points with "
-                    f"disjoint image realizer sets")
-    return None
+    meets = _realizer_meets((src_elems[x], B.realizers[i])
+                            for x, i in zip(A.points, images))
+    r = next((r for r, common in meets.items() if common == set()), None)
+    return None if r is None else (
+        f"realizer {r} is shared by points with disjoint image realizer sets")
 
 
 def _per_map_pass(codes: list[int], rows: list[dict[int, int]],
@@ -449,19 +449,14 @@ def table_tracker(src: Assembly, dst: Assembly, table: dict) -> int | None:
     the map is untrackable by any function of realizers alone and None is
     returned.
     """
-    seen: dict[int, set] = {}
-    for x in src.points:
-        elems = elements(src.realizer_set(x))
-        if elems is None or elements(dst.realizer_set(table[x])) is None:
-            raise ValueError("table trackers need finite realizer shapes")
-        for r in elems:
-            seen.setdefault(r, set()).add(table[x])
-    rows: list[tuple[int, int]] = []
-    for r, targets in sorted(seen.items()):
-        commons = _exact_meet(dst.realizer_set(t) for t in targets)
-        if not commons:
-            return None
-        rows.append((r, min(commons)))
+    images = [(elements(src.realizer_set(x)), dst.realizer_set(table[x]))
+              for x in src.points]
+    if any(elems is None or elements(S) is None for elems, S in images):
+        raise ValueError("table trackers need finite realizer shapes")
+    meets = sorted(_realizer_meets(images).items())
+    if not all(common for _, common in meets):
+        return None
+    rows = [(r, min(common)) for r, common in meets]
     return encode_term(lam(
         "r", tag0(prog.ite_table(Var("r"), rows, Num(0)))))
 

@@ -49,35 +49,42 @@ EXIT_STATUS = ("exit status: 0 when every case passes, 1 when a case fails, "
                "ones (a report on stdout)")
 
 
-def _read(path: str) -> str:
+def _read(path: str, parse):
+    """``parse`` of a file's text; any error it raises names the file."""
     try:
-        return pathlib.Path(path).read_text()
+        text = pathlib.Path(path).read_text()
     except OSError as exc:
         raise InputError(str(exc)) from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: {exc}") from None
+    return _named(path, parse, text)
+
+
+def _named(what: str, parse, source):
+    """``parse(source)``, with ``what`` before the message of any error."""
+    try:
+        return parse(source)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
+
+
+def _numeral(text: str) -> int:
+    c = Cursor(SET_TOKENS, text)
+    n = c.nat()
+    c.done()
+    return n
 
 
 def _nat(what: str, text: str) -> int:
     """The natural number a text names: one numeral and nothing else."""
-    try:
-        c = Cursor(SET_TOKENS, text)
-        n = c.nat()
-        c.done()
-    except InputError as exc:
-        raise InputError(f"{what}: {exc}") from None
-    return n
+    return _named(what, _numeral, text)
 
 
-def _read_closure(path: str) -> tuple[Doctrine, MonoOp, MonoOp]:
-    """The doctrine in a file, its map F and the least closed J above F."""
-    text = _read(path)
-    try:
-        d = parse_doctrine(text)
-        F = pitts_f_finite(d)
-        return d, F, lfp_local(d, F)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+def _closure(text: str) -> tuple[Doctrine, MonoOp, MonoOp]:
+    """The doctrine a text names, its map F and the least closed J above F."""
+    d = parse_doctrine(text)
+    F = pitts_f_finite(d)
+    return d, F, lfp_local(d, F)
 
 
 def _parse_mask(text: str, d: Doctrine) -> int:
@@ -111,7 +118,7 @@ def _big(n: int) -> str:
 
 
 def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
-    d, _, J = _read_closure(args.file)
+    d, _, J = _read(args.file, _closure)
     rep = local_laws(d, J)
     cases = []
     for name, w in (("e1", rep.e1), ("e2", rep.e2),
@@ -133,7 +140,7 @@ def _cmd_doctrine_laws(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
-    d, F, J = _read_closure(args.file)
+    d, F, J = _read(args.file, _closure)
     mask = _parse_mask(args.set, d)
     iterated = J[mask]
     meet = lfp_by_intersection(d, F, mask)
@@ -151,7 +158,7 @@ def _cmd_doctrine_lfp(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
-    d, _, J = _read_closure(args.file)
+    d, _, J = _read(args.file, _closure)
     rep = uniformity_finite(d, J)
     if rep.verified:
         c = case_pass("uniformity", "Verified",
@@ -171,7 +178,7 @@ def _cmd_doctrine_uniformity(args, policy: CheckPolicy) -> Report:
 
 def _cmd_jcert_check(args, policy: CheckPolicy) -> Report:
     target = parse_jset(args.set)
-    cert = parse_cert(_read(args.cert))
+    cert = _read(args.cert, parse_cert)
     x = _nat("--x", args.x)
     res = check_cert(x, target, cert, policy)
     title = f"jcert check {args.cert}"
@@ -213,7 +220,7 @@ def _cmd_jdec_build(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_jdec_run(args, policy: CheckPolicy) -> Report:
-    tree = parse_dec(_read(args.file))
+    tree = _read(args.file, parse_dec)
     n = _nat("--n", args.n)
     res = run_decider(tree, n, policy)
     c = _dec_case(f"n={n}", res, ground_truth(tree, n))
@@ -221,7 +228,7 @@ def _cmd_jdec_run(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_jdec_table(args, policy: CheckPolicy) -> Report:
-    tree = parse_dec(_read(args.file))
+    tree = _read(args.file, parse_dec)
     runs = [(n, run_decider(tree, n, policy))
             for n in range(_nat("--upto", args.upto) + 1)]
     cases = tuple(_dec_case(f"n={n}", res, ground_truth(tree, n))
@@ -235,11 +242,7 @@ def _cmd_jdec_table(args, policy: CheckPolicy) -> Report:
 
 
 def _read_assembly(path: str) -> "FiniteAssembly":
-    text = _read(path)
-    try:
-        return parse_assembly(text, pathlib.Path(path).stem)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    return _read(path, lambda text: parse_assembly(text, pathlib.Path(path).stem))
 
 
 def _track_case(ident: str, rep: TrackReport) -> Case:
@@ -281,15 +284,13 @@ def _cmd_asm_track(args, policy: CheckPolicy) -> Report:
 
 
 def _cmd_asm_product(args, policy: CheckPolicy) -> Report:
-    A = _read_assembly(args.left)
-    B = _read_assembly(args.right)
-    AB = product(A, B)
-    for a in A.points:  # a wedge lists its factors' realizer sets
-        for b in B.points:
-            AB.realizer_set((a, b))
+    AB = product(_read_assembly(args.left), _read_assembly(args.right))
+    pairs = AB.sample_points(0)  # every pair, as both factors are finite
+    for p in pairs:  # a wedge lists its factors' realizer sets
+        AB.realizer_set(p)
     cases = (
-        case_pass("points", str(len(A.points) * len(B.points)),
-                  f"pairs of {A.name} and {B.name}"),
+        case_pass("points", str(len(pairs)),
+                  f"pairs of {AB.left.name} and {AB.right.name}"),
         _track_case("proj-left", check_tracking(proj_left(AB), policy)),
         _track_case("proj-right", check_tracking(proj_right(AB), policy)),
     )
@@ -402,7 +403,7 @@ def _read_cases(dirname: str):
         raise InputError(f"no .case files under {dirname}")
     for path in files:
         fields: dict[str, str] = {}
-        for ln in _read(str(path)).splitlines():
+        for ln in _read(str(path), str.splitlines):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
@@ -414,7 +415,8 @@ def _read_cases(dirname: str):
             fields[key] = val
         if "formula" not in fields:
             raise InputError(f"{path.name}: missing formula")
-        yield path, fields, parse_formula(fields["formula"])
+        yield path, fields, _named(f"{path.name}: formula", parse_formula,
+                                   fields["formula"])
 
 
 def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
@@ -424,7 +426,7 @@ def _cmd_realize_corpus(args, policy: CheckPolicy) -> Report:
         env = _realize_env(str(path.parent / fields["asm"])
                            if "asm" in fields else None)
         e = (_nat(f"{path.name}: e", fields["e"]) if "e" in fields
-             else _build_realizer(phi))
+             else _named(path.name, _build_realizer, phi))
         v = jrealizes(e, phi, env, policy)
         expect = fields.get("expect", "realized")
         got = {Realized: "realized", Refuted: "refuted",
@@ -525,7 +527,8 @@ def _cmd_skolem_transfer(args, policy: CheckPolicy) -> Report:
     cases = []
     caveats: list[str] = []
     for path, fields, phi in _read_cases(args.corpus):
-        asn = _parse_assignment(fields.get("args", ""))
+        asn = _named(f"{path.name}: args", _parse_assignment,
+                     fields.get("args", ""))
         rep = skolem.transfer_check(model, phi, asn, policy.window * 6)
         caveats += rep.caveats
         detail = f"{rep.mode} over {rep.window} points"

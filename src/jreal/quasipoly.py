@@ -153,14 +153,17 @@ def ident() -> QuasiPoly:
     return QuasiPoly(1, ((0, 1),))
 
 
-def qp_add(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
+def _at_joint_modulus(op, f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
     m = lcm(f.modulus, g.modulus)
-    return canon(m, (_padd(f.poly_at(r), g.poly_at(r)) for r in range(m)))
+    return canon(m, (op(f.poly_at(r), g.poly_at(r)) for r in range(m)))
+
+
+def qp_add(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
+    return _at_joint_modulus(_padd, f, g)
 
 
 def qp_mul(f: QuasiPoly, g: QuasiPoly) -> QuasiPoly:
-    m = lcm(f.modulus, g.modulus)
-    return canon(m, (_pmul(f.poly_at(r), g.poly_at(r)) for r in range(m)))
+    return _at_joint_modulus(_pmul, f, g)
 
 
 # ---------------------------------------------------------------------------

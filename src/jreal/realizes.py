@@ -263,12 +263,11 @@ class Checker:
             case Ex(var, body):
                 return self._check_ex(e, var, body, scope)
             case All(var, body):
-                points, caveat = self._points()
+                points, caveats = self._points()
                 rows = ((y, self.env.assembly.realizer_set(y),
                          (self.realizer_jset(body, ((var, y),) + scope), True))
                         for y in points)
-                return self._check_map(e, scope, "universal", rows,
-                                       (caveat,) if caveat else ())
+                return self._check_map(e, scope, "universal", rows, caveats)
         raise TypeError(phi)
 
     def _rel_set(self, phi: Rel, scope: tuple) -> tuple[tuple, JSet]:
@@ -277,11 +276,11 @@ class Checker:
         pts = tuple(compile_term(a, NATURALS)(asn) for a in phi.args)
         return pts, self.relations[phi.name](pts)
 
-    def _points(self) -> tuple[tuple[Point, ...], str | None]:
-        if self.env.assembly.finite:
-            return self.env.assembly.sample_points(0), None
+    def _points(self) -> tuple[tuple[Point, ...], tuple[str, ...]]:
+        """The carrier's points, every one when it is finite, and any caveat."""
         pts = self.env.assembly.sample_points(QUANT_WINDOW)
-        return pts, f"carrier sampled on a {len(pts)}-point window"
+        return pts, () if self.exact else (
+            f"carrier sampled on a {len(pts)}-point window",)
 
     def _check_ex(self, e: int, var: str, body: Formula, scope: tuple) -> Verdict3:
         parts = coding.decode_seq(e)
@@ -290,7 +289,7 @@ class Checker:
         # untagged evidence lands in no closure, whatever the point
         if tagged(parts[0]) is None:
             return Refuted("witness evidence is not a tagged pair")
-        points, caveat = self._points()
+        points, caveats = self._points()
         pending: str | None = None
         for a in points:
             ev_ok = self.lands(parts[0], self.env.assembly.realizer_set(a))[0]
@@ -302,15 +301,14 @@ class Checker:
             inner = self.check(parts[1], body, ((var, a),) + scope)
             match inner:
                 case Realized(note, cavs):
-                    return Realized(note, _lift_caveat(parts[:1]) + cavs
-                                    + ((caveat,) if caveat else ()))
+                    return Realized(note, _lift_caveat(parts[:1]) + cavs + caveats)
                 case Unknown(d):
                     pending = pending or f"witness {a}: {d}"
         if pending is not None:
             return Unknown(pending)
-        if caveat is None:
+        if not caveats:
             return Refuted("no carrier point admits this realizer as witness")
-        return Unknown(f"no witness on the window; {caveat}")
+        return Unknown(f"no witness on the window; {caveats[0]}")
 
     def _check_map(self, e: int, scope: tuple, clause: str, rows,
                    caveats: tuple[str, ...]) -> Verdict3:

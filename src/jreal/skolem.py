@@ -413,20 +413,20 @@ def decode_elem_code(code: int) -> tuple[int, tuple[tuple[int, ...], ...], tuple
 # python mirrors of the object-level tracker arithmetic; kept untrimmed and
 # unreduced so mirror output equals machine output verbatim
 
-def mirror_add(d1: int, d2: int) -> int:
+def _mirror_binop(row_op, d1: int, d2: int) -> int:
+    """Host twin of ``_binop_data_term``: rows combined at the joint modulus."""
     m1, rows1 = _split_data(d1)
     m2, rows2 = _split_data(d2)
     m = lcm(m1, m2)
-    rows = [_mirror_padd(rows1[r % m1], rows2[r % m2]) for r in range(m)]
-    return _join_data(m, rows)
+    return _join_data(m, [row_op(rows1[r % m1], rows2[r % m2]) for r in range(m)])
+
+
+def mirror_add(d1: int, d2: int) -> int:
+    return _mirror_binop(_mirror_padd, d1, d2)
 
 
 def mirror_mul(d1: int, d2: int) -> int:
-    m1, rows1 = _split_data(d1)
-    m2, rows2 = _split_data(d2)
-    m = lcm(m1, m2)
-    rows = [_mirror_pmul(rows1[r % m1], rows2[r % m2]) for r in range(m)]
-    return _join_data(m, rows)
+    return _mirror_binop(_mirror_pmul, d1, d2)
 
 
 def mirror_succ(d: int) -> int:

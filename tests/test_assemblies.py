@@ -207,6 +207,32 @@ def test_finite_product_point_count():
     assert both.finite
 
 
+def five_point():
+    return FiniteAssembly("A", tuple("abcde"), tuple(Singleton(i) for i in range(5)))
+
+
+def test_finite_product_is_checked_on_every_pair():
+    AA = product(five_point(), five_point())
+    pl = proj_left(AA)
+    rep = check_tracking(pl, POL)
+    assert (rep.status, rep.checked, rep.note) == (
+        TrackStatus.VERIFIED, 25, "full carrier")
+    # wrong at the last of the 25 pairs only, past a 16-pair sample
+    wrong = Morphism(AA, AA.left,
+                     lambda p: "a" if p == ("e", "e") else p[0], pl.tracker)
+    rep = check_tracking(wrong, POL)
+    assert rep.status is TrackStatus.FAILED
+    assert rep.witness == (("e", "e"), coding.pair(4, 4)) and rep.checked == 25
+
+
+def test_infinite_product_is_still_sampled():
+    half = product(NatAssembly(), five_point())
+    assert len(half.sample_points(16)) == 16 and not half.finite
+    rep = check_tracking(proj_right(half), POL)
+    assert (rep.status, rep.checked, rep.note) == (
+        TrackStatus.VERIFIED, 16, "sampled carrier")
+
+
 def test_exponent_of_point_is_point():
     one = FiniteAssembly("one", ("p",), (Finite(frozenset({0})),))
     res = exponent_finite(one, one, 2000, EXP_POL)

@@ -21,12 +21,15 @@ EXT = {"text": "txt", "tsv": "tsv"}
 
 PAIR = "corpus/asm/pair.asm"
 TWO = "corpus/asm/two.asm"
+FIVE = "tests/data/five.asm"
 
 # name -> (argv, exit code)
 CASES = {
     "realize-corpus": (["realize", "corpus", "corpus/realize"], 0),
     "realize-check": (["realize", "check", "--formula", "0 = 0", "--e", "2"], 0),
     "asm-product": (["asm", "product", PAIR, TWO], 0),
+    # 25 pairs, more than the 16 points a sampled carrier is checked on
+    "asm-product-five": (["asm", "product", FIVE, FIVE], 0),
     "asm-sub": (["asm", "sub", PAIR, "--points", "a,c"], 0),
     "asm-track-identity": (["asm", "track", PAIR, "--map", "a:a,b:b,c:c",
                             "--tracker", str(A_CODE)], 0),
@@ -308,6 +311,10 @@ BAD_INPUTS = {
                          "--args", "x=1 | x=2"], {}),
     "corpus-formula-twice": (["realize", "corpus", "{tmp}"],
                              {"a.case": b"formula: 0 = 1\nformula: 0 = 0\n"}),
+    "corpus-formula-bad": (["realize", "corpus", "{tmp}"],
+                           {"a.case": b"formula: 0 = = 0\n"}),
+    "transfer-args-bad": (["skolem", "transfer", "--corpus", "{tmp}"],
+                          {"a.case": b"formula: x = 1\nargs: x=mod 0:\n"}),
     **{f"numeral-{flag.lstrip('-')}-{name}":
        ([text if a == "N" else a for a in argv], {})
        for flag, argv in NUMERAL_ARGV.items()
@@ -325,6 +332,19 @@ def _in_tmp(argv, files, tmp_path) -> list[str]:
 def test_bad_input_is_a_usage_error(name, tmp_path, capsysbinary):
     argv, files = BAD_INPUTS[name]
     _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
+
+
+# the one bad input that comes from files but not from reading one: both
+# files parse, and their product has no wedge set at a point
+NOT_READ_ERRORS = {"asm-product-wide"}
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n, (_, files) in BAD_INPUTS.items() if files and n not in NOT_READ_ERRORS))
+def test_a_bad_file_is_named(name, tmp_path, capsysbinary):
+    argv, files = BAD_INPUTS[name]
+    err = _usage_error(_in_tmp(argv, files, tmp_path), capsysbinary)
+    assert any(f"{fname}: " in err for fname in files), err
 
 
 def test_product_error_names_the_point(tmp_path, capsysbinary):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import chain, nested_chain
 from jreal import coding, prog
@@ -196,6 +197,57 @@ def test_least_zero_lifting():
                      fuel=20 * PG.fuel) == Value(out)
         got_check = check_cert(out, Singleton(want), out_cert, PG)
         assert isinstance(got_check, Accepted), got_check
+
+
+# ---------------------------------------------------------------------------
+# every mirror against the machine, on drawn certified inputs; each case
+# gives the machine's answer, the mirror's value and certificate, the set
+# the certificate must land the value in, and the policy to check it at
+
+
+def _fmap_case(rng, a):
+    x, cert = chain(rng, a, rng.randrange(0, 4), P)
+    return (apply_many(B_CODE, [SUCC_CODE, x], fuel=P.fuel),
+            mirror_b(SUCC_FN, x, cert, P), Singleton(a + 1), P)
+
+
+def _flatten_case(rng, a):
+    x, cert = nested_chain(rng, a, rng.randrange(0, 3), rng.randrange(0, 3), P)
+    return apply(D_CODE, x, fuel=P.fuel), mirror_d(x, cert, P), Singleton(a), P
+
+
+def _zip_case(rng, a):
+    b = rng.randrange(0, 6)
+    xu, cu = chain(rng, a, rng.randrange(0, 3), P)
+    xv, cv = chain(rng, b, rng.randrange(0, 3), P)
+    w = coding.pair(xu, xv)
+    return (apply(E_CODE, w, fuel=10 * P.fuel), mirror_e(w, cu, cv, P),
+            wedge_target(Singleton(a), Singleton(b)), P)
+
+
+def _lifted_case(rng, a):
+    fn = rng.choice((cor_gh().any_zero, cor_gh().least_zero))
+    entries, values = lifted_corpus(rng)
+    # a chain one lift deep has the same value at every window point; a
+    # deeper one can differ between points
+    entries.append(chain(rng, a, rng.randrange(0, 3), PG))
+    s = coding.encode_seq([x for x, _ in entries])
+    return (apply(fn.g_code, s, fuel=20 * PG.fuel), mirror_lifted(fn, entries, PG),
+            Singleton(fn.host(values + (a,))), PG)
+
+
+MIRROR_CASES = {"fmap": _fmap_case, "flatten": _flatten_case, "zip": _zip_case,
+                "lifted": _lifted_case}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_CASES))
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a=st.integers(0, 5))
+def test_mirror_gives_the_machines_value_and_a_checked_certificate(name, seed, a):
+    got, (out, cert), target, policy = MIRROR_CASES[name](random.Random(seed), a)
+    assert got == Value(out)
+    verdict = check_cert(out, target, cert, policy)
+    assert isinstance(verdict, Accepted), verdict
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import itertools
 import pytest
 
 from jreal import coding
-from jreal.assemblies import FiniteAssembly, NatAssembly
+from jreal.assemblies import FiniteAssembly, NatAssembly, product
 from jreal.bracket import lam
 from jreal.certs import CheckPolicy
 from jreal.formulas import (
     NATURALS, All, And, Eq, Ex, Imp, Less, Lit, NVar, Or,
     compile_formula, parse_formula, show_formula,
 )
-from jreal.jsets import Cofinite, Finite, UpFrom
+from jreal.jsets import Cofinite, Finite, Singleton, UpFrom
 from jreal.kit import A_CODE
 from jreal.machine import DEFAULT_FUEL, Value, apply_cached
 from jreal.prog import ite_table, seq2, tag0
@@ -100,6 +100,24 @@ def test_universal_escaping_instance_refuted_on_nat_and_on_finite():
     got = ck.check(coding.pair(0, stray), All("x", Eq(NVar("x"), NVar("x"))))
     assert isinstance(got, Refuted)
     assert "leaves the closure" in got.reason
+
+
+def five_squared():
+    A = FiniteAssembly("A", tuple("abcde"), tuple(Singleton(i) for i in range(5)))
+    return Env(product(A, A))
+
+
+def test_quantifiers_over_a_finite_product_range_over_every_pair():
+    env = five_squared()
+    v = jrealizes(coding.pair(0, A_CODE), parse_formula("forall x. 0 = 1"), env, POL)
+    assert isinstance(v, Refuted)
+    wrap = encode_term(lam("r", tag0(tag0(Var("r")))))
+    v = jrealizes(coding.pair(0, wrap), parse_formula("forall x. 0 = 0"), env, POL)
+    assert v == Realized("universal map lands for 25 realizers", ())
+    # a witness at the last pair, certified by its own realizer
+    unit = coding.pair(0, coding.pair(4, 4))
+    v = jrealizes(coding.pair(unit, unit), parse_formula("exists x. 0 = 0"), env, POL)
+    assert v == Realized("prefix certified", ())
 
 
 # <0, code of K 0>: its map sends every input to 0, which is not a tagged pair
